@@ -5,8 +5,8 @@ the client, and a designated full set of simple modules (plus projective
 covers where available).  On top of that this module provides Hom spaces,
 tops/radicals/socles, MeatAxe splitting into indecomposables, projective
 covers, the Heller operator and its negative powers, isomorphism testing
-with explicit witnesses, stable Hom spaces, and resolution traces with a
-complexity estimator.
+with explicit witnesses, stable Hom spaces, and resolution traces with an
+exact complexity estimator.
 
 Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  All randomness
@@ -15,6 +15,7 @@ is seeded (default 0xF0B) so repeated runs agree.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -25,6 +26,7 @@ from . import DEFAULT_SEED
 from .fplinalg import (
     FpMat,
     SpanTracker,
+    block_diag,
     fpmat,
     hstack,
     identity,
@@ -44,6 +46,12 @@ _DIRECT_LIMIT = 256
 
 # exhaustive-enumeration ceilings for locality proofs and iso fallbacks
 _ENUM_LIMIT = 4096
+
+# random draws before a MeatAxe factor or an isomorphism search gives up
+# (above _ENUM_LIMIT), and the largest module the MeatAxe accepts
+_MEATAXE_ATTEMPTS = 64
+_ISO_ATTEMPTS = 256
+_MEATAXE_DIM_BOUND = 2000
 
 
 class MeataxeBudgetError(RuntimeError):
@@ -188,20 +196,11 @@ def direct_sum(mods: Sequence[GenAlgebraModule]) -> GenAlgebraModule:
     if not mods:
         raise ValueError("direct_sum of nothing; pass zero_module explicitly")
     alg = mods[0].algebra
-    p = alg.p
     for m in mods[1:]:
         if m.algebra is not alg:
             raise ValueError("summands live over different algebras")
     graded = all(m.graded for m in mods)
-    action = {}
-    for g in alg.gens:
-        n = sum(m.dim for m in mods)
-        out = np.zeros((n, n), dtype=np.int64)
-        i = 0
-        for m in mods:
-            out[i : i + m.dim, i : i + m.dim] = m.mat(g).a
-            i += m.dim
-        action[g] = FpMat(out, p)
+    action = {g: block_diag([m.mat(g) for m in mods], alg.p) for g in alg.gens}
     grading = None
     if graded:
         grading = [d for m in mods for d in m.grading]
@@ -263,30 +262,31 @@ def homogeneous_basis(span: FpMat, grading: Sequence[int]) -> FpMat:
     return FpMat(np.column_stack(cols), p)
 
 
+def _complement_projection(sub_basis: FpMat, n: int) -> Tuple[FpMat, List[int]]:
+    """Projection F_p^n -> F_p^n / span(sub_basis) in complement coordinates.
+
+    Returns (projection, complement columns).  The complement is the set of
+    non-pivot columns of the RREF of the span, which is unique, so the
+    projection depends on the subspace only, not on the basis given.
+    """
+    p = sub_basis.p
+    red = rref(FpMat(sub_basis.a.T.copy(), p))
+    pivots = list(red.pivots)
+    comp = [i for i in range(n) if i not in set(pivots)]
+    # e_c maps to itself, while each echelon row says
+    # e_pivot = -sum over comp columns modulo the span
+    proj = np.zeros((len(comp), n), dtype=np.int64)
+    proj[:, comp] = np.eye(len(comp), dtype=np.int64)
+    proj[:, pivots] = (-red.matrix.a[: len(pivots)][:, comp].T) % p
+    return FpMat(proj, p), comp
+
+
 def quotient(M: GenAlgebraModule, sub_basis: FpMat) -> Tuple[GenAlgebraModule, FpMat]:
     """Quotient by the span of `sub_basis`; returns (module, projection matrix)."""
     p = M.algebra.p
-    n = M.dim
-    red = rref(FpMat(sub_basis.a.T.copy(), p))
-    pivots = set(red.pivots)
-    comp = [i for i in range(n) if i not in pivots]
-    # coordinates on the complement of the pivot columns: e_c maps to itself,
-    # while each echelon row says e_pivot = -sum over comp columns mod the span
-    ech = red.matrix.a
-    full = np.zeros((len(comp), n), dtype=np.int64)
-    for k, c in enumerate(comp):
-        full[k, c] = 1
-    for row, pc in enumerate(red.pivots):
-        for k, c in enumerate(comp):
-            full[k, pc] = (-ech[row, c]) % p
-    projm = FpMat(full % p, p)
-    action = {}
-    emb = np.zeros((n, len(comp)), dtype=np.int64)
-    for k, c in enumerate(comp):
-        emb[c, k] = 1
-    embm = FpMat(emb, p)
-    for g in M.algebra.gens:
-        action[g] = projm @ M.mat(g) @ embm
+    projm, comp = _complement_projection(sub_basis, M.dim)
+    embm = FpMat(np.eye(M.dim, dtype=np.int64)[:, comp], p)
+    action = {g: projm @ M.mat(g) @ embm for g in M.algebra.gens}
     grading = None
     if M.graded:
         grading = [M.grading[c] for c in comp]
@@ -427,44 +427,62 @@ def _shift_candidates(M: GenAlgebraModule, S: GenAlgebraModule) -> List[int]:
     return sorted({dm - ds for dm in set(M.grading) for ds in set(S.grading)})
 
 
+def _simple_targets(M: GenAlgebraModule):
+    """(simple index, shift or None, simple) for each simple M is compared with.
+
+    A graded M is compared with every degree shift of a simple that meets
+    its degrees; an ungraded M with each simple once, ungraded.
+    """
+    for idx, S in enumerate(M.algebra.simples):
+        if M.graded:
+            for d in _shift_candidates(M, S):
+                yield idx, d, S.shifted(d)
+        else:
+            yield idx, None, S.forget_grading() if S.graded else S
+
+
+def _maps_to_simples(M: GenAlgebraModule) -> List[tuple]:
+    """[(simple index, shift or None, simple, Hom(M, simple))], nonzero Homs only."""
+    out = []
+    for idx, d, S in _simple_targets(M):
+        maps = hom_space(M, S)
+        if maps:
+            out.append((idx, d, S, maps))
+    return out
+
+
+def _multiset_entry(idx: int, d: Optional[int], mult: int) -> tuple:
+    return (idx, mult) if d is None else (idx, d, mult)
+
+
 def top(M: GenAlgebraModule) -> List[tuple]:
     """Multiset of simples in M/rad(M).
 
     Ungraded: [(simple index, mult)].  Graded: [(simple index, shift, mult)]
     where the canonical simple shifted by `shift` occurs `mult` times.
     """
-    out = []
-    for idx, S in enumerate(M.algebra.simples):
-        if M.graded:
-            for d in _shift_candidates(M, S):
-                mult = len(hom_space(M, S.shifted(d)))
-                if mult:
-                    out.append((idx, d, mult))
-        else:
-            Su = S.forget_grading() if S.graded else S
-            mult = len(hom_space(M, Su))
-            if mult:
-                out.append((idx, mult))
-    return out
+    return [_multiset_entry(idx, d, len(maps)) for idx, d, _, maps in _maps_to_simples(M)]
+
+
+def _radical_from(M: GenAlgebraModule, targets: List[tuple]) -> FpMat:
+    # rad(M) is the common kernel of the maps onto simples; for a graded M
+    # an ungraded such map splits into degree-0 maps onto shifted simples,
+    # so the degree-0 maps already cut out rad(M), homogeneously
+    mats = [phi for _, _, _, maps in targets for phi in maps]
+    if not mats:
+        return identity(M.dim, M.algebra.p)
+    stacked = vstack(mats)
+    if not M.graded:
+        return kernel_basis(stacked)
+    row_deg = [d for _, _, S, maps in targets for _ in maps for d in S.grading]
+    return _graded_kernel(stacked, row_deg, M.grading)
 
 
 def radical(M: GenAlgebraModule) -> FpMat:
     """Basis of rad(M) = intersection of kernels of all maps onto simples."""
-    p = M.algebra.p
     if M.dim == 0:
-        return zeros(0, 0, p)
-    mats = []
-    for S in M.algebra.simples:
-        Su = S.forget_grading() if S.graded else S
-        Mu = M.forget_grading() if M.graded else M
-        mats.extend(hom_space(Mu, Su))
-    if not mats:
-        return identity(M.dim, p)
-    stacked = vstack(mats)
-    ker = kernel_basis(stacked)
-    if M.graded:
-        ker = homogeneous_basis(ker, M.grading)
-    return ker
+        return zeros(0, 0, M.algebra.p)
+    return _radical_from(M, _maps_to_simples(M))
 
 
 def socle(M: GenAlgebraModule) -> Tuple[List[tuple], FpMat]:
@@ -473,24 +491,16 @@ def socle(M: GenAlgebraModule) -> Tuple[List[tuple], FpMat]:
     structure = []
     tracker = SpanTracker(M.dim, p)
     cols: List[np.ndarray] = []
-    for idx, S in enumerate(M.algebra.simples):
-        if M.graded:
-            cands = [(d, S.shifted(d)) for d in _shift_candidates(M, S)]
-        else:
-            cands = [(None, S.forget_grading() if S.graded else S)]
-        for d, Sd in cands:
-            maps = hom_space(Sd, M)
-            if not maps:
-                continue
-            if d is None:
-                structure.append((idx, len(maps)))
-            else:
-                structure.append((idx, d, len(maps)))
-            for phi in maps:
-                for c in range(phi.cols):
-                    v = phi.a[:, c]
-                    if tracker.insert(v):
-                        cols.append(v % p)
+    for idx, d, S in _simple_targets(M):
+        maps = hom_space(S, M)
+        if not maps:
+            continue
+        structure.append(_multiset_entry(idx, d, len(maps)))
+        for phi in maps:
+            for c in range(phi.cols):
+                v = phi.a[:, c]
+                if tracker.insert(v):
+                    cols.append(v % p)
     basis = (
         FpMat(np.column_stack(cols) % p, p) if cols else zeros(M.dim, 0, p)
     )
@@ -516,22 +526,6 @@ def composition_factors(M: GenAlgebraModule) -> List[Tuple[int, int]]:
 # Projective covers and the Heller operator
 
 
-def _top_complement_projection(M: GenAlgebraModule) -> Tuple[FpMat, FpMat]:
-    """(rad basis, projection M -> M/rad in complement coordinates)."""
-    p = M.algebra.p
-    rad = radical(M)
-    red = rref(FpMat(rad.a.T.copy(), p))
-    pivots = set(red.pivots)
-    comp = [i for i in range(M.dim) if i not in pivots]
-    full = np.zeros((len(comp), M.dim), dtype=np.int64)
-    for k, c in enumerate(comp):
-        full[k, c] = 1
-    for row, pc in enumerate(red.pivots):
-        for k, c in enumerate(comp):
-            full[k, pc] = (-red.matrix.a[row, c]) % p
-    return rad, FpMat(full, p)
-
-
 def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List[tuple]]:
     """Projective cover (P, surjection P -> M, block structure).
 
@@ -543,27 +537,23 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
     p = alg.p
     if M.dim == 0:
         return zero_module(alg, M.graded), zeros(0, 0, p), []
-    structure = top(M)
-    _, proj = _top_complement_projection(M)
+    targets = _maps_to_simples(M)
+    proj, _ = _complement_projection(_radical_from(M, targets), M.dim)
     blocks: List[GenAlgebraModule] = []
     block_info: List[tuple] = []
     columns: List[FpMat] = []
-    for entry in structure:
+    for idx, d, _, maps in targets:
+        mult = len(maps)
+        Pcan = alg.projective_of(idx)
         if M.graded:
-            idx, d, mult = entry
-            Pcan = alg.projective_of(idx)
             tops = top(Pcan)
             if len(tops) != 1 or tops[0][2] != 1:
                 raise ValueError("designated projective does not have simple top")
             # align the shifted projective so its top sits at shift d
             Pblock = Pcan.shifted(d - tops[0][1])
         else:
-            idx, mult = entry
-            Pcan = alg.projective_of(idx)
             Pblock = Pcan.forget_grading() if Pcan.graded else Pcan
         cands = hom_space(Pblock, M)
-        S = alg.simples[idx]
-        sdim = S.dim
         chosen: List[FpMat] = []
         tracker = SpanTracker(proj.rows * Pblock.dim, p)
         for phi in cands:
@@ -577,7 +567,7 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
         for phi in chosen:
             blocks.append(Pblock)
             columns.append(phi)
-            block_info.append((idx, entry[1] if M.graded else None, 1))
+            block_info.append((idx, d, 1))
     P = direct_sum(blocks)
     C = hstack(columns)
     if rref(C).rank != M.dim:
@@ -633,13 +623,13 @@ def heller(M: GenAlgebraModule, strip: bool = True, rng=None) -> GenAlgebraModul
     initial removal of projective summands from M itself.
     """
     M0 = strip_projectives(M, rng=rng) if strip else M
-    if M0.dim == 0:
-        return zero_module(M.algebra, M.graded)
-    P, C, _ = projective_cover(M0)
-    if M0.graded:
-        ker = _graded_kernel(C, M0.grading, P.grading)
-    else:
-        ker = kernel_basis(C)
+    return _cover_kernel(M0, projective_cover(M0))
+
+
+def _cover_kernel(M: GenAlgebraModule, cover: tuple) -> GenAlgebraModule:
+    """Kernel of the surjection of `cover`, a projective cover of M."""
+    P, C, _ = cover
+    ker = _graded_kernel(C, M.grading, P.grading) if M.graded else kernel_basis(C)
     return submodule(P, ker)
 
 
@@ -680,12 +670,8 @@ def opposite_algebra(alg: GenAlgebra) -> GenAlgebra:
     )
     alg.meta["op"] = op
 
-    def transposed(M: GenAlgebraModule) -> GenAlgebraModule:
-        action = {g: M.mat(g).transpose() for g in alg.gens}
-        grading = None if not M.graded else [-d for d in M.grading]
-        return GenAlgebraModule(op, action, grading, check=False)
-
-    op_simples = [transposed(S) for S in alg.simples]
+    # dual_module finds op through alg.meta["op"], set just above
+    op_simples = [dual_module(S) for S in alg.simples]
     op.designate(op_simples)
     # duals of projectives are projective again (self-injective scope); their
     # tops permute, so match each dualized cover to the simple it covers
@@ -693,7 +679,7 @@ def opposite_algebra(alg: GenAlgebra) -> GenAlgebra:
     for P in alg.projectives:
         if P is None:
             continue
-        Q = transposed(P)
+        Q = dual_module(P)
         tops = top(Q.forget_grading() if Q.graded else Q)
         if len(tops) != 1 or tops[0][-1] != 1:
             raise RuntimeError("dualized projective lost its simple top")
@@ -745,26 +731,36 @@ def _fitting_split(M: GenAlgebraModule, theta: FpMat) -> Optional[Tuple[FpMat, F
     return ker, img
 
 
-def _is_nilpotent_or_invertible(M: GenAlgebraModule, theta: FpMat) -> bool:
-    return _fitting_split(M, theta) is None
+def _combination(coeffs, stacked: np.ndarray, p: int) -> FpMat:
+    """sum_i coeffs[i] * stacked[i] mod p, for matrices stacked along axis 0."""
+    return FpMat(np.tensordot(np.asarray(coeffs, dtype=np.int64), stacked, axes=1) % p, p)
+
+
+def _all_combinations(stacked: np.ndarray, p: int):
+    """Every nonzero combination of the stacked matrices, in a fixed order.
+
+    The order is that of the codes 1 .. p^k - 1 whose little-endian base-p
+    digits are the coefficients; seeded results depend on it.
+    """
+    digits = itertools.product(range(p), repeat=len(stacked))
+    next(digits)  # the zero combination
+    for big_endian in digits:
+        yield _combination(big_endian[::-1], stacked, p)
 
 
 def meataxe_split_with_bases(
-    M: GenAlgebraModule,
-    rng=None,
-    max_attempts: int = 64,
-    dim_bound: int = 2000,
+    M: GenAlgebraModule, rng=None
 ) -> List[Tuple[GenAlgebraModule, FpMat]]:
     """Split M into indecomposable summands by Fitting decompositions.
 
     Returns (summand, basis) pairs with the basis columns in M coordinates.
     Random endomorphisms are drawn until one splits the module; a factor is
     declared indecomposable once its endomorphism algebra is proved local
-    (exhaustively, when small enough) or once `max_attempts` draws were all
-    nilpotent-or-invertible.
+    (exhaustively, when small enough) or once `_MEATAXE_ATTEMPTS` draws were
+    all nilpotent-or-invertible.
     """
-    if M.dim > dim_bound:
-        raise MeataxeBudgetError(f"dim {M.dim} exceeds the bound {dim_bound}")
+    if M.dim > _MEATAXE_DIM_BOUND:
+        raise MeataxeBudgetError(f"dim {M.dim} exceeds the bound {_MEATAXE_DIM_BOUND}")
     rng = _rng_of(rng)
     p = M.algebra.p
 
@@ -789,23 +785,15 @@ def meataxe_split_with_bases(
             result = try_split(theta)
             if result is not None:
                 return result
-        for _ in range(max_attempts):
-            coeffs = rng.integers(0, p, size=len(ends))
-            acc = np.zeros((current.dim, current.dim), dtype=np.int64)
-            for c, e in zip(coeffs, ends):
-                acc = (acc + int(c) * e.a) % p
-            result = try_split(FpMat(acc, p))
+        stacked = np.stack([e.a for e in ends])
+        for _ in range(_MEATAXE_ATTEMPTS):
+            result = try_split(_combination(rng.integers(0, p, size=len(ends)), stacked, p))
             if result is not None:
                 return result
         if p ** len(ends) <= _ENUM_LIMIT:
             # exhaustive locality proof: every endo nilpotent or invertible
-            for code in range(1, p ** len(ends)):
-                acc = np.zeros((current.dim, current.dim), dtype=np.int64)
-                c = code
-                for e in ends:
-                    acc = (acc + (c % p) * e.a) % p
-                    c //= p
-                result = try_split(FpMat(acc, p))
+            for theta in _all_combinations(stacked, p):
+                result = try_split(theta)
                 if result is not None:
                     return result
             return [(current, basis)]
@@ -815,13 +803,8 @@ def meataxe_split_with_bases(
     return rec(M, identity(M.dim, p))
 
 
-def meataxe_split(
-    M: GenAlgebraModule,
-    rng=None,
-    max_attempts: int = 64,
-    dim_bound: int = 2000,
-) -> List[GenAlgebraModule]:
-    return [f for f, _ in meataxe_split_with_bases(M, rng, max_attempts, dim_bound)]
+def meataxe_split(M: GenAlgebraModule, rng=None) -> List[GenAlgebraModule]:
+    return [f for f, _ in meataxe_split_with_bases(M, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -839,37 +822,24 @@ class IsoResult:
         return self.status == "iso"
 
 
-def _try_invertible(maps: List[FpMat], p: int, dim: int, rng, budget: int) -> Optional[FpMat]:
+def _try_invertible(maps: List[FpMat], p: int, dim: int, rng) -> Optional[FpMat]:
     if not maps:
         return None
     k = len(maps)
+    stacked = np.stack([m.a for m in maps])
     if p**k <= _ENUM_LIMIT:
-        for code in range(1, p**k):
-            acc = np.zeros((dim, dim), dtype=np.int64)
-            c = code
-            for m in maps:
-                acc = (acc + (c % p) * m.a) % p
-                c //= p
-            cand = FpMat(acc, p)
-            if rref(cand).rank == dim:
-                return cand
-        return None
-    for _ in range(budget):
-        coeffs = rng.integers(0, p, size=k)
-        acc = np.zeros((dim, dim), dtype=np.int64)
-        for c, m in zip(coeffs, maps):
-            acc = (acc + int(c) * m.a) % p
-        cand = FpMat(acc, p)
-        if rref(cand).rank == dim:
-            return cand
-    return None
+        cands = _all_combinations(stacked, p)
+    else:
+        cands = (
+            _combination(rng.integers(0, p, size=k), stacked, p) for _ in range(_ISO_ATTEMPTS)
+        )
+    return next((c for c in cands if rref(c).rank == dim), None)
 
 
 def is_isomorphic(
     M: GenAlgebraModule,
     N: GenAlgebraModule,
     rng=None,
-    budget: int = 256,
     decompose: bool = True,
 ) -> IsoResult:
     """Decide M ~ N with an explicit witness; graded modules need a degree-0 one."""
@@ -891,18 +861,18 @@ def is_isomorphic(
     maps = hom_space(M, N)
     if not maps:
         return IsoResult("not_iso")
-    witness = _try_invertible(maps, M.algebra.p, M.dim, rng, budget)
+    witness = _try_invertible(maps, M.algebra.p, M.dim, rng)
     if witness is not None:
         return IsoResult("iso", witness)
     if M.algebra.p ** len(maps) <= _ENUM_LIMIT:
         # the enumeration above was exhaustive: no invertible hom exists
         return IsoResult("not_iso")
     if decompose:
-        return _iso_by_decomposition(M, N, rng, budget)
+        return _iso_by_decomposition(M, N, rng)
     return IsoResult("inconclusive")
 
 
-def _iso_by_decomposition(M, N, rng, budget) -> IsoResult:
+def _iso_by_decomposition(M, N, rng) -> IsoResult:
     fm = meataxe_split(M, rng=rng)
     fn = meataxe_split(N, rng=rng)
     if sorted(f.dim for f in fm) != sorted(f.dim for f in fn):
@@ -911,7 +881,7 @@ def _iso_by_decomposition(M, N, rng, budget) -> IsoResult:
     for f in fm:
         hit = None
         for i, g in enumerate(remaining):
-            r = is_isomorphic(f, g, rng=rng, budget=budget, decompose=False)
+            r = is_isomorphic(f, g, rng=rng, decompose=False)
             if r.status == "iso":
                 hit = i
                 break
@@ -930,10 +900,15 @@ def _iso_by_decomposition(M, N, rng, budget) -> IsoResult:
 
 def stable_hom_dim(M: GenAlgebraModule, N: GenAlgebraModule) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective."""
+    return _stable_hom_dim(M, N, projective_cover(N))
+
+
+def _stable_hom_dim(M: GenAlgebraModule, N: GenAlgebraModule, cover: tuple) -> int:
+    # maps factoring through a projective factor through the cover P -> N
     maps = hom_space(M, N)
     if not maps:
         return 0
-    P, C, _ = projective_cover(N)
+    P, C, _ = cover
     through = hom_space(M, P)
     p = M.algebra.p
     tracker = SpanTracker(N.dim * M.dim, p)
@@ -964,24 +939,26 @@ class ResolutionTrace:
 def ext_dims(M: GenAlgebraModule, length: int, rng=None, with_ext: bool = True) -> ResolutionTrace:
     """Trace of Omega^n dims and dim Ext^n(M, M) = stable Hom(Omega^n M, M)."""
     M0 = strip_projectives(M, rng=rng)
+    cover = projective_cover(M0)  # shared by the first step and every stable Hom
     omega = [M0.dim]
-    exts = [stable_hom_dim(M0, M0) if with_ext and M0.dim else 0]
+    exts = [_stable_hom_dim(M0, M0, cover)] if with_ext else None
     current = M0
     for _ in range(length):
-        current = heller(current, strip=False, rng=rng)
+        step_cover = cover if current is M0 else projective_cover(current)
+        current = _cover_kernel(current, step_cover)
         omega.append(current.dim)
         if with_ext:
-            exts.append(stable_hom_dim(current, M0) if current.dim and M0.dim else 0)
-    return ResolutionTrace(M, length, omega, exts if with_ext else None)
+            exts.append(_stable_hom_dim(current, M0, cover))
+    return ResolutionTrace(M, length, omega, exts)
 
 
 def estimate_complexity(trace, min_len: int = 12, tail: int = 8) -> Optional[int]:
     """Growth-rate estimate from a resolution trace; None when inconclusive.
 
-    Returns 0 iff the dims hit zero.  Otherwise fits the tail (smoothed by
-    adjacent-pair sums to remove parity wobble) against polynomials of
-    increasing degree by least squares and returns degree+1 for the first
-    essentially exact fit.
+    Returns 0 iff the dims hit zero.  Otherwise takes the tail (smoothed by
+    adjacent-pair sums to remove parity wobble) and returns degree+1 for the
+    least degree whose exact integer finite differences of order degree+1
+    all vanish, i.e. the tail is exactly a polynomial of that degree.
     """
     dims = trace.omega_dims if isinstance(trace, ResolutionTrace) else list(trace)
     if any(d == 0 for d in dims):
@@ -989,25 +966,10 @@ def estimate_complexity(trace, min_len: int = 12, tail: int = 8) -> Optional[int
     if len(dims) - 1 < min_len:
         return None
     smooth = [dims[i] + dims[i + 1] for i in range(len(dims) - 1)]
-    window = smooth[-tail:]
-    xs = np.arange(len(window), dtype=float)
-    ys = np.asarray(window, dtype=float)
-    scale = float(np.mean(ys))
-    for degree in range(0, 5):
-        coeffs = np.polyfit(xs, ys, degree) if degree < len(window) - 1 else None
-        if coeffs is None:
-            break
-        resid = ys - np.polyval(coeffs, xs)
-        rel = float(np.sqrt(np.mean(resid**2))) / max(scale, 1.0)
-        if rel < 1e-9:
-            return degree + 1
-    for degree in range(0, 5):
-        if degree >= len(window) - 1:
-            break
-        coeffs = np.polyfit(xs, ys, degree)
-        resid = ys - np.polyval(coeffs, xs)
-        rel = float(np.sqrt(np.mean(resid**2))) / max(scale, 1.0)
-        if rel < 0.02:
+    window = np.asarray(smooth[-tail:], dtype=np.int64)
+    # a degree-d fit needs more than d + 1 points to mean anything
+    for degree in range(min(5, len(window) - 1)):
+        if not np.diff(window, degree + 1).any():
             return degree + 1
     return None
 

@@ -48,6 +48,7 @@ from .sl2dist import (
 )
 from .weightcomb import (
     HypothesisError,
+    _is_prime,
     all_blocks,
     block_members,
     block_of,
@@ -513,11 +514,25 @@ def _cmd_verify(args) -> int:
 # argument wiring
 
 
+def _odd_prime(text: str) -> int:
+    p = int(text)
+    if p < 3 or not _is_prime(p):
+        raise argparse.ArgumentTypeError(f"{text} is not an odd prime")
+    return p
+
+
+def _height(text: str) -> int:
+    r = int(text)
+    if r < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a height >= 1")
+    return r
+
+
 def _add_common(sp, *, p=True, r=True, lam=False, n=False, s=False):
     if p:
-        sp.add_argument("--p", type=int, required=True, help="odd prime >= 3")
+        sp.add_argument("--p", type=_odd_prime, required=True, help="odd prime >= 3")
     if r:
-        sp.add_argument("--r", type=int, required=True, help="kernel height")
+        sp.add_argument("--r", type=_height, required=True, help="kernel height")
     if lam:
         sp.add_argument("--lambda", dest="lam", type=int, required=True, help="weight")
     if n:
@@ -550,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("complexity-1", "simple-cx2", "verma", "generic"),
         required=True,
     )
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--r", type=int)
+    sp.add_argument("--p", type=_odd_prime)
+    sp.add_argument("--r", type=_height)
     sp.add_argument("--s", type=int)
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--seed", type=int)
@@ -566,8 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify")
     sp.add_argument("suite", choices=tuple(_SUITES) + ("all",))
-    sp.add_argument("--p", type=int, default=3)
-    sp.add_argument("--r", type=int)
+    sp.add_argument("--p", type=_odd_prime, default=3)
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--budget-ms", dest="budget_ms", type=int)

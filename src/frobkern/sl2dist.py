@@ -424,19 +424,9 @@ def verma_module(p: int, r: int, lam: int) -> GenAlgebraModule:
     """Baby Verma module: basis f^(a) v for a < p^r, head of weight lam."""
     digits = base_p_digits(lam, p, r)  # validates the range
     n = p**r
-    alg = restricted_sl2(p) if r == 1 else distribution_sl2(p, r)
     if r == 1:
-        e = np.zeros((n, n), dtype=np.int64)
-        f = np.zeros((n, n), dtype=np.int64)
-        for a in range(n):
-            if a + 1 < n:
-                f[a + 1, a] = a + 1
-            if a - 1 >= 0:
-                e[a - 1, a] = (lam + 1 - a) % p
-        h = np.diag([(lam - 2 * a) % p for a in range(n)])
-        return GenAlgebraModule(
-            alg, {"e": fpmat(e, p), "f": fpmat(f, p), "h": fpmat(h, p)}
-        )
+        return GenAlgebraModule(restricted_sl2(p), _verma_action(p, lam))
+    alg = distribution_sl2(p, r)
     action = {}
     for i in range(r):
         q = p**i
@@ -454,21 +444,24 @@ def verma_module(p: int, r: int, lam: int) -> GenAlgebraModule:
 
 def graded_verma_module(p: int, lam: int) -> GenAlgebraModule:
     """Level-one Verma with its weight grading; lam may be any integer."""
-    alg = graded_restricted_sl2(p)
-    n = p
-    e = np.zeros((n, n), dtype=np.int64)
-    f = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        if a + 1 < n:
+    return GenAlgebraModule(
+        graded_restricted_sl2(p),
+        _verma_action(p, lam),
+        grading=[lam - 2 * a for a in range(p)],
+    )
+
+
+def _verma_action(p: int, lam: int) -> Dict[str, FpMat]:
+    """e, f, h on the level-one baby Verma basis f^a v, a < p."""
+    e = np.zeros((p, p), dtype=np.int64)
+    f = np.zeros((p, p), dtype=np.int64)
+    for a in range(p):
+        if a + 1 < p:
             f[a + 1, a] = a + 1
         if a - 1 >= 0:
             e[a - 1, a] = (lam + 1 - a) % p
-    h = np.diag([(lam - 2 * a) % p for a in range(n)])
-    return GenAlgebraModule(
-        alg,
-        {"e": fpmat(e, p), "f": fpmat(f, p), "h": fpmat(h, p)},
-        grading=[lam - 2 * a for a in range(n)],
-    )
+    h = np.diag([(lam - 2 * a) % p for a in range(p)])
+    return {"e": fpmat(e, p), "f": fpmat(f, p), "h": fpmat(h, p)}
 
 
 def principal_indecomposable(p: int, r: int, lam: int) -> GenAlgebraModule:

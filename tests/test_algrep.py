@@ -9,12 +9,14 @@ two-variable analogue provides a complexity-two growth profile.
 import numpy as np
 import pytest
 
+from frobkern import algrep
 from frobkern.algrep import (
     GenAlgebra,
     GenAlgebraModule,
     IsoResult,
     InconclusiveError,
     _hom_by_spinning,
+    _simple_targets,
     composition_factors,
     direct_sum,
     dual_module,
@@ -116,6 +118,19 @@ def split_pair_algebra(p):
     s1 = GenAlgebraModule(alg, {"e": identity(1, p)})
     alg.designate([s0, s1], [s0, s1])
     return alg
+
+
+def record_calls(monkeypatch, name):
+    """Wrap algrep.<name> so that the arguments of every call are recorded."""
+    calls = []
+    real = getattr(algrep, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(algrep, name, recording)
+    return calls
 
 
 def conjugate(M, rng):
@@ -251,6 +266,22 @@ def test_quotient_and_submodule_of_jordan():
 # projective covers and Heller
 
 
+def test_projective_cover_solves_each_hom_to_a_simple_once(monkeypatch):
+    alg = line_algebra(3)
+    pair = split_pair_algebra(3)
+    mods = [
+        jordan(alg, 2, graded=False),
+        jordan(alg, 2),
+        GenAlgebraModule(pair, {"e": fpmat(np.diag([0, 1, 1]), 3)}),
+    ]
+    calls = record_calls(monkeypatch, "hom_space")
+    for M in mods:
+        calls.clear()
+        projective_cover(M)
+        solved = [N.grading for A, N in calls if A is M]
+        assert solved == [S.grading for _, _, S in _simple_targets(M)]
+
+
 def test_projective_cover_of_trivial_module():
     alg = line_algebra(3)
     P, C, blocks = projective_cover(jordan(alg, 1, graded=False))
@@ -374,6 +405,18 @@ def test_periodic_trace_over_line_algebra():
     assert tr.report()["complexity_estimate"] == 1
 
 
+def test_ext_dims_builds_the_cover_of_its_module_once(monkeypatch):
+    alg = line_algebra(3)
+    M = jordan(alg, 1, graded=False)
+    # M has no projective summand; stripping would test that with a cover of its own
+    monkeypatch.setattr(algrep, "strip_projectives", lambda N, rng=None: N)
+    calls = record_calls(monkeypatch, "projective_cover")
+    tr = ext_dims(M, 6)
+    assert tr.ext_dims == [1] * 7
+    assert sum(A is M for (A,) in calls) == 1
+    assert len(calls) == 6  # one cover per resolution step
+
+
 def test_linear_growth_trace_over_plane_algebra():
     alg = plane_algebra(3)
     triv = alg.simples[0]
@@ -394,6 +437,8 @@ def test_estimate_complexity_synthetic_inputs():
     assert estimate_complexity([7] * 13) == 1
     assert estimate_complexity([(n + 1) for n in range(13)]) == 2
     assert estimate_complexity([(n + 1) ** 2 for n in range(13)]) == 3
+    # nearly constant is not constant: the tail never becomes polynomial
+    assert estimate_complexity([1000] * 12 + [1001]) is None
 
 
 # ---------------------------------------------------------------------------

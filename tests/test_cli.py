@@ -129,6 +129,22 @@ def test_user_errors_exit_one(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["block", "--p", "9", "--r", "1", "--lambda", "0"],
+        ["complexity", "--p", "1", "--r", "1", "--lambda", "0"],
+        ["block", "--p", "3", "--r", "-1", "--lambda", "0"],
+        ["verify", "blocks", "--p", "4"],
+    ],
+)
+def test_bad_prime_or_height_exits_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_query_determinism(capsys):
     argv = ["block", "--p", "5", "--r", "2", "--lambda", "13"]
     cli.main(argv)

@@ -10,18 +10,23 @@ acceptance suite.
 import numpy as np
 import pytest
 
+from frobkern import algrep
 from frobkern.algrep import (
+    _degrees_of_columns,
     composition_factors,
     end_space,
     heller,
     heller_power,
     hom_space,
     is_isomorphic,
+    homogeneous_basis,
     is_projective,
     meataxe_split,
+    radical,
     socle,
     top,
 )
+from frobkern.fplinalg import hstack, kernel_basis, rank, vstack
 from frobkern.sl2dist import (
     _pim_ladder,
     base_p_digits,
@@ -121,6 +126,30 @@ def test_graded_projective_degree_multisets():
     assert sorted(graded_principal_indecomposable(3, 2).grading) == [-2, 0, 2]
     for lam in range(3):
         assert top(graded_principal_indecomposable(3, lam)) == [(lam, 0, 1)]
+
+
+def test_graded_radical_solves_only_graded_homs_and_is_homogeneous(monkeypatch):
+    mods = [graded_verma_module(3, lam) for lam in (0, 1, 2, 6)]
+    mods += [graded_principal_indecomposable(3, lam) for lam in range(3)]
+    real = algrep.hom_space
+    ungraded = []
+
+    def recording(A, B):
+        if not (A.graded and B.graded):
+            ungraded.append((A, B))
+        return real(A, B)
+
+    for M in mods:
+        with monkeypatch.context() as mp:
+            mp.setattr(algrep, "hom_space", recording)
+            rad = radical(M)
+        assert ungraded == []
+        _degrees_of_columns(rad, M.grading)  # raises unless every column is homogeneous
+        # reference: kernel of the ungraded maps onto simples, then made homogeneous
+        Mu = M.forget_grading()
+        maps = [phi for S in M.algebra.simples for phi in hom_space(Mu, S.forget_grading())]
+        ref = homogeneous_basis(kernel_basis(vstack(maps)), M.grading)
+        assert rank(rad) == rank(ref) == rank(hstack([rad, ref]))
 
 
 def test_second_kernel_projectives_exist_for_steinberg_twist_family():
