@@ -8,6 +8,9 @@ covers, the Heller operator and its negative powers, isomorphism testing
 with explicit witnesses, stable Hom spaces, and resolution traces with an
 exact complexity estimator.
 
+Every Hom space is solved one way: spin M once from generator vectors and
+solve for their images; degree-0 maps mask those images by degree.
+
 Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  All randomness
 is seeded (default 0xF0B) so repeated runs agree.
@@ -17,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,17 +37,11 @@ from .fplinalg import (
     identity,
     inverse,
     kernel_basis,
-    kron,
     rref,
     solve,
     vstack,
     zeros,
 )
-
-# unknown count above which ungraded Hom spaces switch from the one-shot
-# commutant system to the generator-spinning method; spinning needs only
-# (number of module generators) * dim N unknowns, so it wins early
-_DIRECT_LIMIT = 256
 
 # exhaustive-enumeration ceilings for locality proofs and iso fallbacks
 _ENUM_LIMIT = 4096
@@ -135,7 +134,8 @@ class GenAlgebraModule:
         check: bool = True,
     ):
         self.algebra = algebra
-        self.action = dict(action)
+        # read-only, so that the cached spin below cannot go stale
+        self.action = MappingProxyType(dict(action))
         self.grading = None if grading is None else tuple(int(d) for d in grading)
         dims = {m.rows for m in self.action.values()} | {m.cols for m in self.action.values()}
         if set(self.action) != set(algebra.gens):
@@ -171,6 +171,16 @@ class GenAlgebraModule:
 
     def mat(self, g: str) -> FpMat:
         return self.action[g]
+
+    @cached_property
+    def spin(self) -> tuple:
+        """(B, derivations, G) of `generating_set`, B^-1, and {g: B^-1 g B}.
+
+        Computed once per module; every Hom space out of the module reads it.
+        """
+        B, derivs, G = generating_set(self)
+        Binv = inverse(B)
+        return B, derivs, G, Binv, {g: Binv @ self.mat(g) @ B for g in self.algebra.gens}
 
     def forget_grading(self) -> "GenAlgebraModule":
         return GenAlgebraModule(self.algebra, self.action, None, check=False)
@@ -272,7 +282,7 @@ def _complement_projection(sub_basis: FpMat, n: int) -> Tuple[FpMat, List[int]]:
     p = sub_basis.p
     red = rref(FpMat(sub_basis.a.T.copy(), p))
     pivots = list(red.pivots)
-    comp = [i for i in range(n) if i not in set(pivots)]
+    comp = sorted(set(range(n)).difference(pivots))
     # e_c maps to itself, while each echelon row says
     # e_pivot = -sum over comp columns modulo the span
     proj = np.zeros((len(comp), n), dtype=np.int64)
@@ -295,35 +305,6 @@ def quotient(M: GenAlgebraModule, sub_basis: FpMat) -> Tuple[GenAlgebraModule, F
 
 # ---------------------------------------------------------------------------
 # Hom spaces
-
-
-def _hom_direct(M: GenAlgebraModule, N: GenAlgebraModule, graded: bool) -> List[FpMat]:
-    p = M.algebra.p
-    m, n = M.dim, N.dim
-    if m == 0 or n == 0:
-        return []
-    if graded:
-        degM = np.asarray(M.grading)
-        degN = np.asarray(N.grading)
-        allowed = np.flatnonzero((degN[:, None] == degM[None, :]).T.reshape(-1))
-    else:
-        allowed = np.arange(m * n)
-    if allowed.size == 0:
-        return []
-    blocks = []
-    eye_m = np.eye(m, dtype=np.int64)
-    eye_n = np.eye(n, dtype=np.int64)
-    for g in M.algebra.gens:
-        row = (np.kron(eye_m, N.mat(g).a) - np.kron(M.mat(g).a.T, eye_n)) % p
-        blocks.append(row[:, allowed])
-    system = FpMat(np.vstack(blocks) % p, p)
-    ker = kernel_basis(system)
-    out = []
-    for k in range(ker.cols):
-        flat = np.zeros(m * n, dtype=np.int64)
-        flat[allowed] = ker.a[:, k]
-        out.append(FpMat(flat.reshape(n, m, order="F").copy() % p, p))
-    return out
 
 
 def generating_set(M: GenAlgebraModule) -> Tuple[FpMat, List[tuple], FpMat]:
@@ -368,48 +349,54 @@ def generating_set(M: GenAlgebraModule) -> Tuple[FpMat, List[tuple], FpMat]:
 
 
 def _hom_by_spinning(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
-    # a hom is determined by the images of module generators of M; spin a
-    # basis of M from them, track word operators on N, and solve the
-    # compatibility system in the generator images only
+    # a hom is determined by the images of M's generator vectors; track the
+    # spun basis of M as word operators on those images and solve the
+    # compatibility system in the images only.  Generator j is a unit vector
+    # e_c, so a degree-0 map sends it into degree M.grading[c] of N: graded
+    # pairs keep only those unknowns, and as every spun vector is homogeneous,
+    # every solution has degree 0
     p = M.algebra.p
     m, n = M.dim, N.dim
-    B, derivs, G = generating_set(M)
-    k = G.cols
-    Binv = inverse(B)
-    W = np.zeros((m, n, k * n), dtype=np.int64)
+    _, derivs, G, Binv, coords = M.spin
+    # unknown u is coordinate row_of[u] of the image of generator gen_of[u]
+    gen_of = np.repeat(np.arange(G.cols), n)
+    row_of = np.tile(np.arange(n), G.cols)
+    if M.graded and N.graded:
+        gen_deg = np.asarray(M.grading)[G.a.argmax(axis=0)]
+        keep = np.asarray(N.grading)[row_of] == gen_deg[gen_of]
+        gen_of, row_of = gen_of[keep], row_of[keep]
+    unknowns = gen_of.size
+    if unknowns == 0:
+        return []
+    W = np.zeros((m, n, unknowns), dtype=np.int64)
     for t, d in enumerate(derivs):
         if d[0] == "root":
-            j = d[1]
-            W[t, :, j * n : (j + 1) * n] = np.eye(n, dtype=np.int64)
+            own = np.flatnonzero(gen_of == d[1])
+            W[t, row_of[own], own] = 1
         else:
             _, g, parent = d
             W[t] = (N.mat(g).a @ W[parent]) % p
     rows = []
     for g in M.algebra.gens:
-        C = (Binv.a @ M.mat(g).a @ B.a) % p  # column t: coords of g*b_t in B
         lhs = np.einsum("ab,tbk->tak", N.mat(g).a, W) % p
-        rhs = np.einsum("st,sbk->tbk", C, W) % p
-        rows.append(((lhs - rhs) % p).reshape(m * n, k * n))
-    system = FpMat(np.vstack(rows) % p, p)
-    ker = kernel_basis(system)
+        # coords[g][s, t] is coordinate s of g*b_t in the spun basis
+        rhs = np.einsum("st,sbk->tbk", coords[g].a, W) % p
+        rows.append(((lhs - rhs) % p).reshape(m * n, unknowns))
+    ker = kernel_basis(FpMat(np.vstack(rows), p))
     out = []
     for c in range(ker.cols):
-        x = ker.a[:, c]
-        cols = (W @ x) % p  # shape (m, n): column t = image of b_t
-        phi = (cols.T @ Binv.a) % p
-        out.append(FpMat(phi, p))
+        images = (W @ ker.a[:, c]) % p  # shape (m, n): row t = image of b_t
+        out.append(FpMat((images.T @ Binv.a) % p, p))
     return out
 
 
 def hom_space(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
-    """Basis of Hom(M, N); degree-0 maps when both modules are graded."""
+    """Basis of Hom(M, N), solved by spinning M; degree-0 maps when both
+    modules are graded, by masking the generator images by degree."""
     if M.algebra is not N.algebra:
         raise ValueError("hom_space needs modules over the same algebra")
     if M.dim == 0 or N.dim == 0:
         return []
-    graded = M.graded and N.graded
-    if graded or M.dim * N.dim <= _DIRECT_LIMIT:
-        return _hom_direct(M, N, graded)
     return _hom_by_spinning(M, N)
 
 

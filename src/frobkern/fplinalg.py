@@ -27,9 +27,16 @@ __all__ = [
 ]
 
 
+# every product multiplies reduced operands and reduces once, so an entry
+# sums at most n terms below p^2 < 2^32: exact in int64 for n < 2^31
+MAX_MODULUS = 2**16
+
+
 def _check_prime(p: int) -> None:
     if p < 3:
         raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
+    if p >= MAX_MODULUS:
+        raise ValueError(f"modulus {p} is too large: exact products need p < {MAX_MODULUS}")
     if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"modulus {p} is not prime")
 
@@ -180,13 +187,10 @@ def kernel_basis(m: FpMat) -> FpMat:
     red = rref(m)
     p, ncols = m.p, m.cols
     pivots = list(red.pivots)
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    free = sorted(set(range(ncols)).difference(pivots))
     basis = np.zeros((ncols, len(free)), dtype=np.int64)
-    a = red.matrix.a
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for row, pc in enumerate(pivots):
-            basis[pc, k] = (-a[row, fc]) % p
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = (-red.matrix.a[: len(pivots)][:, free]) % p
     return FpMat(basis, p)
 
 

@@ -3,7 +3,8 @@
 F_p[u]/(u^p) has Jordan blocks J_1..J_p as its indecomposables, with known
 Hom dimensions, Heller images Omega(J_k) = J_{p-k}, and stable endomorphism
 dimensions, so every operation can be checked against closed answers.  The
-two-variable analogue provides a complexity-two growth profile.
+two-variable analogue provides a complexity-two growth profile.  Graded Hom
+spaces and the per-module spin are also checked on graded u(sl2) modules.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from frobkern.algrep import (
     GenAlgebraModule,
     IsoResult,
     InconclusiveError,
-    _hom_by_spinning,
     _simple_targets,
     composition_factors,
     direct_sum,
@@ -42,7 +42,13 @@ from frobkern.algrep import (
     top,
     zero_module,
 )
-from frobkern.fplinalg import FpMat, fpmat, identity, rank, rref, zeros
+from frobkern.fplinalg import FpMat, fpmat, identity, kernel_basis, rank, rref, zeros
+from frobkern.sl2dist import (
+    graded_principal_indecomposable,
+    graded_simple_module,
+    graded_verma_module,
+    regular_module,
+)
 
 
 def line_algebra(p):
@@ -206,20 +212,85 @@ def test_graded_hom_sees_only_degree_zero_maps():
     assert len(shifted) == 1
 
 
-def test_spinning_route_matches_direct_route():
+def is_hom_basis(M, N, maps):
+    """The maps are linearly independent and each one intertwines M and N."""
+    flat = fpmat(np.vstack([phi.a.reshape(1, -1) for phi in maps]), M.algebra.p)
+    return rank(flat) == len(maps) and all(
+        N.mat(g) @ phi == phi @ M.mat(g) for phi in maps for g in M.algebra.gens
+    )
+
+
+def test_hom_between_sums_of_jordan_blocks_adds_up_min_dimensions():
     alg = line_algebra(5)
-    M = direct_sum([jordan(alg, 4, graded=False), jordan(alg, 2, graded=False)])
-    N = direct_sum([jordan(alg, 3, graded=False), jordan(alg, 5, graded=False)])
-    assert spans_agree(_hom_by_spinning(M, N), hom_space(M, N))
+    sizes_M, sizes_N = (4, 2, 1), (3, 5, 2)
+    M = direct_sum([jordan(alg, a, graded=False) for a in sizes_M])
+    N = direct_sum([jordan(alg, b, graded=False) for b in sizes_N])
+    maps = hom_space(M, N)
+    assert len(maps) == sum(min(a, b) for a in sizes_M for b in sizes_N)
+    assert is_hom_basis(M, N, maps)
 
 
 def test_endomorphisms_of_regular_module_match_algebra_dimension():
     alg = plane_algebra(3)
     reg = plane_regular(alg)
-    direct = end_space(reg)
-    spun = _hom_by_spinning(reg, reg)
-    assert len(direct) == 9
-    assert spans_agree(spun, direct)
+    ends = end_space(reg)
+    assert len(ends) == 9
+    assert is_hom_basis(reg, reg, ends)
+
+
+def degree_zero_part(M, N):
+    """Maps of Hom(M, N) with no entry off the degree-0 blocks, computed as a
+    kernel inside the ungraded Hom space."""
+    maps = hom_space(M.forget_grading(), N.forget_grading())
+    if not maps:
+        return []
+    p = M.algebra.p
+    off = (np.asarray(N.grading)[:, None] != np.asarray(M.grading)[None, :]).reshape(-1)
+    flat = np.column_stack([phi.a.reshape(-1) for phi in maps])
+    coeffs = kernel_basis(FpMat(flat[off], p))
+    stacked = np.stack([phi.a for phi in maps])
+    return [
+        FpMat(np.tensordot(coeffs.a[:, c], stacked, axes=1) % p, p) for c in range(coeffs.cols)
+    ]
+
+
+def graded_jordan_family():
+    alg = line_algebra(3)
+    return [jordan(alg, k, shift=d) for k in (1, 2, 3) for d in (-2, -1, 0, 1)]
+
+
+def graded_sl2_family():
+    mods = [graded_verma_module(3, lam) for lam in (-2, 0, 1, 2, 4)]
+    mods += [graded_simple_module(3, lam) for lam in range(3)]
+    pims = [graded_principal_indecomposable(3, lam) for lam in range(3)]
+    return mods + [P.shifted(d) for P in pims for d in (-2, 0, 2)]
+
+
+@pytest.mark.parametrize("family", [graded_jordan_family, graded_sl2_family])
+def test_graded_hom_is_the_degree_zero_part_of_ungraded_hom(family):
+    mods = family()
+    nonzero = 0
+    for M in mods:
+        for N in mods:
+            maps = hom_space(M, N)
+            assert spans_agree(maps, degree_zero_part(M, N))
+            nonzero += bool(maps)
+    assert 0 < nonzero < len(mods) ** 2
+
+
+def test_top_radical_and_cover_spin_the_module_once(monkeypatch):
+    M = regular_module(3)
+    calls = record_calls(monkeypatch, "generating_set")
+    top(M)
+    radical(M)
+    projective_cover(M)
+    assert sum(A is M for (A,) in calls) == 1
+
+
+def test_module_action_is_read_only():
+    M = regular_module(3)
+    with pytest.raises(TypeError):
+        M.action["e"] = M.mat("f")
 
 
 def test_hom_with_zero_module_is_empty():

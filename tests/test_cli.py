@@ -173,6 +173,34 @@ def test_verify_determinism_modulo_wall_time(capsys):
     assert first == second
 
 
+REFERENCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference")
+
+
+REFERENCE_COMMANDS = {
+    "heart": ["verify", "heart", "--p", "3"],
+    "ub1": ["verify", "ub1", "--p", "3"],
+    "graded-orbit": ["verify", "graded-orbit", "--p", "3"],
+    "cohom": ["cohom", "--p", "3", "--r", "2", "--n", "8", "--method", "all"],
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_COMMANDS))
+def test_oracle_answers_match_stored_reference(capsys, name):
+    # the benchmark's reference answers pin the oracle across solver changes
+    with open(os.path.join(REFERENCE_DIR, f"{name}-p3.json")) as fh:
+        reference = json.load(fh)
+    code, payload = run_json(capsys, REFERENCE_COMMANDS[name] + ["--seed", "7"])
+    assert code == 0
+    result = payload["result"]
+    if "cases" not in reference:
+        assert {key: result[key] for key in reference} == reference
+        return
+    assert [c["input"] for c in result["cases"]] == [c["input"] for c in reference["cases"]]
+    for case, ref in zip(result["cases"], reference["cases"]):
+        assert case["status"] == ref["status"]
+        assert {key: case["got"].get(key) for key in ref["got"]} == ref["got"]
+
+
 def test_seed_resolution(capsys, monkeypatch):
     monkeypatch.setenv("FROBKERN_SEED", "7")
     _, payload = run_json(capsys, ["verify", "blocks", "--p", "3"])

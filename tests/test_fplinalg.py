@@ -168,3 +168,17 @@ def test_matrices_are_immutable():
     m = identity(2, 3)
     with pytest.raises(ValueError):
         m.a[0, 0] = 2
+
+
+def test_moduli_whose_products_overflow_are_refused():
+    with pytest.raises(ValueError, match="too large"):
+        fpmat([[1]], 2**31 - 1)
+    with pytest.raises(ValueError, match="too large"):
+        identity(2, 65537)
+
+
+def test_products_are_exact_at_the_largest_modulus():
+    p = 65521
+    row = fpmat([[p - 1] * 64], p)
+    col = fpmat([[p - 1]] * 64, p)
+    assert (row @ col).a.tolist() == [[64 * (p - 1) ** 2 % p]]
