@@ -31,6 +31,7 @@ from . import DEFAULT_SEED
 from .fplinalg import (
     FpMat,
     SpanTracker,
+    _exact_matmul,
     block_diag,
     fpmat,
     hstack,
@@ -173,14 +174,22 @@ class GenAlgebraModule:
         return self.action[g]
 
     @cached_property
-    def spin(self) -> tuple:
-        """(B, derivations, G) of `generating_set`, B^-1, and {g: B^-1 g B}.
+    def spin(self) -> "Spin":
+        """The spun basis of `generating_set`, in the form Hom solves read.
 
         Computed once per module; every Hom space out of the module reads it.
         """
+        p = self.algebra.p
         B, derivs, G = generating_set(self)
-        Binv = inverse(B)
-        return B, derivs, G, Binv, {g: Binv @ self.mat(g) @ B for g in self.algebra.gens}
+        binv = inverse(B).a.astype(np.float64)
+        tree = {(d[1], d[2]) for d in derivs if d[0] == "mul"}
+        pairs, rows = [], []
+        for g in self.algebra.gens:
+            ts = np.array([t for t in range(self.dim) if (g, t) not in tree], dtype=np.int64)
+            pairs.append((g, ts))
+            # column t of B^-1 g B holds the coordinates of g*b_t
+            rows.append(_exact_matmul(binv, _exact_matmul(self.mat(g).a, B.a[:, ts], p), p).T)
+        return Spin(derivs, G.a.argmax(axis=0), binv, tuple(pairs), np.vstack(rows))
 
     def forget_grading(self) -> "GenAlgebraModule":
         return GenAlgebraModule(self.algebra, self.action, None, check=False)
@@ -195,6 +204,24 @@ class GenAlgebraModule:
     def __repr__(self):
         tag = f", degrees {sorted(set(self.grading))}" if self.graded else ""
         return f"<module dim {self.dim} over {self.algebra.algebra_id}{tag}>"
+
+
+@dataclass(frozen=True)
+class Spin:
+    """A module's spun basis B = (b_0, ..., b_{m-1}) from `generating_set`.
+
+    `pairs` lists, per generator g, the columns t where g*b_t is not itself
+    a column of B (the pairs off the spanning tree of the spin), and
+    `coord_rows` holds the coordinates of those g*b_t in B, one float64 row
+    per pair in the same order.  Generator j is the unit vector
+    e_{gen_pos[j]}, and `binv` is B^-1 in float64.
+    """
+
+    derivs: List[tuple]
+    gen_pos: np.ndarray
+    binv: np.ndarray
+    pairs: Tuple[Tuple[str, np.ndarray], ...]
+    coord_rows: np.ndarray
 
 
 def zero_module(algebra: GenAlgebra, graded: bool = False) -> GenAlgebraModule:
@@ -232,9 +259,11 @@ def submodule(M: GenAlgebraModule, basis: FpMat) -> GenAlgebraModule:
     """Module structure on the span of `basis` columns (must be action-stable)."""
     if basis.cols == 0:
         return zero_module(M.algebra, M.graded)
+    p = M.algebra.p
     action = {}
     for g in M.algebra.gens:
-        action[g] = _coords_in_basis(basis, M.mat(g) @ basis)
+        moved = _exact_matmul(M.mat(g).a, basis.a, p).astype(np.int64)
+        action[g] = _coords_in_basis(basis, FpMat(moved, p))
     grading = None
     if M.graded:
         grading = _degrees_of_columns(basis, M.grading)
@@ -357,37 +386,48 @@ def _hom_by_spinning(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
     # every solution has degree 0
     p = M.algebra.p
     m, n = M.dim, N.dim
-    _, derivs, G, Binv, coords = M.spin
+    spin = M.spin
+    n_gen = spin.gen_pos.size
     # unknown u is coordinate row_of[u] of the image of generator gen_of[u]
-    gen_of = np.repeat(np.arange(G.cols), n)
-    row_of = np.tile(np.arange(n), G.cols)
+    gen_of = np.repeat(np.arange(n_gen), n)
+    row_of = np.tile(np.arange(n), n_gen)
     if M.graded and N.graded:
-        gen_deg = np.asarray(M.grading)[G.a.argmax(axis=0)]
+        gen_deg = np.asarray(M.grading)[spin.gen_pos]
         keep = np.asarray(N.grading)[row_of] == gen_deg[gen_of]
         gen_of, row_of = gen_of[keep], row_of[keep]
     unknowns = gen_of.size
     if unknowns == 0:
         return []
-    W = np.zeros((m, n, unknowns), dtype=np.int64)
-    for t, d in enumerate(derivs):
+    act = {g: N.mat(g).a.astype(np.float64) for g in M.algebra.gens}
+    # W[t] @ x is the image of b_t when x holds the unknowns
+    W = np.zeros((m, n, unknowns), dtype=np.float64)
+    for t, d in enumerate(spin.derivs):
         if d[0] == "root":
             own = np.flatnonzero(gen_of == d[1])
             W[t, row_of[own], own] = 1
         else:
             _, g, parent = d
-            W[t] = (N.mat(g).a @ W[parent]) % p
-    rows = []
-    for g in M.algebra.gens:
-        lhs = np.einsum("ab,tbk->tak", N.mat(g).a, W) % p
-        # coords[g][s, t] is coordinate s of g*b_t in the spun basis
-        rhs = np.einsum("st,sbk->tbk", coords[g].a, W) % p
-        rows.append(((lhs - rhs) % p).reshape(m * n, unknowns))
-    ker = kernel_basis(FpMat(np.vstack(rows), p))
-    out = []
-    for c in range(ker.cols):
-        images = (W @ ker.a[:, c]) % p  # shape (m, n): row t = image of b_t
-        out.append(FpMat((images.T @ Binv.a) % p, p))
-    return out
+            W[t] = _exact_matmul(act[g], W[parent], p)
+    # phi(g*b_t) = g*phi(b_t), where g*b_t = sum_s coord_rows[pair, s] b_s;
+    # on a spanning-tree edge g*b_t is the column built from b_t, so W
+    # satisfies it already and only the other pairs give equations
+    lhs = np.concatenate([_exact_matmul(act[g], W[ts], p) for g, ts in spin.pairs])
+    # rhs[b] = coord_rows @ W[:, b, :], one product per coordinate b of N,
+    # laid out as lhs with its first two axes swapped; one flattened product
+    # would be large enough for OpenBLAS to start helper threads, which then
+    # spin between calls
+    rhs = _exact_matmul(spin.coord_rows, W.transpose(1, 0, 2), p)
+    system = (lhs.transpose(1, 0, 2) - rhs).astype(np.int64).reshape(-1, unknowns)
+    del lhs, rhs  # freed before the elimination copies the system
+    np.add(system, p, out=system, where=system < 0)  # lhs - rhs lies in (-p, p)
+    ker = kernel_basis(FpMat(system, p))
+    if ker.cols == 0:
+        return []
+    # images[t, :, c] is the image of b_t under map c; map c is that n x m
+    # matrix of images times B^-1
+    images = _exact_matmul(W, ker.a, p)
+    maps = _exact_matmul(np.ascontiguousarray(images.T), spin.binv, p).astype(np.int64)
+    return [FpMat(phi, p) for phi in maps]
 
 
 def hom_space(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
@@ -543,8 +583,7 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
         cands = hom_space(Pblock, M)
         chosen: List[FpMat] = []
         tracker = SpanTracker(proj.rows * Pblock.dim, p)
-        for phi in cands:
-            induced = (proj @ phi).a.reshape(-1)
+        for phi, induced in zip(cands, _products_flat(proj, cands)):
             if tracker.insert(induced):
                 chosen.append(phi)
                 if len(chosen) == mult:
@@ -560,6 +599,14 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
     if rref(C).rank != M.dim:
         raise RuntimeError("candidate cover map is not surjective")
     return P, C, block_info
+
+
+def _products_flat(A: FpMat, mats: List[FpMat]) -> np.ndarray:
+    """Row i is A @ mats[i], flattened; all products in one stacked call."""
+    if not mats:
+        return np.zeros((0, 0), dtype=np.int64)
+    stacked = np.stack([phi.a for phi in mats])
+    return _exact_matmul(A.a, stacked, A.p).astype(np.int64).reshape(len(mats), -1)
 
 
 def _graded_kernel(C: FpMat, row_deg: Sequence[int], col_deg: Sequence[int]) -> FpMat:
@@ -896,14 +943,8 @@ def _stable_hom_dim(M: GenAlgebraModule, N: GenAlgebraModule, cover: tuple) -> i
     if not maps:
         return 0
     P, C, _ = cover
-    through = hom_space(M, P)
-    p = M.algebra.p
-    tracker = SpanTracker(N.dim * M.dim, p)
-    dim_factoring = 0
-    for psi in through:
-        v = (C @ psi).a.reshape(-1)
-        if tracker.insert(v):
-            dim_factoring += 1
+    tracker = SpanTracker(N.dim * M.dim, M.algebra.p)
+    dim_factoring = sum(tracker.insert(v) for v in _products_flat(C, hom_space(M, P)))
     return len(maps) - dim_factoring
 
 

@@ -4,6 +4,15 @@ Matrices are dense int64 numpy arrays with entries kept fully reduced in
 [0, p).  The modulus travels with every matrix and mixing moduli is a hard
 error, never a silent coercion.  Everything here is pure and exact; there
 is no tolerance anywhere.
+
+Large products go through `_exact_matmul`, which multiplies reduced
+operands in float64 BLAS and reduces once at the end (delayed reduction, as
+in Dumas, Giorgi and Pernet, "Dense linear algebra over word-size prime
+fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).  With inner
+size k every entry is a sum of k integers below (p-1)^2, so it is computed
+exactly while k * (p-1)^2 < 2^53; the helper checks that bound and raises
+when it fails.  `FpMat.__matmul__` stays on int64, where tiny products are
+cheaper.
 """
 
 from __future__ import annotations
@@ -28,8 +37,12 @@ __all__ = [
 
 
 # every product multiplies reduced operands and reduces once, so an entry
-# sums at most n terms below p^2 < 2^32: exact in int64 for n < 2^31
+# sums k terms below (p-1)^2 < 2^32: exact in int64 for k < 2^31, and exact
+# in float64 (`_exact_matmul`) for k < 2^21
 MAX_MODULUS = 2**16
+
+# float64 represents every integer below this exactly
+_FLOAT_EXACT = 2**53
 
 
 def _check_prime(p: int) -> None:
@@ -39,6 +52,22 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is too large: exact products need p < {MAX_MODULUS}")
     if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"modulus {p} is not prime")
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for operands with entries in [0, p), as float64 in [0, p).
+
+    Stacked operands multiply slice by slice, as in `np.matmul`.  The
+    product runs in float64 BLAS and is exact while k * (p-1)^2 < 2^53 for
+    inner size k; a larger product raises ValueError.
+    """
+    k = a.shape[-1]
+    if k * (p - 1) ** 2 >= _FLOAT_EXACT:
+        raise ValueError(
+            f"inner size {k} at modulus {p}: k * (p-1)^2 must stay below 2^53 for exact products"
+        )
+    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+    return np.fmod(np.matmul(a, b), p)
 
 
 def _inv_scalar(a: int, p: int) -> int:

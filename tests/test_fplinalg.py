@@ -4,6 +4,7 @@ import pytest
 from frobkern.fplinalg import (
     FpMat,
     SpanTracker,
+    _exact_matmul,
     fpmat,
     identity,
     inverse,
@@ -182,3 +183,37 @@ def test_products_are_exact_at_the_largest_modulus():
     row = fpmat([[p - 1] * 64], p)
     col = fpmat([[p - 1]] * 64, p)
     assert (row @ col).a.tolist() == [[64 * (p - 1) ** 2 % p]]
+
+
+def as_python_ints(a):
+    return [[int(x) for x in row] for row in a]
+
+
+def test_float_products_are_exact_against_python_integers():
+    p = 65521
+    k = 4096
+    rng = np.random.default_rng(0xF0B)
+    a = rng.integers(0, p, size=(5, k))
+    b = rng.integers(0, p, size=(k, 4))
+    a[0] = p - 1
+    b[:, 0] = p - 1
+    got = _exact_matmul(a, b, p)
+    A, B = as_python_ints(a), as_python_ints(b.T)
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in B] for row in A]
+    assert got.dtype == np.float64
+    assert as_python_ints(got) == want
+    # stacked operands multiply slice by slice
+    stacked = np.stack([a, a[::-1]])
+    got = _exact_matmul(stacked, b, p)
+    assert as_python_ints(got[0]) == want and as_python_ints(got[1]) == want[::-1]
+
+
+def test_float_products_refuse_inner_sizes_past_the_exact_bound():
+    p = 65521
+    k = 2**53 // (p - 1) ** 2 + 1
+    zero_row = np.broadcast_to(np.int64(0), (1, k))
+    with pytest.raises(ValueError, match="2\\^53"):
+        _exact_matmul(zero_row, zero_row.T, p)
+    # one term fewer still fits, and every term is (p-1)^2 = 1 mod p
+    row = np.broadcast_to(np.int64(p - 1), (1, k - 1))
+    assert _exact_matmul(row, row.T, p).tolist() == [[(k - 1) % p]]

@@ -90,6 +90,13 @@ def test_resolution_height_two():
         assert rank == cohom_dim(3, 2, n) == cohom_dim_by_enumeration(3, 2, n)
 
 
+def test_resolution_height_two_at_p5():
+    # Hom(regular module, syzygy) solves up to 25 x 99 here
+    trace = minimal_resolution_dims(5, 2, 6)
+    assert trace.omega_dims == [1, 24, 26, 49, 51, 74, 76, 99]
+    assert trace.ext_dims == [cohom_dim(5, 2, n) for n in range(7)]
+
+
 def test_generator_weights():
     assert weight_of_generator(3, 2, "x_1", 2) == -6
     assert weight_of_generator(3, 2, "y_0", 2) == -2
