@@ -9,7 +9,10 @@ with explicit witnesses, stable Hom spaces, and resolution traces with an
 exact complexity estimator.
 
 Every Hom space is solved one way: spin M once from generator vectors and
-solve for their images; degree-0 maps mask those images by degree.
+solve for their images; degree-0 maps mask those images by degree.  The
+equations stream into an incremental echelon form, which stops as soon as
+no image is left free.  Each module keeps its Hom spaces to and from the
+simples.
 
 Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  All randomness
@@ -29,6 +32,7 @@ import numpy as np
 
 from . import DEFAULT_SEED
 from .fplinalg import (
+    Echelon,
     FpMat,
     SpanTracker,
     _exact_matmul,
@@ -135,7 +139,7 @@ class GenAlgebraModule:
         check: bool = True,
     ):
         self.algebra = algebra
-        # read-only, so that the cached spin below cannot go stale
+        # read-only, so that the cached spin and simple Homs below cannot go stale
         self.action = MappingProxyType(dict(action))
         self.grading = None if grading is None else tuple(int(d) for d in grading)
         dims = {m.rows for m in self.action.values()} | {m.cols for m in self.action.values()}
@@ -190,6 +194,26 @@ class GenAlgebraModule:
             # column t of B^-1 g B holds the coordinates of g*b_t
             rows.append(_exact_matmul(binv, _exact_matmul(self.mat(g).a, B.a[:, ts], p), p).T)
         return Spin(derivs, G.a.argmax(axis=0), binv, tuple(pairs), np.vstack(rows))
+
+    @cached_property
+    def maps_to_simples(self) -> Tuple[tuple, ...]:
+        """(simple index, shift or None, simple S, Hom(M, S)) for each S of
+        `_simple_targets` with Hom(M, S) nonzero, M being this module.
+
+        Solved once per module; top, radical and projective_cover read it.
+        """
+        targets = ((idx, d, S, hom_space(self, S)) for idx, d, S in _simple_targets(self))
+        return tuple(t for t in targets if t[3])
+
+    @cached_property
+    def maps_from_simples(self) -> Tuple[tuple, ...]:
+        """(simple index, shift or None, simple S, Hom(S, M)) for each S of
+        `_simple_targets` with Hom(S, M) nonzero, M being this module.
+
+        Solved once per module; socle reads it.
+        """
+        sources = ((idx, d, S, hom_space(S, self)) for idx, d, S in _simple_targets(self))
+        return tuple(t for t in sources if t[3])
 
     def forget_grading(self) -> "GenAlgebraModule":
         return GenAlgebraModule(self.algebra, self.action, None, check=False)
@@ -417,12 +441,24 @@ def _hom_by_spinning(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
     # would be large enough for OpenBLAS to start helper threads, which then
     # spin between calls
     rhs = _exact_matmul(spin.coord_rows, W.transpose(1, 0, 2), p)
-    system = (lhs.transpose(1, 0, 2) - rhs).astype(np.int64).reshape(-1, unknowns)
-    del lhs, rhs  # freed before the elimination copies the system
+    # pair-major: system[pair] holds the n equations of one pair
+    system = (lhs - rhs.transpose(1, 0, 2)).astype(np.int64)
+    del lhs, rhs  # freed before the elimination copies blocks of the system
     np.add(system, p, out=system, where=system < 0)  # lhs - rhs lies in (-p, p)
-    ker = kernel_basis(FpMat(system, p))
-    if ker.cols == 0:
-        return []
+    live = np.flatnonzero(system.any(axis=(1, 2)))  # pairs with a nonzero equation
+    # most Hom spaces out of a simple, or into one, are zero: feed the live
+    # pairs in blocks that double, the first just tall enough to bind every
+    # unknown, and stop once none is free.  A block is reduced one
+    # coordinate of N at a time, as rhs is formed, for the same reason
+    ech = Echelon(unknowns, p)
+    start, size = 0, -(-unknowns // n)
+    while start < len(live):
+        ech.add(system[live[start : start + size]].transpose(1, 0, 2))
+        if ech.rank == unknowns:
+            return []
+        start, size = start + size, 2 * size
+    del system  # freed before the maps are formed
+    ker = ech.kernel()
     # images[t, :, c] is the image of b_t under map c; map c is that n x m
     # matrix of images times B^-1
     images = _exact_matmul(W, ker.a, p)
@@ -468,16 +504,6 @@ def _simple_targets(M: GenAlgebraModule):
             yield idx, None, S.forget_grading() if S.graded else S
 
 
-def _maps_to_simples(M: GenAlgebraModule) -> List[tuple]:
-    """[(simple index, shift or None, simple, Hom(M, simple))], nonzero Homs only."""
-    out = []
-    for idx, d, S in _simple_targets(M):
-        maps = hom_space(M, S)
-        if maps:
-            out.append((idx, d, S, maps))
-    return out
-
-
 def _multiset_entry(idx: int, d: Optional[int], mult: int) -> tuple:
     return (idx, mult) if d is None else (idx, d, mult)
 
@@ -488,10 +514,10 @@ def top(M: GenAlgebraModule) -> List[tuple]:
     Ungraded: [(simple index, mult)].  Graded: [(simple index, shift, mult)]
     where the canonical simple shifted by `shift` occurs `mult` times.
     """
-    return [_multiset_entry(idx, d, len(maps)) for idx, d, _, maps in _maps_to_simples(M)]
+    return [_multiset_entry(idx, d, len(maps)) for idx, d, _, maps in M.maps_to_simples]
 
 
-def _radical_from(M: GenAlgebraModule, targets: List[tuple]) -> FpMat:
+def _radical_from(M: GenAlgebraModule, targets: Sequence[tuple]) -> FpMat:
     # rad(M) is the common kernel of the maps onto simples; for a graded M
     # an ungraded such map splits into degree-0 maps onto shifted simples,
     # so the degree-0 maps already cut out rad(M), homogeneously
@@ -509,7 +535,7 @@ def radical(M: GenAlgebraModule) -> FpMat:
     """Basis of rad(M) = intersection of kernels of all maps onto simples."""
     if M.dim == 0:
         return zeros(0, 0, M.algebra.p)
-    return _radical_from(M, _maps_to_simples(M))
+    return _radical_from(M, M.maps_to_simples)
 
 
 def socle(M: GenAlgebraModule) -> Tuple[List[tuple], FpMat]:
@@ -518,10 +544,7 @@ def socle(M: GenAlgebraModule) -> Tuple[List[tuple], FpMat]:
     structure = []
     tracker = SpanTracker(M.dim, p)
     cols: List[np.ndarray] = []
-    for idx, d, S in _simple_targets(M):
-        maps = hom_space(S, M)
-        if not maps:
-            continue
+    for idx, d, _, maps in M.maps_from_simples:
         structure.append(_multiset_entry(idx, d, len(maps)))
         for phi in maps:
             for c in range(phi.cols):
@@ -564,7 +587,7 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
     p = alg.p
     if M.dim == 0:
         return zero_module(alg, M.graded), zeros(0, 0, p), []
-    targets = _maps_to_simples(M)
+    targets = M.maps_to_simples
     proj, _ = _complement_projection(_radical_from(M, targets), M.dim)
     blocks: List[GenAlgebraModule] = []
     block_info: List[tuple] = []

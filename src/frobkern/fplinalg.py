@@ -13,10 +13,19 @@ size k every entry is a sum of k integers below (p-1)^2, so it is computed
 exactly while k * (p-1)^2 < 2^53; the helper checks that bound and raises
 when it fails.  `FpMat.__matmul__` stays on int64, where tiny products are
 cheaper.
+
+Elimination has one routine, the incremental echelon form `Echelon`.  It
+takes rows a block at a time: each block is reduced against the rows held
+so far with `_exact_matmul`, its zero rows are dropped, the rest is
+eliminated pivot by pivot, and one more product clears the new pivots from
+the held rows.  `rref`, `kernel_basis`, `solve` and `inverse` feed it all
+rows at once; the Hom solver of `algrep` streams its equations in and stops
+once the rank reaches the number of unknowns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,6 +36,7 @@ __all__ = [
     "fpmat",
     "identity",
     "zeros",
+    "Echelon",
     "rref",
     "kernel_basis",
     "solve",
@@ -176,29 +186,102 @@ class Rref:
         return len(self.pivots)
 
 
+class Echelon:
+    """Reduced row echelon form of a growing row space of F_p^ncols.
+
+    `rows` holds the nonzero RREF rows (int64, entries in [0, p)) and
+    `pivots` their pivot columns, both in increasing pivot order.  Rows
+    arrive a block at a time through `add`.  The RREF of a row space is
+    unique, so the result does not depend on how the rows were blocked.
+    """
+
+    def __init__(self, ncols: int, p: int):
+        self.p = p
+        self.ncols = ncols
+        self.rows = np.zeros((0, ncols), dtype=np.int64)
+        self.pivots: List[int] = []
+        self._is_free = np.ones(ncols, dtype=bool)  # columns that are not pivots
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, block: np.ndarray) -> None:
+        """Add the rows of `block` (entries in [0, p)) to the row space.
+
+        A stacked block (..., rows, ncols) adds the rows of every slice.
+        Once rows are held, a block is reduced against them with one
+        product per slice and its zero rows are dropped; the rest is
+        eliminated pivot by pivot, and one more product clears the new
+        pivot columns from the held rows.
+        """
+        p, held = self.p, self.pivots
+        if held:
+            # the held rows are the identity on their pivot columns, so the
+            # reduced block is zero there and only its free columns are formed
+            free = self._is_free.nonzero()[0]
+            lead = block[..., held]
+            block = block[..., free] - _exact_matmul(lead, self.rows[:, free], p).astype(np.int64)
+            np.add(block, p, out=block, where=block < 0)
+        block = block.reshape(math.prod(block.shape[:-1]), block.shape[-1])
+        # the loop below writes to m, so m is a copy in either case
+        m = block[block.any(axis=1)] if held else block.copy()
+        found: List[int] = []  # pivots of m, as columns of m
+        r = 0
+        for c in range(m.shape[1]):
+            if r == len(m):
+                break
+            nz = m[r:, c].nonzero()[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                m[[r, i]] = m[[i, r]]
+            m[r] = (m[r] * _inv_scalar(int(m[r, c]), p)) % p
+            col = m[:, c].copy()
+            col[r] = 0
+            hit = col.nonzero()[0]
+            if hit.size:
+                m[hit] = (m[hit] - col[hit, None] * m[r]) % p
+            found.append(c)
+            r += 1
+        if not found:
+            return
+        if not held:
+            # nothing to clear, and the loop found the pivots in order
+            self.rows, self.pivots = m[:r], found
+            self._is_free[found] = False
+            return
+        pivots = free[found].tolist()
+        self._is_free[pivots] = False
+        new = np.zeros((r, self.ncols), dtype=np.int64)
+        new[:, free] = m[:r]
+        # clear the new pivot columns from the held rows; their own pivot
+        # columns stay the identity, as the new rows are zero there
+        rows = self.rows.copy()
+        cleared = rows[:, free] - _exact_matmul(rows[:, pivots], m[:r], p).astype(np.int64)
+        np.add(cleared, p, out=cleared, where=cleared < 0)
+        rows[:, free] = cleared
+        order = np.argsort(held + pivots)
+        self.rows = np.vstack([rows, new])[order]
+        self.pivots = sorted(held + pivots)
+
+    def kernel(self) -> FpMat:
+        """Columns form a basis of the vectors every row annihilates."""
+        free = self._is_free.nonzero()[0]
+        basis = np.zeros((self.ncols, free.size), dtype=np.int64)
+        basis[free, np.arange(free.size)] = 1
+        basis[self.pivots] = (-self.rows[:, free]) % self.p
+        return FpMat(basis, self.p)
+
+
 def _rref_raw(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    m = (a % p).astype(np.int64)
-    nrows, ncols = m.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * _inv_scalar(int(m[r, c]), p)) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    # all rows in one block; zero rows pad the result to the input's shape
+    ech = Echelon(a.shape[1], p)
+    ech.add(a)
+    out = np.zeros(a.shape, dtype=np.int64)
+    out[: ech.rank] = ech.rows
+    return out, ech.pivots
 
 
 def rref(m: FpMat) -> Rref:
@@ -213,14 +296,9 @@ def rank(m: FpMat) -> int:
 
 def kernel_basis(m: FpMat) -> FpMat:
     """Columns form a basis of {v : m v = 0}; cols(m) - rank(m) of them."""
-    red = rref(m)
-    p, ncols = m.p, m.cols
-    pivots = list(red.pivots)
-    free = sorted(set(range(ncols)).difference(pivots))
-    basis = np.zeros((ncols, len(free)), dtype=np.int64)
-    basis[free, np.arange(len(free))] = 1
-    basis[pivots] = (-red.matrix.a[: len(pivots)][:, free]) % p
-    return FpMat(basis, p)
+    ech = Echelon(m.cols, m.p)
+    ech.add(m.a)
+    return ech.kernel()
 
 
 def solve(m: FpMat, b: FpMat) -> Optional[FpMat]:

@@ -7,6 +7,8 @@ two-variable analogue provides a complexity-two growth profile.  Graded Hom
 spaces and the per-module spin are also checked on graded u(sl2) modules.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,18 @@ from frobkern.algrep import (
     top,
     zero_module,
 )
-from frobkern.fplinalg import FpMat, fpmat, identity, kernel_basis, kron, rank, rref, vstack, zeros
+from frobkern.fplinalg import (
+    Echelon,
+    FpMat,
+    fpmat,
+    identity,
+    kernel_basis,
+    kron,
+    rank,
+    rref,
+    vstack,
+    zeros,
+)
 from frobkern.sl2dist import (
     graded_principal_indecomposable,
     graded_simple_module,
@@ -340,15 +353,34 @@ def test_hom_between_regular_module_and_syzygy_matches_commutant_oracle():
     assert assert_hom_matches_commutant(omega2, k) == 3
 
 
-def test_hom_system_has_only_the_rows_off_the_spanning_tree(monkeypatch):
+def test_hom_system_has_only_the_rows_off_the_spanning_tree():
     # the 9-dim regular module of F_3[u0, u1]/(u0^3, u1^3) is spun from one
     # vector along 8 tree edges; of its 2 * 9 (generator, column) pairs only
     # the other 10 give equations, one row each into the 1-dim trivial module
-    M = gacohom.regular_module(3, 2)
-    calls = record_calls(monkeypatch, "kernel_basis")
-    assert len(hom_space(M, gacohom.trivial_module(3, 2))) == 1
-    (system,) = calls[0]
-    assert system.rows == 2 * 9 - 8
+    M, k = gacohom.regular_module(3, 2), gacohom.trivial_module(3, 2)
+    assert len(hom_space(M, k)) == 1
+    assert k.dim * sum(ts.size for _, ts in M.spin.pairs) == 2 * 9 - 8
+
+
+def test_empty_hom_stops_once_no_unknown_is_free(monkeypatch):
+    # the Steinberg module L(4) of u(sl2) at p = 5 is simple and projective,
+    # so it maps to no other projective indecomposable: Hom(L(4), P(0)) = 0
+    S, M = simple_module(5, 1, 4), principal_indecomposable(5, 1, 0)
+    fed = []
+    real_add = Echelon.add
+
+    def add(self, block):
+        before = self.rank
+        real_add(self, block)
+        fed.append((before, math.prod(block.shape[:-1]), self.rank))
+
+    monkeypatch.setattr(Echelon, "add", add)
+    assert hom_space(S, M) == []
+    unknowns = S.spin.gen_pos.size * M.dim
+    assert all(before < unknowns for before, _, _ in fed)
+    assert fed[-1][2] == unknowns
+    # the blocks end before the last of the pairs, each giving dim M equations
+    assert sum(rows for _, rows, _ in fed) < M.dim * sum(ts.size for _, ts in S.spin.pairs)
 
 
 def test_top_radical_and_cover_spin_the_module_once(monkeypatch):
@@ -358,6 +390,35 @@ def test_top_radical_and_cover_spin_the_module_once(monkeypatch):
     radical(M)
     projective_cover(M)
     assert sum(A is M for (A,) in calls) == 1
+
+
+def test_simple_homs_are_solved_once_per_module(monkeypatch):
+    M = regular_module(3)
+    simples = [id(S) for S in M.algebra.simples]
+    calls = record_calls(monkeypatch, "hom_space")
+    # composition_factors starts from socle(M)
+    composition_factors(M)
+    socle(M)
+    assert [id(A) for A, N in calls if N is M] == simples
+    for _ in range(2):
+        top(M)
+        radical(M)
+        projective_cover(M)
+    assert [id(N) for A, N in calls if A is M] == simples
+
+
+def test_graded_cover_solves_the_top_of_its_projective_once(monkeypatch):
+    # the top of M holds the simple at shifts 0 and 2, so its cover has two
+    # blocks of the one designated projective
+    alg = line_algebra(3)
+    M = direct_sum([jordan(alg, 2), jordan(alg, 2, shift=2)])
+    Pcan = alg.projective_of(0)
+    calls = record_calls(monkeypatch, "hom_space")
+    for _ in range(2):
+        _, _, blocks = projective_cover(M)
+        assert [(idx, d) for idx, d, _ in blocks] == [(0, 0), (0, 2)]
+    solved = [N.grading for A, N in calls if A is Pcan]
+    assert solved == [S.grading for _, _, S in _simple_targets(Pcan)]
 
 
 def test_module_action_is_read_only():

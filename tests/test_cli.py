@@ -176,20 +176,23 @@ def test_verify_determinism_modulo_wall_time(capsys):
 REFERENCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference")
 
 
+# case name -> (reference file, command)
 REFERENCE_COMMANDS = {
-    "heart": ["verify", "heart", "--p", "3"],
-    "ub1": ["verify", "ub1", "--p", "3"],
-    "graded-orbit": ["verify", "graded-orbit", "--p", "3"],
-    "cohom": ["cohom", "--p", "3", "--r", "2", "--n", "8", "--method", "all"],
+    "heart": ("heart-p3", ["verify", "heart", "--p", "3"]),
+    "heart-p5": ("heart-p5", ["verify", "heart", "--p", "5"]),
+    "ub1": ("ub1-p3", ["verify", "ub1", "--p", "3"]),
+    "graded-orbit": ("graded-orbit-p3", ["verify", "graded-orbit", "--p", "3"]),
+    "cohom": ("cohom-p3", ["cohom", "--p", "3", "--r", "2", "--n", "8", "--method", "all"]),
 }
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_COMMANDS))
 def test_oracle_answers_match_stored_reference(capsys, name):
     # the benchmark's reference answers pin the oracle across solver changes
-    with open(os.path.join(REFERENCE_DIR, f"{name}-p3.json")) as fh:
+    reference_name, argv = REFERENCE_COMMANDS[name]
+    with open(os.path.join(REFERENCE_DIR, f"{reference_name}.json")) as fh:
         reference = json.load(fh)
-    code, payload = run_json(capsys, REFERENCE_COMMANDS[name] + ["--seed", "7"])
+    code, payload = run_json(capsys, argv + ["--seed", "7"])
     assert code == 0
     result = payload["result"]
     if "cases" not in reference:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frobkern.fplinalg import (
+    Echelon,
     FpMat,
     SpanTracker,
     _exact_matmul,
@@ -217,3 +218,57 @@ def test_float_products_refuse_inner_sizes_past_the_exact_bound():
     # one term fewer still fits, and every term is (p-1)^2 = 1 mod p
     row = np.broadcast_to(np.int64(p - 1), (1, k - 1))
     assert _exact_matmul(row, row.T, p).tolist() == [[(k - 1) % p]]
+
+
+def gauss_jordan(rows, p):
+    """Nonzero RREF rows and pivots over F_p, in Python integers."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                m[k] = [(x - f * y) % p for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def echelon_test_matrices(p, rng):
+    rank_deficient = rng.integers(0, p, size=(25, 4)) @ rng.integers(0, p, size=(4, 18))
+    mostly_zero = rng.integers(0, p, size=(30, 20)) * (rng.random((30, 20)) < 0.06)
+    mostly_zero[7] = 0
+    return {
+        "tall": rng.integers(0, p, size=(40, 12)),
+        "wide": rng.integers(0, p, size=(9, 30)),
+        "rank-deficient": rank_deficient % p,
+        "mostly-zero": mostly_zero,
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 65521])
+def test_echelon_matches_big_integer_elimination(p):
+    rng = np.random.default_rng(p)
+    for name, a in echelon_test_matrices(p, rng).items():
+        want_rows, want_pivots = gauss_jordan(as_python_ints(a), p)
+        red = rref(fpmat(a, p))
+        assert list(red.pivots) == want_pivots, name
+        assert as_python_ints(red.matrix.a[: red.rank]) == want_rows, name
+        assert not red.matrix.a[red.rank :].any(), name
+        # one block, then uneven blocks (some empty on the wide matrix) and
+        # a last one stacked as two slices of four rows
+        rest = a[:-8]
+        uneven = [rest[:1], rest[1:4], rest[4:], a[-8:].reshape(2, 4, -1)]
+        for blocks in ([a], uneven):
+            ech = Echelon(a.shape[1], p)
+            for block in blocks:
+                ech.add(block)
+            assert ech.pivots == want_pivots, name
+            assert as_python_ints(ech.rows) == want_rows, name
+            assert kernel_basis(fpmat(a, p)) == ech.kernel(), name
