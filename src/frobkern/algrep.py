@@ -12,7 +12,8 @@ Every Hom space is solved one way: spin M once from generator vectors and
 solve for their images; degree-0 maps mask those images by degree.  The
 equations stream into an incremental echelon form, which stops as soon as
 no image is left free.  Each module keeps its Hom spaces to and from the
-simples.
+simples; a degree shift of a module shares its spin.  The homogeneous
+kernel of a degree-0 map is one elimination of the whole map.
 
 Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  All randomness
@@ -21,6 +22,7 @@ is seeded (default 0xF0B) so repeated runs agree.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 from dataclasses import dataclass
@@ -142,6 +144,8 @@ class GenAlgebraModule:
         # read-only, so that the cached spin and simple Homs below cannot go stale
         self.action = MappingProxyType(dict(action))
         self.grading = None if grading is None else tuple(int(d) for d in grading)
+        # the module whose spin this one shares; set on shifts only
+        self._spin_source: Optional[GenAlgebraModule] = None
         dims = {m.rows for m in self.action.values()} | {m.cols for m in self.action.values()}
         if set(self.action) != set(algebra.gens):
             raise ValueError("action must cover exactly the algebra's generators")
@@ -181,19 +185,38 @@ class GenAlgebraModule:
     def spin(self) -> "Spin":
         """The spun basis of `generating_set`, in the form Hom solves read.
 
-        Computed once per module; every Hom space out of the module reads it.
+        Computed once per module and shared with its shifts, which have the
+        same action; every Hom space out of the module reads it.
         """
+        if self._spin_source is not None:
+            return self._spin_source.spin
         p = self.algebra.p
         B, derivs, G = generating_set(self)
         binv = inverse(B).a.astype(np.float64)
-        tree = {(d[1], d[2]) for d in derivs if d[0] == "mul"}
+        roots = np.array([t for t, d in enumerate(derivs) if d[0] == "root"], dtype=np.int64)
+        # the spanning-tree edges b_t = g*b_parent, grouped by the depth of t
+        # and then by generator: every parent of a group lies one level up
+        gens = self.algebra.gens
+        depth = [0] * self.dim
+        edges: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        tree = set()
+        for t, d in enumerate(derivs):
+            if d[0] == "mul":
+                _, g, parent = d
+                tree.add((g, parent))
+                depth[t] = depth[parent] + 1
+                edges.setdefault((depth[t], gens.index(g)), []).append((parent, t))
+        levels = []
+        for key in sorted(edges):
+            parents, kids = np.array(edges[key], dtype=np.int64).T
+            levels.append((gens[key[1]], parents, kids))
         pairs, rows = [], []
         for g in self.algebra.gens:
             ts = np.array([t for t in range(self.dim) if (g, t) not in tree], dtype=np.int64)
             pairs.append((g, ts))
             # column t of B^-1 g B holds the coordinates of g*b_t
             rows.append(_exact_matmul(binv, _exact_matmul(self.mat(g).a, B.a[:, ts], p), p).T)
-        return Spin(derivs, G.a.argmax(axis=0), binv, tuple(pairs), np.vstack(rows))
+        return Spin(roots, tuple(levels), G.a.argmax(axis=0), binv, tuple(pairs), np.vstack(rows))
 
     @cached_property
     def maps_to_simples(self) -> Tuple[tuple, ...]:
@@ -219,11 +242,20 @@ class GenAlgebraModule:
         return GenAlgebraModule(self.algebra, self.action, None, check=False)
 
     def shifted(self, d: int) -> "GenAlgebraModule":
+        """This module with every degree raised by d.
+
+        A shift relabels degrees only, so the shifted grading needs no new
+        check and the spin is shared.  The Hom spaces to and from the
+        simples depend on the degrees, so they start empty.
+        """
         if not self.graded:
             raise ValueError("cannot shift an ungraded module")
-        return GenAlgebraModule(
-            self.algebra, self.action, [x + d for x in self.grading], check=False
-        )
+        out = copy.copy(self)
+        out.grading = tuple(x + d for x in self.grading)
+        out._spin_source = self if self._spin_source is None else self._spin_source
+        for name in ("maps_to_simples", "maps_from_simples"):
+            vars(out).pop(name, None)
+        return out
 
     def __repr__(self):
         tag = f", degrees {sorted(set(self.grading))}" if self.graded else ""
@@ -234,14 +266,18 @@ class GenAlgebraModule:
 class Spin:
     """A module's spun basis B = (b_0, ..., b_{m-1}) from `generating_set`.
 
-    `pairs` lists, per generator g, the columns t where g*b_t is not itself
-    a column of B (the pairs off the spanning tree of the spin), and
+    Generator j is the unit vector e_{gen_pos[j]} and spins into column
+    roots[j] of B.  `levels` lists the spanning tree of the spin as
+    (g, parents, kids) with b_kid = g*b_parent, grouped by the depth of the
+    kids and then by generator, so each group's parents lie in earlier
+    groups.  `pairs` lists, per generator g, the columns t where g*b_t is
+    not itself a column of B (the pairs off the spanning tree), and
     `coord_rows` holds the coordinates of those g*b_t in B, one float64 row
-    per pair in the same order.  Generator j is the unit vector
-    e_{gen_pos[j]}, and `binv` is B^-1 in float64.
+    per pair in the same order.  `binv` is B^-1 in float64.
     """
 
-    derivs: List[tuple]
+    roots: np.ndarray
+    levels: Tuple[Tuple[str, np.ndarray, np.ndarray], ...]
     gen_pos: np.ndarray
     binv: np.ndarray
     pairs: Tuple[Tuple[str, np.ndarray], ...]
@@ -423,15 +459,12 @@ def _hom_by_spinning(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
     if unknowns == 0:
         return []
     act = {g: N.mat(g).a.astype(np.float64) for g in M.algebra.gens}
-    # W[t] @ x is the image of b_t when x holds the unknowns
+    # W[t] @ x is the image of b_t when x holds the unknowns; one stacked
+    # product per group of tree edges, each slice the size of one edge's
     W = np.zeros((m, n, unknowns), dtype=np.float64)
-    for t, d in enumerate(spin.derivs):
-        if d[0] == "root":
-            own = np.flatnonzero(gen_of == d[1])
-            W[t, row_of[own], own] = 1
-        else:
-            _, g, parent = d
-            W[t] = _exact_matmul(act[g], W[parent], p)
+    W[spin.roots[gen_of], row_of, np.arange(unknowns)] = 1
+    for g, parents, kids in spin.levels:
+        W[kids] = _exact_matmul(act[g], W[parents], p)
     # phi(g*b_t) = g*phi(b_t), where g*b_t = sum_s coord_rows[pair, s] b_s;
     # on a spanning-tree edge g*b_t is the column built from b_t, so W
     # satisfies it already and only the other pairs give equations
@@ -633,23 +666,22 @@ def _products_flat(A: FpMat, mats: List[FpMat]) -> np.ndarray:
 
 
 def _graded_kernel(C: FpMat, row_deg: Sequence[int], col_deg: Sequence[int]) -> FpMat:
-    """Homogeneous kernel basis of a degree-0 map given by matrix C."""
-    p = C.p
-    col_deg = np.asarray(col_deg)
-    row_deg = np.asarray(row_deg)
-    cols_out: List[np.ndarray] = []
-    for d in sorted(set(col_deg.tolist())):
-        cset = np.flatnonzero(col_deg == d)
-        rset = np.flatnonzero(row_deg == d)
-        block = FpMat(C.a[np.ix_(rset, cset)].copy(), p)
-        ker = kernel_basis(block)
-        for k in range(ker.cols):
-            v = np.zeros(C.cols, dtype=np.int64)
-            v[cset] = ker.a[:, k]
-            cols_out.append(v)
-    if not cols_out:
-        return zeros(C.cols, 0, p)
-    return FpMat(np.column_stack(cols_out), p)
+    """Homogeneous kernel basis of a degree-0 map given by matrix C.
+
+    The basis is ordered by degree, and within a degree by free column.
+    """
+    row_deg = np.asarray(row_deg, dtype=np.int64)
+    col_deg = np.asarray(col_deg, dtype=np.int64)
+    i, j = np.nonzero(C.a)
+    if not np.array_equal(row_deg[i], col_deg[j]):
+        raise ValueError("map joins two different degrees")
+    # C is block-diagonal by degree up to a permutation, so its RREF is the
+    # union of the blocks' RREFs and each kernel vector lies in the degree of
+    # its free column: one elimination, then a stable sort by that degree
+    ech = Echelon(C.cols, C.p)
+    ech.add(C.a)
+    order = np.argsort(col_deg[ech.free], kind="stable")
+    return FpMat(ech.kernel().a[:, order], C.p)
 
 
 def strip_projectives(M: GenAlgebraModule, rng=None) -> GenAlgebraModule:

@@ -528,6 +528,13 @@ def _height(text: str) -> int:
     return r
 
 
+def _budget(text: str) -> int:
+    ms = int(text)
+    if ms < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a budget >= 0 ms")
+    return ms
+
+
 def _add_common(sp, *, p=True, r=True, lam=False, n=False, s=False):
     if p:
         sp.add_argument("--p", type=_odd_prime, required=True, help="odd prime >= 3")
@@ -584,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_odd_prime, default=3)
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--budget-ms", dest="budget_ms", type=int)
+    sp.add_argument("--budget-ms", dest="budget_ms", type=_budget)
     sp.add_argument("--dump-dir", dest="dump_dir", help="write constructed modules as JSON")
     return parser
 

@@ -206,6 +206,12 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def free(self) -> np.ndarray:
+        """The columns that are not pivots, increasing; `kernel` has one
+        basis vector per free column, in this order."""
+        return self._is_free.nonzero()[0]
+
     def add(self, block: np.ndarray) -> None:
         """Add the rows of `block` (entries in [0, p)) to the row space.
 
@@ -268,7 +274,7 @@ class Echelon:
 
     def kernel(self) -> FpMat:
         """Columns form a basis of the vectors every row annihilates."""
-        free = self._is_free.nonzero()[0]
+        free = self.free
         basis = np.zeros((self.ncols, free.size), dtype=np.int64)
         basis[free, np.arange(free.size)] = 1
         basis[self.pivots] = (-self.rows[:, free]) % self.p

@@ -18,6 +18,7 @@ from frobkern.algrep import (
     GenAlgebraModule,
     IsoResult,
     InconclusiveError,
+    _graded_kernel,
     _simple_targets,
     composition_factors,
     direct_sum,
@@ -421,6 +422,43 @@ def test_graded_cover_solves_the_top_of_its_projective_once(monkeypatch):
     assert solved == [S.grading for _, _, S in _simple_targets(Pcan)]
 
 
+def test_shifts_of_a_simple_share_its_spin(monkeypatch):
+    # top and socle compare a graded module with each simple at every shift
+    # that meets its degrees; a shift relabels degrees only, so the simple is
+    # spun once, however many shifts there are
+    calls = record_calls(monkeypatch, "generating_set")
+    alg = line_algebra(3)  # designating the simple spins it
+    (S,) = alg.simples
+    P = alg.projective_of(0)
+    top(P)
+    socle(P)
+    assert len(list(_simple_targets(P))) == 3
+    assert [id(A) for (A,) in calls] == [id(S), id(P)]
+
+    P = graded_principal_indecomposable(3, 0)
+    P = GenAlgebraModule(P.algebra, P.action, P.grading, check=False)  # nothing cached
+    simples = [id(S) for S in P.algebra.simples]
+    calls.clear()
+    top(P)
+    socle(P)
+    assert len(list(_simple_targets(P))) > len(simples)
+    spun = [id(A) for (A,) in calls if A is not P]
+    assert len(set(spun)) == len(spun) and set(spun) <= set(simples)
+
+
+def test_shifted_module_solves_its_own_simple_homs():
+    # the Hom spaces to and from the simples depend on the degrees, so a
+    # shift of a module whose caches are full must not inherit them
+    for lam in range(3):
+        P = graded_principal_indecomposable(3, lam)
+        tops, socles = top(P), socle(P)[0]
+        for d in (-2, 3):
+            Q = P.shifted(d)
+            assert Q.grading == tuple(x + d for x in P.grading)
+            assert top(Q) == [(idx, s + d, mult) for idx, s, mult in tops]
+            assert socle(Q)[0] == [(idx, s + d, mult) for idx, s, mult in socles]
+
+
 def test_module_action_is_read_only():
     M = regular_module(3)
     with pytest.raises(TypeError):
@@ -465,6 +503,49 @@ def test_quotient_and_submodule_of_jordan():
     assert is_isomorphic(Q, jordan(alg, 2, graded=False)).status == "iso"
     R = submodule(M, radical(M))
     assert is_isomorphic(R, jordan(alg, 2, graded=False)).status == "iso"
+
+
+def graded_kernel_per_degree(C, row_deg, col_deg):
+    """The homogeneous kernel of a degree-0 map, one kernel_basis per degree."""
+    cols = []
+    for d in sorted(set(col_deg)):
+        cset = [j for j, e in enumerate(col_deg) if e == d]
+        rset = [i for i, e in enumerate(row_deg) if e == d]
+        ker = kernel_basis(FpMat(C.a[np.ix_(rset, cset)].copy(), C.p))
+        for k in range(ker.cols):
+            v = np.zeros(C.cols, dtype=np.int64)
+            v[cset] = ker.a[:, k]
+            cols.append(v)
+    return np.column_stack(cols) if cols else np.zeros((C.cols, 0), dtype=np.int64)
+
+
+def random_degree_zero_map(rng, p):
+    """A map between shuffled graded spaces that is zero off the degree-0
+    blocks.  Some degrees have no rows or no columns, and some blocks are
+    zero or of low rank."""
+    row_deg = rng.integers(-3, 3, size=rng.integers(0, 12)).tolist()
+    col_deg = rng.integers(-2, 4, size=rng.integers(1, 12)).tolist()
+    a = np.zeros((len(row_deg), len(col_deg)), dtype=np.int64)
+    for d in set(row_deg) & set(col_deg):
+        rset = np.flatnonzero(np.asarray(row_deg) == d)
+        cset = np.flatnonzero(np.asarray(col_deg) == d)
+        k = rng.integers(0, 3)  # the block's rank is at most k
+        a[np.ix_(rset, cset)] = (
+            rng.integers(0, p, size=(rset.size, k)) @ rng.integers(0, p, size=(k, cset.size)) % p
+        )
+    return FpMat(a, p), row_deg, col_deg
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_graded_kernel_is_the_kernel_of_each_degree(p):
+    rng = np.random.default_rng(p)
+    for _ in range(200):
+        C, row_deg, col_deg = random_degree_zero_map(rng, p)
+        ker = _graded_kernel(C, row_deg, col_deg)
+        assert np.array_equal(ker.a, graded_kernel_per_degree(C, row_deg, col_deg))
+    # an entry from degree 1 to degree 0 is not a degree-0 map
+    with pytest.raises(ValueError, match="degrees"):
+        _graded_kernel(fpmat([[0, 1], [0, 0]], p), [0, 1], [0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,7 @@ def test_user_errors_exit_one(capsys):
         ["complexity", "--p", "1", "--r", "1", "--lambda", "0"],
         ["block", "--p", "3", "--r", "-1", "--lambda", "0"],
         ["verify", "blocks", "--p", "4"],
+        ["verify", "heart", "--p", "3", "--budget-ms", "-5"],
     ],
 )
 def test_bad_prime_or_height_exits_one(capsys, argv):
@@ -182,6 +183,7 @@ REFERENCE_COMMANDS = {
     "heart-p5": ("heart-p5", ["verify", "heart", "--p", "5"]),
     "ub1": ("ub1-p3", ["verify", "ub1", "--p", "3"]),
     "graded-orbit": ("graded-orbit-p3", ["verify", "graded-orbit", "--p", "3"]),
+    "graded-orbit-p7": ("graded-orbit-p7", ["verify", "graded-orbit", "--p", "7"]),
     "cohom": ("cohom-p3", ["cohom", "--p", "3", "--r", "2", "--n", "8", "--method", "all"]),
 }
 
@@ -240,10 +242,15 @@ def test_verify_dump_dir(capsys, tmp_path):
 
 
 def test_console_module_invocation():
+    # the child imports the same frobkern as this test, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     out = subprocess.run(
         [sys.executable, "-m", "frobkern.cli", "block", "--p", "3", "--r", "2", "--lambda", "5"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["result"] == {"block": {"i": 0, "s": 1}}
