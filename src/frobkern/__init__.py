@@ -8,6 +8,19 @@ finite-dimensional algebras in exact F_p arithmetic, so every formula can
 be checked against an independent machine computation.
 """
 
+import math
+
 DEFAULT_SEED = 0xF0B
 
 __version__ = "0.1.0"
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def base_p_digits(lam: int, p: int, r: int) -> list[int]:
+    """The r little-endian base-p digits of a weight 0 <= lam < p^r."""
+    if not 0 <= lam < p**r:
+        raise ValueError(f"weight {lam} outside [0, p^{r})")
+    return [(lam // p**i) % p for i in range(r)]

@@ -16,8 +16,11 @@ simples; a degree shift of a module shares its spin.  The homogeneous
 kernel of a degree-0 map is one elimination of the whole map.
 
 Gradings are plain integers; a generator may carry a degree shift, and a
-graded module's action matrices must shift degrees exactly.  All randomness
-is seeded (default 0xF0B) so repeated runs agree.
+graded module's action matrices must shift degrees exactly.  The Heller
+operator is exact linear algebra over these self-injective algebras: Omega(M)
+is the kernel of M's minimal projective cover, computed once per module, and
+takes no seed.  The MeatAxe and isomorphism tests draw at random, seeded
+(default 0xF0B).
 """
 
 from __future__ import annotations
@@ -69,11 +72,8 @@ class InconclusiveError(RuntimeError):
 
 
 def _rng_of(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    if seed_or_rng is None:
-        return np.random.default_rng(DEFAULT_SEED)
-    return np.random.default_rng(seed_or_rng)
+    # default_rng returns a Generator it is passed unaltered
+    return np.random.default_rng(DEFAULT_SEED if seed_or_rng is None else seed_or_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +238,11 @@ class GenAlgebraModule:
         sources = ((idx, d, S, hom_space(S, self)) for idx, d, S in _simple_targets(self))
         return tuple(t for t in sources if t[3])
 
+    @cached_property
+    def cover(self) -> Tuple["GenAlgebraModule", FpMat, List[tuple]]:
+        """`projective_cover` of this module, computed once; the Heller path reads it."""
+        return projective_cover(self)
+
     def forget_grading(self) -> "GenAlgebraModule":
         return GenAlgebraModule(self.algebra, self.action, None, check=False)
 
@@ -246,14 +251,14 @@ class GenAlgebraModule:
 
         A shift relabels degrees only, so the shifted grading needs no new
         check and the spin is shared.  The Hom spaces to and from the
-        simples depend on the degrees, so they start empty.
+        simples and the cover depend on the degrees, so they start empty.
         """
         if not self.graded:
             raise ValueError("cannot shift an ungraded module")
         out = copy.copy(self)
         out.grading = tuple(x + d for x in self.grading)
         out._spin_source = self if self._spin_source is None else self._spin_source
-        for name in ("maps_to_simples", "maps_from_simples"):
+        for name in ("maps_to_simples", "maps_from_simples", "cover"):
             vars(out).pop(name, None)
         return out
 
@@ -518,16 +523,20 @@ def end_space(M: GenAlgebraModule) -> List[FpMat]:
 
 
 def _shift_candidates(M: GenAlgebraModule, S: GenAlgebraModule) -> List[int]:
+    # a nonzero degree-0 map M -> S_d is onto and S_d -> M is one-to-one, so
+    # only shifts that put every degree of S among those of M can give one
     if not M.graded or M.dim == 0 or S.dim == 0:
         return []
-    return sorted({dm - ds for dm in set(M.grading) for ds in set(S.grading)})
+    m_degs, s_degs = set(M.grading), set(S.grading)
+    shifts = {dm - min(s_degs) for dm in m_degs}
+    return sorted(d for d in shifts if all(ds + d in m_degs for ds in s_degs))
 
 
 def _simple_targets(M: GenAlgebraModule):
     """(simple index, shift or None, simple) for each simple M is compared with.
 
-    A graded M is compared with every degree shift of a simple that meets
-    its degrees; an ungraded M with each simple once, ungraded.
+    A graded M is compared with every degree shift of a simple whose degrees
+    all lie among M's; an ungraded M with each simple once, ungraded.
     """
     for idx, S in enumerate(M.algebra.simples):
         if M.graded:
@@ -684,53 +693,52 @@ def _graded_kernel(C: FpMat, row_deg: Sequence[int], col_deg: Sequence[int]) -> 
     return FpMat(ech.kernel().a[:, order], C.p)
 
 
-def strip_projectives(M: GenAlgebraModule, rng=None) -> GenAlgebraModule:
-    """Direct sum of the non-projective indecomposable summands of M."""
-    if M.dim == 0:
-        return M
-    factors = meataxe_split(M, rng=rng)
-    keep = [F for F in factors if not is_projective(F)]
-    if len(keep) == len(factors):
-        return M
-    if not keep:
-        return zero_module(M.algebra, M.graded)
-    return direct_sum(keep)
+def strip_projectives(M: GenAlgebraModule) -> GenAlgebraModule:
+    """M with its projective summands split off, up to isomorphism.
+
+    A projective is injective here, so a block of M's cover C is a summand
+    of M when C is one-to-one on its simple socle, i.e. keeps one socle
+    vector v.  Every map from a projective to M factors through C, so the
+    blocks with independent images C v span the projective summands.
+    """
+    _, C, blocks = M.cover
+    p = M.algebra.p
+    tracker = SpanTracker(M.dim, p)
+    keep, start = [], 0
+    for idx, _, _ in blocks:
+        # a shifted or ungraded copy of the designated projective has its
+        # coordinates, so v is read from the designated one, once per module
+        Pcan = M.algebra.projective_of(idx)
+        block, start = C.a[:, start : start + Pcan.dim], start + Pcan.dim
+        if tracker.insert(block @ socle(Pcan)[1].a[:, 0] % p):
+            keep.append(block)
+    return quotient(M, FpMat(np.hstack(keep), p))[0] if keep else M
 
 
 def is_projective(M: GenAlgebraModule) -> bool:
-    if M.dim == 0:
-        return True
-    P, _, _ = projective_cover(M)
-    return P.dim == M.dim
+    return M.cover[0].dim == M.dim
 
 
-def heller(M: GenAlgebraModule, strip: bool = True, rng=None) -> GenAlgebraModule:
-    """Kernel of the projective cover map, projective summands split off.
+def heller(M: GenAlgebraModule) -> GenAlgebraModule:
+    """Kernel of M's minimal projective cover.
 
-    For a module without projective summands the cover is already minimal
-    and its kernel contains no projective summands; `strip` controls the
-    initial removal of projective summands from M itself.
+    Omega(M' + Q) = Omega(M') for a projective Q, and over a self-injective
+    algebra the kernel of a minimal cover has no projective summand, so
+    nothing is split off first.
     """
-    M0 = strip_projectives(M, rng=rng) if strip else M
-    return _cover_kernel(M0, projective_cover(M0))
-
-
-def _cover_kernel(M: GenAlgebraModule, cover: tuple) -> GenAlgebraModule:
-    """Kernel of the surjection of `cover`, a projective cover of M."""
-    P, C, _ = cover
+    P, C, _ = M.cover
     ker = _graded_kernel(C, M.grading, P.grading) if M.graded else kernel_basis(C)
     return submodule(P, ker)
 
 
-def heller_power(M: GenAlgebraModule, n: int, rng=None) -> GenAlgebraModule:
-    current = strip_projectives(M, rng=rng)
-    if n >= 0:
-        for _ in range(n):
-            current = heller(current, strip=False, rng=rng)
-        return current
-    for _ in range(-n):
-        current = dual_module(heller(dual_module(current), strip=False, rng=rng))
-    return current
+def heller_power(M: GenAlgebraModule, n: int) -> GenAlgebraModule:
+    """Omega^n(M); Omega^-1 is D Omega D for the duality D, and Omega^0 is M
+    with its projective summands split off."""
+    if n == 0:
+        return strip_projectives(M)
+    for _ in range(abs(n)):
+        M = heller(M) if n > 0 else dual_module(heller(dual_module(M)))
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -989,18 +997,13 @@ def _iso_by_decomposition(M, N, rng) -> IsoResult:
 
 def stable_hom_dim(M: GenAlgebraModule, N: GenAlgebraModule) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective."""
-    return _stable_hom_dim(M, N, projective_cover(N))
-
-
-def _stable_hom_dim(M: GenAlgebraModule, N: GenAlgebraModule, cover: tuple) -> int:
-    # maps factoring through a projective factor through the cover P -> N
     maps = hom_space(M, N)
     if not maps:
         return 0
-    P, C, _ = cover
+    # maps factoring through a projective factor through the cover P -> N
+    P, C, _ = N.cover
     tracker = SpanTracker(N.dim * M.dim, M.algebra.p)
-    dim_factoring = sum(tracker.insert(v) for v in _products_flat(C, hom_space(M, P)))
-    return len(maps) - dim_factoring
+    return len(maps) - sum(tracker.insert(v) for v in _products_flat(C, hom_space(M, P)))
 
 
 @dataclass
@@ -1019,19 +1022,17 @@ class ResolutionTrace:
         }
 
 
-def ext_dims(M: GenAlgebraModule, length: int, rng=None, with_ext: bool = True) -> ResolutionTrace:
+def ext_dims(M: GenAlgebraModule, length: int, with_ext: bool = True) -> ResolutionTrace:
     """Trace of Omega^n dims and dim Ext^n(M, M) = stable Hom(Omega^n M, M)."""
-    M0 = strip_projectives(M, rng=rng)
-    cover = projective_cover(M0)  # shared by the first step and every stable Hom
+    M0 = strip_projectives(M)
     omega = [M0.dim]
-    exts = [_stable_hom_dim(M0, M0, cover)] if with_ext else None
+    exts = [stable_hom_dim(M0, M0)] if with_ext else None
     current = M0
     for _ in range(length):
-        step_cover = cover if current is M0 else projective_cover(current)
-        current = _cover_kernel(current, step_cover)
+        current = heller(current)
         omega.append(current.dim)
         if with_ext:
-            exts.append(_stable_hom_dim(current, M0, cover))
+            exts.append(stable_hom_dim(current, M0))
     return ResolutionTrace(M, length, omega, exts)
 
 

@@ -31,6 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import is_prime
+
 __all__ = [
     "FpMat",
     "fpmat",
@@ -60,7 +62,7 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
     if p >= MAX_MODULUS:
         raise ValueError(f"modulus {p} is too large: exact products need p < {MAX_MODULUS}")
-    if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
 
 

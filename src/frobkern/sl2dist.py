@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import DEFAULT_SEED
+from . import DEFAULT_SEED, base_p_digits
 from .algrep import (
     GenAlgebra,
     GenAlgebraModule,
@@ -55,12 +55,6 @@ def gbinom(x: int, k: int, p: int) -> int:
     for i in range(k):
         num *= x - i
     return (num // math.factorial(k)) % p
-
-
-def base_p_digits(lam: int, p: int, r: int) -> List[int]:
-    if not 0 <= lam < p**r:
-        raise ValueError(f"weight {lam} outside [0, p^{r})")
-    return [(lam // p**i) % p for i in range(r)]
 
 
 # ---------------------------------------------------------------------------

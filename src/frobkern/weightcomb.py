@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import base_p_digits, is_prime
 from .algrep import InconclusiveError, ResolutionTrace, estimate_complexity
 
 Weight = Union[int, Sequence[int]]
@@ -39,12 +40,6 @@ class HypothesisError(ValueError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(math.isqrt(n)) + 1))
 
 
 def _vp(n: int, p: int) -> int:
@@ -76,7 +71,7 @@ class RootDatum:
     good_prime: bool = True
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.p < 3:
+        if not is_prime(self.p) or self.p < 3:
             raise ValueError("p must be an odd prime >= 3")
         if len(self.simple_roots) != len(self.simple_coroots):
             raise ValueError("simple roots and coroots must align")
@@ -244,12 +239,6 @@ def steinberg_ph(d: int, r: int) -> int:
 
 # ---------------------------------------------------------------------------
 # SL(2) block combinatorics (restricted weights 0 <= lam < p^r)
-
-
-def base_p_digits(lam: int, p: int, r: int) -> List[int]:
-    if not 0 <= lam < p**r:
-        raise ValueError(f"weight {lam} outside [0, p^{r})")
-    return [(lam // p**j) % p for j in range(r)]
 
 
 @dataclass(frozen=True)

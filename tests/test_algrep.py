@@ -7,6 +7,7 @@ two-variable analogue provides a complexity-two growth profile.  Graded Hom
 spaces and the per-module spin are also checked on graded u(sl2) modules.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -157,18 +158,20 @@ def record_calls(monkeypatch, name):
 
 
 def conjugate(M, rng):
-    """Same module in a scrambled basis (ungraded)."""
+    """Same module in a scrambled basis; a graded one is scrambled within
+    each degree."""
     p = M.algebra.p
     n = M.dim
+    same_degree = np.equal.outer(M.grading, M.grading) if M.graded else 1
     while True:
-        g = fpmat(rng.integers(0, p, size=(n, n)), p)
+        g = fpmat(rng.integers(0, p, size=(n, n)) * same_degree, p)
         if rank(g) == n:
             break
     from frobkern.fplinalg import inverse
 
     gi = inverse(g)
     action = {name: gi @ M.mat(name) @ g for name in M.algebra.gens}
-    return GenAlgebraModule(M.algebra, action, None)
+    return GenAlgebraModule(M.algebra, action, M.grading)
 
 
 def spans_agree(maps_a, maps_b):
@@ -346,7 +349,7 @@ def test_graded_hom_matches_commutant_oracle_over_graded_restricted_sl2():
 def test_hom_between_regular_module_and_syzygy_matches_commutant_oracle():
     reg = gacohom.regular_module(5, 2)
     k = gacohom.trivial_module(5, 2)
-    omega2 = heller_power(k, 2, rng=0)
+    omega2 = heller_power(k, 2)
     assert omega2.dim == 26
     # the regular module is free of rank one, so Hom(A, N) is N
     assert assert_hom_matches_commutant(reg, omega2) == 26
@@ -622,6 +625,107 @@ def test_is_projective():
     assert not is_projective(jordan(alg, 2))
 
 
+def test_simple_targets_are_the_shifts_inside_the_degrees_of_the_module():
+    # a nonzero M -> S_d is onto and S_d -> M one-to-one, so each compared
+    # shift puts S inside M's degrees, and no shift with a nonzero Hom is lost
+    for M in (graded_verma_module(3, 0), graded_principal_indecomposable(3, 1)):
+        degs = set(M.grading)
+        compared = set()
+        for idx, d, S in _simple_targets(M):
+            assert set(S.grading) <= degs
+            compared.add((idx, d))
+        for idx, S in enumerate(M.algebra.simples):
+            for d in {dm - ds for dm in degs for ds in S.grading}:
+                if hom_space(M, S.shifted(d)) or hom_space(S.shifted(d), M):
+                    assert (idx, d) in compared
+
+
+def assert_iso_with_witness(A, B):
+    res = is_isomorphic(A, B)
+    assert res.status == "iso" and rank(res.witness) == A.dim
+    assert all(B.mat(g) @ res.witness == res.witness @ A.mat(g) for g in A.algebra.gens)
+
+
+@contextlib.contextmanager
+def without_meataxe(monkeypatch):
+    """Make every MeatAxe call fail inside the block."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Heller path reached the MeatAxe")
+
+    with monkeypatch.context() as m:
+        m.setattr(algrep, "meataxe_split", refuse)
+        m.setattr(algrep, "meataxe_split_with_bases", refuse)
+        yield
+
+
+def test_heller_path_runs_without_the_meataxe(monkeypatch):
+    # the modules of the verma-period, graded-orbit and ub1 suites at p = 3,
+    # built before the MeatAxe is taken away (their algebras split PIMs)
+    ungraded = [verma_module(3, 1, lam) for lam in range(3)]
+    ungraded += [simple_module(3, 1, lam) for lam in range(3)]
+    graded = [graded_verma_module(3, lam) for lam in range(2)]
+    targets = [graded_verma_module(3, lam + 6) for lam in range(2)]
+    with without_meataxe(monkeypatch):
+        for M in ungraded + graded:
+            stripped = strip_projectives(M)
+            om1, om2 = heller(M), heller_power(M, 2)
+            assert heller_power(heller_power(M, -2), 2).dim == stripped.dim
+            assert heller(om1).dim == om2.dim
+            trace = ext_dims(M, 4)
+            assert trace.omega_dims[:3] == [stripped.dim, om1.dim, om2.dim]
+        # a baby Verma has Heller period 2, and its graded orbit moves by 2p
+        assert [heller_power(Z, 2).dim for Z in ungraded[:2]] == [3, 3]
+        for Z, target in zip(graded, targets):
+            assert sorted(heller_power(Z, 2).grading) == sorted(target.grading)
+        # the Steinberg module is projective: nothing is left
+        assert strip_projectives(ungraded[-1]).dim == 0
+        assert ext_dims(ungraded[-1], 3).omega_dims == [0] * 4
+
+
+def test_strip_projectives_keeps_the_non_projective_part_of_a_scrambled_sum(monkeypatch):
+    p = 5
+    rng = np.random.default_rng(11)
+    for lam, mu in [(0, 3), (2, 2)]:
+        Z = verma_module(p, 1, lam)
+        parts = [Z, principal_indecomposable(p, 1, lam), simple_module(p, 1, p - 1)]
+        parts.append(principal_indecomposable(p, 1, mu))
+        M = conjugate(direct_sum(parts), rng)
+        with without_meataxe(monkeypatch):
+            stripped, om, om_Z = strip_projectives(M), heller(M), heller(Z)
+            assert strip_projectives(parts[1]).dim == 0
+        assert_iso_with_witness(stripped, Z)
+        assert_iso_with_witness(om, om_Z)
+
+
+def test_strip_projectives_of_a_graded_sum_with_shifted_summands(monkeypatch):
+    alg = line_algebra(3)
+    rng = np.random.default_rng(5)
+    keep = [jordan(alg, 1, shift=2), jordan(alg, 2, shift=-1), jordan(alg, 2, shift=1)]
+    projectives = [jordan(alg, 3, shift=0), jordan(alg, 3, shift=1), jordan(alg, 3, shift=4)]
+    interleaved = [keep[0], projectives[0], keep[1], projectives[1], keep[2], projectives[2]]
+    M = conjugate(direct_sum(interleaved), rng)
+    rest = direct_sum(keep)
+    with without_meataxe(monkeypatch):
+        stripped, om, om_rest = strip_projectives(M), heller(M), heller(rest)
+        assert strip_projectives(direct_sum(projectives)).dim == 0
+    assert stripped.graded
+    assert_iso_with_witness(stripped, rest)  # the witness has degree 0
+    assert_iso_with_witness(om, om_rest)
+
+
+def test_shifted_module_covers_itself_at_its_own_degrees():
+    alg = line_algebra(3)
+    M = direct_sum([jordan(alg, 2, shift=1), jordan(alg, 1, shift=-2)])
+    P, C, blocks = M.cover  # cached before the shift
+    for d in (3, -1):
+        Ps, Cs, blocks_s = M.shifted(d).cover
+        assert blocks_s == [(idx, s + d, mult) for idx, s, mult in blocks]
+        assert Ps.grading == tuple(x + d for x in P.grading)
+        assert Cs == C
+    assert M.cover[2] == blocks
+
+
 # ---------------------------------------------------------------------------
 # MeatAxe and isomorphism testing
 
@@ -694,8 +798,7 @@ def test_periodic_trace_over_line_algebra():
 def test_ext_dims_builds_the_cover_of_its_module_once(monkeypatch):
     alg = line_algebra(3)
     M = jordan(alg, 1, graded=False)
-    # M has no projective summand; stripping would test that with a cover of its own
-    monkeypatch.setattr(algrep, "strip_projectives", lambda N, rng=None: N)
+    # stripping M reads the same cached cover as its first step and its stable Homs
     calls = record_calls(monkeypatch, "projective_cover")
     tr = ext_dims(M, 6)
     assert tr.ext_dims == [1] * 7

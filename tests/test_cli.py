@@ -182,6 +182,8 @@ REFERENCE_COMMANDS = {
     "heart": ("heart-p3", ["verify", "heart", "--p", "3"]),
     "heart-p5": ("heart-p5", ["verify", "heart", "--p", "5"]),
     "ub1": ("ub1-p3", ["verify", "ub1", "--p", "3"]),
+    # its Steinberg cases strip a projective module to zero in ext_dims
+    "ub1-p5": ("ub1-p5", ["verify", "ub1", "--p", "5"]),
     "graded-orbit": ("graded-orbit-p3", ["verify", "graded-orbit", "--p", "3"]),
     "graded-orbit-p7": ("graded-orbit-p7", ["verify", "graded-orbit", "--p", "7"]),
     "cohom": ("cohom-p3", ["cohom", "--p", "3", "--r", "2", "--n", "8", "--method", "all"]),
