@@ -11,7 +11,11 @@ exact complexity estimator.
 Every Hom space is solved one way: spin M once from generator vectors and
 solve for their images; degree-0 maps mask those images by degree.  The
 equations stream into an incremental echelon form, which stops as soon as
-no image is left free.  Each module keeps its Hom spaces to and from the
+no image is left free.  A solve first yields its kernel in generator-image
+coordinates.  A module map is fixed by where it sends the generators, so
+projective covers pick their lifts from those images and stable Homs count
+the maps through a projective from them; only the maps a caller keeps
+become matrices.  Each module keeps its Hom spaces to and from the
 simples; a degree shift of a module shares its spin.  The homogeneous
 kernel of a degree-0 map is one elimination of the whole map.
 
@@ -108,6 +112,8 @@ class GenAlgebra:
         self.simples: List["GenAlgebraModule"] = []
         self.projectives: List[Optional["GenAlgebraModule"]] = []
         self.meta = meta or {}
+        # simple index -> (designated projective, a socle vector of it)
+        self._socle_vectors: Dict[int, Tuple["GenAlgebraModule", np.ndarray]] = {}
 
     def designate(self, simples, projectives=None) -> None:
         self.simples = list(simples)
@@ -125,6 +131,21 @@ class GenAlgebra:
                 f"{self.algebra_id}: no projective cover designated for simple #{idx}"
             )
         return cover
+
+    def projective_socle_vector(self, idx: int) -> np.ndarray:
+        """A nonzero vector of the socle of `projective_of(idx)`, found once.
+
+        The projective has a simple socle, so any nonzero vector of it will
+        do: Hom(S, P) is solved for the simples S in turn, P's own simple
+        first (its socle, over a symmetric algebra), until one is nonzero.
+        """
+        P = self.projective_of(idx)
+        known = self._socle_vectors.get(idx)
+        if known is None or known[0] is not P:
+            targets = sorted(_simple_targets(P), key=lambda t: t[0] != idx)
+            phi = next(m for m in (hom_space(S, P) for _, _, S in targets) if m)[0].a
+            known = self._socle_vectors[idx] = (P, phi[:, phi.any(axis=0).argmax()])
+        return known[1]
 
     def __repr__(self):
         return f"GenAlgebra({self.algebra_id})"
@@ -442,13 +463,37 @@ def generating_set(M: GenAlgebraModule) -> Tuple[FpMat, List[tuple], FpMat]:
     return B, derivs, G
 
 
-def _hom_by_spinning(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
+@dataclass(frozen=True)
+class HomKernel:
+    """A nonzero Hom(M, N) as the kernel of the spin system of M.
+
+    Column c of `ker` is one map c, in the unknowns of the system.  A module
+    map is fixed by where it sends the generator vectors of M, and
+    `gen_images[j, :, c]` is the image of generator j under map c: the
+    kernel in generator-image coordinates.  `W[t] @ ker[:, c]` is the image
+    of the spun basis vector b_t, which `_hom_maps` turns into matrices.
+    """
+
+    W: np.ndarray
+    ker: np.ndarray
+    gen_images: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.ker.shape[1]
+
+
+def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]:
     # a hom is determined by the images of M's generator vectors; track the
     # spun basis of M as word operators on those images and solve the
     # compatibility system in the images only.  Generator j is a unit vector
     # e_c, so a degree-0 map sends it into degree M.grading[c] of N: graded
     # pairs keep only those unknowns, and as every spun vector is homogeneous,
-    # every solution has degree 0
+    # every solution has degree 0.  None when Hom(M, N) is zero
+    if M.algebra is not N.algebra:
+        raise ValueError("hom_space needs modules over the same algebra")
+    if M.dim == 0 or N.dim == 0:
+        return None
     p = M.algebra.p
     m, n = M.dim, N.dim
     spin = M.spin
@@ -462,7 +507,7 @@ def _hom_by_spinning(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
         gen_of, row_of = gen_of[keep], row_of[keep]
     unknowns = gen_of.size
     if unknowns == 0:
-        return []
+        return None
     act = {g: N.mat(g).a.astype(np.float64) for g in M.algebra.gens}
     # W[t] @ x is the image of b_t when x holds the unknowns; one stacked
     # product per group of tree edges, each slice the size of one edge's
@@ -493,25 +538,30 @@ def _hom_by_spinning(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
     while start < len(live):
         ech.add(system[live[start : start + size]].transpose(1, 0, 2))
         if ech.rank == unknowns:
-            return []
+            return None
         start, size = start + size, 2 * size
-    del system  # freed before the maps are formed
-    ker = ech.kernel()
+    ker = ech.kernel().a
+    # generator j is b_roots[j], so its image is read off the unknowns
+    gen_images = np.zeros((n_gen, n, ker.shape[1]), dtype=np.int64)
+    gen_images[gen_of, row_of] = ker
+    return HomKernel(W, ker, gen_images)
+
+
+def _hom_maps(M: GenAlgebraModule, hom: HomKernel, cols=slice(None)) -> List[FpMat]:
+    """The matrices of the maps `cols` of `hom`, a kernel of Hom(M, N)."""
+    p = M.algebra.p
     # images[t, :, c] is the image of b_t under map c; map c is that n x m
     # matrix of images times B^-1
-    images = _exact_matmul(W, ker.a, p)
-    maps = _exact_matmul(np.ascontiguousarray(images.T), spin.binv, p).astype(np.int64)
+    images = _exact_matmul(hom.W, hom.ker[:, cols], p)
+    maps = _exact_matmul(np.ascontiguousarray(images.T), M.spin.binv, p).astype(np.int64)
     return [FpMat(phi, p) for phi in maps]
 
 
 def hom_space(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
     """Basis of Hom(M, N), solved by spinning M; degree-0 maps when both
     modules are graded, by masking the generator images by degree."""
-    if M.algebra is not N.algebra:
-        raise ValueError("hom_space needs modules over the same algebra")
-    if M.dim == 0 or N.dim == 0:
-        return []
-    return _hom_by_spinning(M, N)
+    hom = _hom_kernel(M, N)
+    return [] if hom is None else _hom_maps(M, hom)
 
 
 def end_space(M: GenAlgebraModule) -> List[FpMat]:
@@ -623,7 +673,10 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
 
     The surjection is an (dim M) x (dim P) matrix.  Blocks list entries
     (simple index, shift or None, multiplicity) in the order the summands
-    of P are laid out.
+    of P are laid out.  For each simple S in the top, with multiplicity
+    mult, the lifts P(S) -> M are picked greedily from the kernel of
+    Hom(P(S), M) by their generator images modulo rad(M), and only the
+    mult chosen maps are formed.
     """
     alg = M.algebra
     p = alg.p
@@ -645,17 +698,23 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
             Pblock = Pcan.shifted(d - tops[0][1])
         else:
             Pblock = Pcan.forget_grading() if Pcan.graded else Pcan
-        cands = hom_space(Pblock, M)
-        chosen: List[FpMat] = []
-        tracker = SpanTracker(proj.rows * Pblock.dim, p)
-        for phi, induced in zip(cands, _products_flat(proj, cands)):
-            if tracker.insert(induced):
-                chosen.append(phi)
-                if len(chosen) == mult:
-                    break
+        hom = _hom_kernel(Pblock, M)
+        chosen: List[int] = []
+        if hom is not None:
+            # proj . phi is a module map P -> top(M), fixed by where it sends
+            # the generators of P: proj times the generator images tells the
+            # lifts apart exactly, so the greedy pass keeps the maps it would
+            # keep on the whole products, and only those are formed
+            induced = _exact_matmul(proj.a, hom.gen_images, p).astype(np.int64)
+            tracker = SpanTracker(induced.shape[0] * proj.rows, p)
+            for c in range(hom.dim):
+                if tracker.insert(induced[:, :, c].ravel()):
+                    chosen.append(c)
+                    if len(chosen) == mult:
+                        break
         if len(chosen) != mult:
             raise RuntimeError("projective cover lifting failed to reach the top")
-        for phi in chosen:
+        for phi in _hom_maps(Pblock, hom, chosen):
             blocks.append(Pblock)
             columns.append(phi)
             block_info.append((idx, d, 1))
@@ -664,14 +723,6 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
     if rref(C).rank != M.dim:
         raise RuntimeError("candidate cover map is not surjective")
     return P, C, block_info
-
-
-def _products_flat(A: FpMat, mats: List[FpMat]) -> np.ndarray:
-    """Row i is A @ mats[i], flattened; all products in one stacked call."""
-    if not mats:
-        return np.zeros((0, 0), dtype=np.int64)
-    stacked = np.stack([phi.a for phi in mats])
-    return _exact_matmul(A.a, stacked, A.p).astype(np.int64).reshape(len(mats), -1)
 
 
 def _graded_kernel(C: FpMat, row_deg: Sequence[int], col_deg: Sequence[int]) -> FpMat:
@@ -707,10 +758,10 @@ def strip_projectives(M: GenAlgebraModule) -> GenAlgebraModule:
     keep, start = [], 0
     for idx, _, _ in blocks:
         # a shifted or ungraded copy of the designated projective has its
-        # coordinates, so v is read from the designated one, once per module
-        Pcan = M.algebra.projective_of(idx)
-        block, start = C.a[:, start : start + Pcan.dim], start + Pcan.dim
-        if tracker.insert(block @ socle(Pcan)[1].a[:, 0] % p):
+        # coordinates, so v is read from the designated one, once per algebra
+        v = M.algebra.projective_socle_vector(idx)
+        block, start = C.a[:, start : start + v.size], start + v.size
+        if tracker.insert(block @ v % p):
             keep.append(block)
     return quotient(M, FpMat(np.hstack(keep), p))[0] if keep else M
 
@@ -996,14 +1047,22 @@ def _iso_by_decomposition(M, N, rng) -> IsoResult:
 
 
 def stable_hom_dim(M: GenAlgebraModule, N: GenAlgebraModule) -> int:
-    """dim of Hom(M, N) modulo maps factoring through a projective."""
-    maps = hom_space(M, N)
-    if not maps:
+    """dim of Hom(M, N) modulo maps factoring through a projective.
+
+    No map is formed.  The maps factoring through a projective are the
+    C . psi for N's cover C: P -> N and psi in Hom(M, P), and a map out of M
+    is fixed by its generator images, so they count as the rank of C times
+    the generator images of the kernel of Hom(M, P).
+    """
+    hom = _hom_kernel(M, N)
+    if hom is None:
         return 0
-    # maps factoring through a projective factor through the cover P -> N
     P, C, _ = N.cover
-    tracker = SpanTracker(N.dim * M.dim, M.algebra.p)
-    return len(maps) - sum(tracker.insert(v) for v in _products_flat(C, hom_space(M, P)))
+    through = _hom_kernel(M, P)
+    if through is None:
+        return hom.dim
+    images = _exact_matmul(C.a, through.gen_images, M.algebra.p).astype(np.int64)
+    return hom.dim - rref(FpMat(images.reshape(-1, through.dim), M.algebra.p)).rank
 
 
 @dataclass

@@ -19,6 +19,7 @@ from frobkern.algrep import (
     GenAlgebraModule,
     IsoResult,
     InconclusiveError,
+    _complement_projection,
     _graded_kernel,
     _simple_targets,
     composition_factors,
@@ -49,6 +50,7 @@ from frobkern.algrep import (
 from frobkern.fplinalg import (
     Echelon,
     FpMat,
+    SpanTracker,
     fpmat,
     identity,
     kernel_basis,
@@ -60,10 +62,12 @@ from frobkern.fplinalg import (
 )
 from frobkern.sl2dist import (
     graded_principal_indecomposable,
+    graded_restricted_sl2,
     graded_simple_module,
     graded_verma_module,
     principal_indecomposable,
     regular_module,
+    restricted_sl2,
     simple_module,
     verma_module,
 )
@@ -569,6 +573,154 @@ def test_projective_cover_solves_each_hom_to_a_simple_once(monkeypatch):
         projective_cover(M)
         solved = [N.grading for A, N in calls if A is M]
         assert solved == [S.grading for _, _, S in _simple_targets(M)]
+
+
+def reference_cover(M):
+    """M's cover as chosen from whole maps: every map phi of Hom(P, M) is
+    formed and the greedy pass runs on the flattened products proj . phi."""
+    alg, p = M.algebra, M.algebra.p
+    proj, _ = _complement_projection(radical(M), M.dim)
+    blocks, columns = [], []
+    for idx, d, _, maps in M.maps_to_simples:
+        Pcan = alg.projective_of(idx)
+        if M.graded:
+            ((_, d_top, _),) = top(Pcan)
+            P = Pcan.shifted(d - d_top)
+        else:
+            P = Pcan.forget_grading() if Pcan.graded else Pcan
+        tracker = SpanTracker(proj.rows * P.dim, p)
+        chosen = [phi for phi in hom_space(P, M) if tracker.insert((proj @ phi).a.ravel())]
+        assert len(chosen) >= len(maps)
+        for phi in chosen[: len(maps)]:
+            blocks.append((idx, d, 1))
+            columns.append(phi.a)
+    return np.hstack(columns), blocks
+
+
+def is_designated_projective(M):
+    """True for a designated projective of M's algebra or a shift of one."""
+    return any(
+        Q is not None and (M is Q or M._spin_source is Q) for Q in M.algebra.projectives
+    )
+
+
+@contextlib.contextmanager
+def without_homs_out_of_projectives(monkeypatch):
+    """Make hom_space fail inside the block when its source is a designated
+    projective or a shift of one."""
+    real = algrep.hom_space
+
+    def guarded(M, N):
+        if is_designated_projective(M):
+            raise AssertionError("a Hom space out of a projective was formed")
+        return real(M, N)
+
+    with monkeypatch.context() as m:
+        m.setattr(algrep, "hom_space", guarded)
+        yield
+
+
+def syzygies(M, n):
+    out = [M]
+    for _ in range(n):
+        out.append(heller(out[-1]))
+    return out
+
+
+def graded_cover_cases():
+    graded = [graded_verma_module(3, lam) for lam in range(3)]
+    graded += [graded_simple_module(3, lam) for lam in range(3)]
+    return graded + [heller_power(Z, 2) for Z in graded[:2]]
+
+
+COVER_CASES = {
+    "syzygies-of-k": lambda: syzygies(gacohom.truncated_poly_algebra(5, 2).simples[0], 3),
+    "vermas": lambda: [verma_module(3, 1, lam) for lam in range(3)],
+    "pims": lambda: [principal_indecomposable(3, 1, lam) for lam in range(3)],
+    "graded": graded_cover_cases,
+}
+
+
+def warm_projective_tops(alg):
+    # the graded cover aligns each block by its projective's top, solved
+    # once per projective and cached
+    for Q in alg.projectives:
+        if Q is not None:
+            top(Q)
+
+
+@pytest.mark.parametrize("case", list(COVER_CASES))
+def test_cover_picks_the_lifts_of_the_reference_selection(monkeypatch, case):
+    mods = COVER_CASES[case]()
+    warm_projective_tops(mods[0].algebra)
+    for M in mods:
+        C_ref, blocks_ref = reference_cover(M)
+        with without_homs_out_of_projectives(monkeypatch):
+            P, C, blocks = projective_cover(M)
+        assert blocks == blocks_ref
+        assert np.array_equal(C.a, C_ref)
+        assert P.dim == C.cols
+
+
+def reference_stable_hom_dim(M, N):
+    """dim Hom(M, N) minus the rank of the maps C . psi, psi in Hom(M, P),
+    each formed as a matrix."""
+    P, C, _ = N.cover
+    through = [(C @ psi).a.ravel() for psi in hom_space(M, P)]
+    factoring = rank(fpmat(np.array(through), M.algebra.p)) if through else 0
+    return len(hom_space(M, N)) - factoring
+
+
+def refuse_hom_space(M, N):
+    raise AssertionError("a Hom space was formed as matrices")
+
+
+def test_stable_hom_dim_matches_the_maps_and_rank_formula_on_the_ub1_modules(monkeypatch):
+    p = 3
+    mods = [simple_module(p, 1, lam) for lam in range(p)]
+    mods += [verma_module(p, 1, lam) for lam in range(p)]
+    for M in mods:
+        M0 = strip_projectives(M)
+        if M0.dim == 0:
+            continue
+        pairs = [(om, M0) for om in syzygies(M0, 4)] + [(M0, om) for om in syzygies(M0, 2)]
+        expected = [reference_stable_hom_dim(A, B) for A, B in pairs]
+        assert any(expected)
+        # the covers are cached; no Hom space is formed as matrices after that
+        with monkeypatch.context() as m:
+            m.setattr(algrep, "hom_space", refuse_hom_space)
+            assert [stable_hom_dim(A, B) for A, B in pairs] == expected
+
+
+def test_cover_and_stable_hom_form_no_hom_space_out_of_a_projective(monkeypatch):
+    ungraded = [verma_module(3, 1, 0), principal_indecomposable(3, 1, 1)]
+    graded = [graded_verma_module(3, 1), graded_principal_indecomposable(3, 0)]
+    for alg in (restricted_sl2(3), graded_restricted_sl2(3)):
+        warm_projective_tops(alg)
+    for Z, Q in (ungraded, graded):
+        with without_homs_out_of_projectives(monkeypatch):
+            assert projective_cover(Z)[2] and projective_cover(Q)[2]
+            assert stable_hom_dim(Q, Z) == 0
+            assert stable_hom_dim(Z, Z) == 1
+            assert stable_hom_dim(Z, Q) == 0
+
+
+def test_strip_projectives_solves_one_simple_hom_per_projective(monkeypatch):
+    # a fresh copy of u(sl2) at p = 5, so that no socle is known yet; each
+    # projective's own simple is its socle, so one Hom(S, P) solve is enough
+    p = 5
+    alg = restricted_sl2.__wrapped__(p)
+    parts = [verma_module(p, 1, 1), principal_indecomposable(p, 1, 1)]
+    parts += [principal_indecomposable(p, 1, 3), simple_module(p, 1, p - 1)]
+    M = GenAlgebraModule(alg, direct_sum(parts).action, check=False)
+    M.cover  # solved before counting: only the strip's own solves count
+    calls = record_calls(monkeypatch, "hom_space")
+    for _ in range(2):
+        assert strip_projectives(M).dim == parts[0].dim
+    solved = [(A, N) for A, N in calls if is_designated_projective(N)]
+    assert solved == [
+        (alg.simples[idx], alg.projective_of(idx)) for idx in (1, 3, p - 1)
+    ]
 
 
 def test_projective_cover_of_trivial_module():

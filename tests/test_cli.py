@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import frobkern.cli as cli
-from frobkern.algrep import load_module
+from frobkern.algrep import IsoResult, load_module
+from frobkern.fplinalg import zeros
 from frobkern.sl2dist import restricted_sl2
 
 
@@ -62,6 +63,19 @@ def test_cohom_disagreement_exits_two(capsys, monkeypatch):
     )
     assert code == 2
     assert payload["result"]["agree"] is False
+
+
+def test_singular_graded_orbit_witness_fails_the_case(capsys, monkeypatch):
+    # an oracle fault, not bad input: the cases fail and the command exits 2
+    def singular_witness(M, N, rng=None):
+        return IsoResult("iso", zeros(M.dim, N.dim, M.algebra.p))
+
+    monkeypatch.setattr(cli, "is_isomorphic", singular_witness)
+    code, payload = run_json(capsys, ["verify", "graded-orbit", "--p", "3"])
+    assert code == 2
+    cases = payload["result"]["cases"]
+    assert cases and all(c["status"] == "fail" for c in cases)
+    assert all(c["got"]["intertwiner_checked"] is False for c in cases)
 
 
 def test_more_query_commands(capsys):
@@ -187,6 +201,8 @@ REFERENCE_COMMANDS = {
     "graded-orbit": ("graded-orbit-p3", ["verify", "graded-orbit", "--p", "3"]),
     "graded-orbit-p7": ("graded-orbit-p7", ["verify", "graded-orbit", "--p", "7"]),
     "cohom": ("cohom-p3", ["cohom", "--p", "3", "--r", "2", "--n", "8", "--method", "all"]),
+    # nine covers of syzygies of k, each forming only the lifts it keeps
+    "cohom-p7": ("cohom-p7", ["cohom", "--p", "7", "--r", "2", "--n", "8", "--method", "all"]),
 }
 
 
