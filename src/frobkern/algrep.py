@@ -633,20 +633,13 @@ def radical(M: GenAlgebraModule) -> FpMat:
 def socle(M: GenAlgebraModule) -> Tuple[List[tuple], FpMat]:
     """Socle structure and a basis of the sum of all simple submodules."""
     p = M.algebra.p
-    structure = []
-    tracker = SpanTracker(M.dim, p)
-    cols: List[np.ndarray] = []
-    for idx, d, _, maps in M.maps_from_simples:
-        structure.append(_multiset_entry(idx, d, len(maps)))
-        for phi in maps:
-            for c in range(phi.cols):
-                v = phi.a[:, c]
-                if tracker.insert(v):
-                    cols.append(v % p)
-    basis = (
-        FpMat(np.column_stack(cols) % p, p) if cols else zeros(M.dim, 0, p)
-    )
-    return structure, basis
+    structure = [_multiset_entry(idx, d, len(maps)) for idx, d, _, maps in M.maps_from_simples]
+    images = [phi for _, _, _, maps in M.maps_from_simples for phi in maps]
+    if not images:
+        return structure, zeros(M.dim, 0, p)
+    # the columns independent of those before them: the pivots of one RREF
+    stacked = hstack(images)
+    return structure, FpMat(stacked.a[:, list(rref(stacked).pivots)], p)
 
 
 def composition_factors(M: GenAlgebraModule) -> List[Tuple[int, int]]:
@@ -753,16 +746,17 @@ def strip_projectives(M: GenAlgebraModule) -> GenAlgebraModule:
     blocks with independent images C v span the projective summands.
     """
     _, C, blocks = M.cover
+    if not blocks:
+        return M
     p = M.algebra.p
-    tracker = SpanTracker(M.dim, p)
-    keep, start = [], 0
-    for idx, _, _ in blocks:
-        # a shifted or ungraded copy of the designated projective has its
-        # coordinates, so v is read from the designated one, once per algebra
-        v = M.algebra.projective_socle_vector(idx)
-        block, start = C.a[:, start : start + v.size], start + v.size
-        if tracker.insert(block @ v % p):
-            keep.append(block)
+    # a shifted or ungraded copy of the designated projective has its
+    # coordinates, so v is read from the designated one, once per algebra
+    vs = [M.algebra.projective_socle_vector(idx) for idx, _, _ in blocks]
+    ends = np.cumsum([0] + [v.size for v in vs])
+    parts = [C.a[:, a:b] for a, b in zip(ends, ends[1:])]
+    images = np.column_stack([part @ v % p for part, v in zip(parts, vs)])
+    # the blocks whose C v is independent of those before: one RREF's pivots
+    keep = [parts[k] for k in rref(FpMat(images, p)).pivots]
     return quotient(M, FpMat(np.hstack(keep), p))[0] if keep else M
 
 
@@ -864,13 +858,7 @@ def _fitting_split(M: GenAlgebraModule, theta: FpMat) -> Optional[Tuple[FpMat, F
     if M.graded:
         img = homogeneous_basis(power, M.grading)
     else:
-        cols = []
-        tracker = SpanTracker(M.dim, p)
-        for c in range(power.cols):
-            v = power.a[:, c]
-            if v.any() and tracker.insert(v):
-                cols.append(v)
-        img = FpMat(np.column_stack(cols), p) if cols else zeros(M.dim, 0, p)
+        img = FpMat(power.a[:, list(rref(power).pivots)], p)
     if ker.cols + img.cols != M.dim:
         return None
     both = FpMat(np.hstack([ker.a, img.a]), p)

@@ -18,9 +18,11 @@ Three algebra families, all built on the generic engine:
 
 Module constructors: simple modules via tensor products of Frobenius
 twists, baby Verma modules via divided-power binomial formulas, structured
-projective covers via splitting of tilting tensor products with the full
-divided-power ladder retained, hearts rad P / soc P, and the left regular
-module of the restricted algebra in the PBW basis.
+projective covers as the Casimir block of a tilting tensor product with
+the full divided-power ladder retained, hearts rad P / soc P, and the left
+regular module of the restricted algebra in the PBW basis.  Every algebra
+and module is built exactly: no constructor runs the MeatAxe or draws at
+random.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import DEFAULT_SEED, base_p_digits
+from . import base_p_digits
 from .algrep import (
     GenAlgebra,
     GenAlgebraModule,
-    meataxe_split,
-    meataxe_split_with_bases,
+    _degrees_of_columns,
+    _graded_kernel,
     quotient,
     radical,
     socle,
@@ -134,20 +136,28 @@ def _dist_checker(r: int):
 
 @dataclass(frozen=True)
 class _Ladder:
-    """Matrices of e^(k), f^(k) for k <= p and of h on one module."""
+    """Matrices of e^(k), f^(k) for k <= p on one module, with the integer
+    T-weights of its basis; h acts by the weights mod p."""
 
     p: int
-    dim: int
+    weights: Tuple[int, ...]
     e_pows: Tuple[FpMat, ...]
     f_pows: Tuple[FpMat, ...]
-    h: FpMat
+
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
+
+    @property
+    def h(self) -> FpMat:
+        return fpmat(np.diag(np.asarray(self.weights, dtype=np.int64) % self.p), self.p)
 
 
 def _simple_ladder(p: int, mu: int) -> _Ladder:
     """Divided powers on the simple module of highest weight mu <= p-1.
 
-    Basis v_0 .. v_mu with v_a = f^(a) v_0, so f^(k) v_a = binom(a+k, k)
-    v_{a+k} and e^(k) v_a = binom(mu-a+k, k) v_{a-k}.
+    Basis v_0 .. v_mu with v_a = f^(a) v_0 of weight mu-2a, so f^(k) v_a =
+    binom(a+k, k) v_{a+k} and e^(k) v_a = binom(mu-a+k, k) v_{a-k}.
     """
     n = mu + 1
     e_pows = []
@@ -162,8 +172,8 @@ def _simple_ladder(p: int, mu: int) -> _Ladder:
                 fm[a + k, a] = gbinom(a + k, k, p)
         e_pows.append(fpmat(em, p))
         f_pows.append(fpmat(fm, p))
-    h = fpmat(np.diag([(mu - 2 * a) % p for a in range(n)]), p)
-    return _Ladder(p, n, tuple(e_pows), tuple(f_pows), h)
+    weights = tuple(mu - 2 * a for a in range(n))
+    return _Ladder(p, weights, tuple(e_pows), tuple(f_pows))
 
 
 def _tensor_ladder(a: _Ladder, b: _Ladder) -> _Ladder:
@@ -179,49 +189,32 @@ def _tensor_ladder(a: _Ladder, b: _Ladder) -> _Ladder:
             fsum = fsum + kron(a.f_pows[i], b.f_pows[k - i])
         e_pows.append(esum)
         f_pows.append(fsum)
-    eye_a = identity(a.dim, p)
-    eye_b = identity(b.dim, p)
-    h = kron(a.h, eye_b) + kron(eye_a, b.h)
-    return _Ladder(p, a.dim * b.dim, tuple(e_pows), tuple(f_pows), h)
+    weights = tuple(wa + wb for wa in a.weights for wb in b.weights)
+    return _Ladder(p, weights, tuple(e_pows), tuple(f_pows))
 
 
-_LADDER_CACHE: Dict[Tuple[int, int], _Ladder] = {}
+@lru_cache(maxsize=None)
+def _pim_ladder(p: int, lam0: int) -> _Ladder:
+    """Projective cover Q_1(lam0) of the weight-lam0 simple, with its G-structure.
 
-
-def _pim_ladder(p: int, lam0: int, alg2: Optional[GenAlgebra] = None) -> _Ladder:
-    """Structured projective cover of the weight-lam0 simple at level one.
-
-    Obtained as the dimension-2p direct summand of St tensor L(p-1-lam0)
-    with top of weight lam0, split over the second kernel so the summand
-    basis is stable under e^(p) and f^(p); the full ladder is compressed
-    to that basis.
+    Q_1(lam0) is the summand of T = St tensor L(p-1-lam0) cut out by the
+    Casimir element c = (h+1)^2 + 4fe.  c is central in Dist(G), so it
+    commutes with every divided power, and it acts on the u-block
+    {lam, p-2-lam} by (lam+1)^2 and on the Steinberg block by 0.  The tops
+    of T are lam0, lam0+2, ..., so by parity lam0 is the only one in its
+    block, and Q_1(lam0) is the kernel of (c - (lam0+1)^2)^(dim T).  That
+    kernel is taken homogeneously in the T-weights, and the whole ladder
+    is compressed to it.  No step is random; the dimension and the top are
+    checked.
     """
-    key = (p, lam0)
-    if key in _LADDER_CACHE:
-        return _LADDER_CACHE[key]
+    st = _simple_ladder(p, p - 1)
     if lam0 == p - 1:
-        lad = _simple_ladder(p, p - 1)
-        _LADDER_CACHE[key] = lad
-        return lad
-    tens = _tensor_ladder(_simple_ladder(p, p - 1), _simple_ladder(p, p - 1 - lam0))
-    if alg2 is None:
-        alg2 = distribution_sl2(p, 2)
-    carrier = GenAlgebraModule(
-        alg2,
-        {
-            "e0": tens.e_pows[1],
-            "f0": tens.f_pows[1],
-            "e1": tens.e_pows[p],
-            "f1": tens.f_pows[p],
-        },
-    )
-    pick = None
-    for factor, basis in meataxe_split_with_bases(carrier):
-        if factor.dim == 2 * p and top(factor) == [(lam0, 1)]:
-            pick = basis
-            break
-    if pick is None:
-        raise RuntimeError(f"no projective summand with top {lam0} found")
+        return st
+    tens = _tensor_ladder(st, _simple_ladder(p, p - 1 - lam0))
+    # c - (lam0+1)^2, with (h+1)^2 read off the integer weights
+    c = fpmat(np.diag([(w + 1) ** 2 - (lam0 + 1) ** 2 for w in tens.weights]), p)
+    c = c + (tens.f_pows[1] @ tens.e_pows[1]).scale(4)
+    pick = _graded_kernel(c.power(tens.dim), tens.weights, tens.weights)
 
     def compress(mat: FpMat) -> FpMat:
         coords = solve(pick, mat @ pick)
@@ -231,12 +224,13 @@ def _pim_ladder(p: int, lam0: int, alg2: Optional[GenAlgebra] = None) -> _Ladder
 
     lad = _Ladder(
         p,
-        2 * p,
+        tuple(_degrees_of_columns(pick, tens.weights)),
         tuple(compress(m) for m in tens.e_pows),
         tuple(compress(m) for m in tens.f_pows),
-        compress(tens.h),
     )
-    _LADDER_CACHE[key] = lad
+    head = top(_ladder_module(_level_one_algebra(p, graded=False), lad))
+    if lad.dim != 2 * p or head != [(lam0, 1)]:
+        raise RuntimeError(f"the Casimir block of St tensor L({p - 1 - lam0}) is not Q({lam0})")
     return lad
 
 
@@ -244,75 +238,45 @@ def _pim_ladder(p: int, lam0: int, alg2: Optional[GenAlgebra] = None) -> _Ladder
 # algebras
 
 
+def _ladder_module(alg: GenAlgebra, lad: _Ladder) -> GenAlgebraModule:
+    """The level-one module of a ladder, graded by its weights when alg is."""
+    action = {"e": lad.e_pows[1], "f": lad.f_pows[1], "h": lad.h}
+    return GenAlgebraModule(alg, action, lad.weights if alg.shifts else None)
+
+
+def _level_one_algebra(p: int, graded: bool) -> GenAlgebra:
+    """u(sl2) over F_p with its p simples designated, weight-graded if asked."""
+    alg = GenAlgebra(
+        f"u-sl2T-p{p}" if graded else f"u-sl2-p{p}",
+        p,
+        ("e", "f", "h"),
+        _restricted_checker,
+        shifts={"e": 2, "f": -2, "h": 0} if graded else None,
+        meta={"r": 1},
+    )
+    alg.designate([_ladder_module(alg, _simple_ladder(p, mu)) for mu in range(p)])
+    return alg
+
+
 @lru_cache(maxsize=None)
 def restricted_sl2(p: int) -> GenAlgebra:
     """u(sl2) over F_p with simples and projective covers designated."""
-    alg = GenAlgebra(f"u-sl2-p{p}", p, ("e", "f", "h"), _restricted_checker, meta={"r": 1})
-    simples = []
-    for mu in range(p):
-        lad = _simple_ladder(p, mu)
-        simples.append(
-            GenAlgebraModule(alg, {"e": lad.e_pows[1], "f": lad.f_pows[1], "h": lad.h})
-        )
-    alg.designate(simples)
-    alg.projectives = [_split_pim(alg, lam0, graded=False) for lam0 in range(p)]
+    alg = _level_one_algebra(p, graded=False)
+    alg.projectives = [_ladder_module(alg, _pim_ladder(p, lam0)) for lam0 in range(p)]
     return alg
 
 
 @lru_cache(maxsize=None)
 def graded_restricted_sl2(p: int) -> GenAlgebra:
-    """u(sl2) with the weight grading; simples carry top degree = weight."""
-    alg = GenAlgebra(
-        f"u-sl2T-p{p}",
-        p,
-        ("e", "f", "h"),
-        _restricted_checker,
-        shifts={"e": 2, "f": -2, "h": 0},
-        meta={"r": 1},
-    )
-    simples = []
-    for mu in range(p):
-        lad = _simple_ladder(p, mu)
-        simples.append(
-            GenAlgebraModule(
-                alg,
-                {"e": lad.e_pows[1], "f": lad.f_pows[1], "h": lad.h},
-                grading=[mu - 2 * a for a in range(mu + 1)],
-            )
-        )
-    alg.designate(simples)
-    alg.projectives = [_split_pim(alg, lam0, graded=True) for lam0 in range(p)]
+    """u(sl2) with the weight grading; simples carry top degree = weight.
+
+    The projective covers are graded by their T-weights, which put each top
+    in degree lam0: Q_1(lam0) is the tilting module T(2p-2-lam0), whose
+    head as a G_1T-module is the simple of weight lam0 itself.
+    """
+    alg = _level_one_algebra(p, graded=True)
+    alg.projectives = [_ladder_module(alg, _pim_ladder(p, lam0)) for lam0 in range(p)]
     return alg
-
-
-def _split_pim(alg: GenAlgebra, lam0: int, graded: bool) -> GenAlgebraModule:
-    p = alg.p
-    if lam0 == p - 1:
-        return alg.simples[p - 1]
-    st = alg.simples[p - 1]
-    co = alg.simples[p - 1 - lam0]
-    eye_a = identity(st.dim, p)
-    eye_b = identity(co.dim, p)
-    action = {
-        "e": kron(st.mat("e"), eye_b) + kron(eye_a, co.mat("e")),
-        "f": kron(st.mat("f"), eye_b) + kron(eye_a, co.mat("f")),
-        "h": kron(st.mat("h"), eye_b) + kron(eye_a, co.mat("h")),
-    }
-    grading = None
-    if graded:
-        grading = [da + db for da in st.grading for db in co.grading]
-    tens = GenAlgebraModule(alg, action, grading)
-    for factor in meataxe_split(tens, rng=DEFAULT_SEED):
-        if factor.dim != 2 * p:
-            continue
-        t = top(factor)
-        if graded:
-            # canonical alignment: top degree lam0, i.e. shift 0 on the top
-            if len(t) == 1 and t[0][0] == lam0:
-                return factor.shifted(-t[0][1])
-        elif t == [(lam0, 1)]:
-            return factor
-    raise RuntimeError(f"no projective summand with top {lam0} found")
 
 
 @lru_cache(maxsize=None)
@@ -328,8 +292,7 @@ def distribution_sl2(p: int, r: int) -> GenAlgebra:
     projs[p**r - 1] = simples[p**r - 1]
     steinberg_tail = p**r - p  # digits p-1 at every level above the first
     for lam0 in range(p - 1):
-        ladder = _pim_ladder(p, lam0, alg2=alg if r == 2 else None)
-        projs[lam0 + steinberg_tail] = _assemble_twist_projective(alg, ladder, r)
+        projs[lam0 + steinberg_tail] = _assemble_twist_projective(alg, _pim_ladder(p, lam0), r)
     alg.projectives = projs
     return alg
 

@@ -493,6 +493,24 @@ def test_top_and_socle_of_jordan_block():
     assert radical(Mu).cols == 2
 
 
+def _greedy_columns(a, p):
+    tracker = SpanTracker(a.shape[0], p)
+    return [c for c in range(a.shape[1]) if tracker.insert(a[:, c])]
+
+
+def test_rref_pivots_are_the_greedy_independent_columns():
+    # socle, the ungraded Fitting image and strip_projectives keep the pivot
+    # columns of one RREF: the columns a greedy span pass over them keeps
+    rng = np.random.default_rng(3)
+    for p, rows, k, cols in [(3, 6, 3, 9), (5, 8, 5, 8), (7, 5, 4, 12)]:
+        a = rng.integers(0, p, (rows, k)) @ rng.integers(0, p, (k, cols)) % p
+        a[:, rng.integers(0, 2, cols) == 0] = 0
+        assert list(rref(FpMat(a, p)).pivots) == _greedy_columns(a, p)
+    for M in [regular_module(3), verma_module(3, 1, 0), principal_indecomposable(3, 1, 0)]:
+        images = np.hstack([phi.a for *_, maps in M.maps_from_simples for phi in maps])
+        assert np.array_equal(socle(M)[1].a, images[:, _greedy_columns(images, 3)])
+
+
 def test_composition_factors_by_socle_peeling():
     alg = line_algebra(3)
     assert composition_factors(jordan(alg, 3, graded=False)) == [(0, 3)]

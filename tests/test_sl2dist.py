@@ -12,6 +12,7 @@ import pytest
 
 from frobkern import algrep
 from frobkern.algrep import (
+    GenAlgebraModule,
     _degrees_of_columns,
     composition_factors,
     end_space,
@@ -120,12 +121,22 @@ def test_level_one_projective_covers():
     assert composition_factors(alg.projectives[1]) == [(0, 2), (1, 2)]
 
 
-def test_graded_projective_degree_multisets():
-    assert sorted(graded_principal_indecomposable(3, 0).grading) == [-4, -2, 0, 0, 2, 4]
-    assert sorted(graded_principal_indecomposable(3, 1).grading) == [-3, -1, -1, 1, 1, 3]
-    assert sorted(graded_principal_indecomposable(3, 2).grading) == [-2, 0, 2]
-    for lam in range(3):
-        assert top(graded_principal_indecomposable(3, lam)) == [(lam, 0, 1)]
+def _weyl_weights(mu):
+    return [mu - 2 * a for a in range(mu + 1)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_graded_projective_degree_multisets(p):
+    # Q(lam0) is the tilting module T(2p-2-lam0), with the weights of
+    # Delta(2p-2-lam0) and Delta(lam0); the Steinberg module is its own cover
+    for lam0 in range(p):
+        P = graded_principal_indecomposable(p, lam0)
+        if lam0 == p - 1:
+            expected = _weyl_weights(p - 1)
+        else:
+            expected = _weyl_weights(2 * p - 2 - lam0) + _weyl_weights(lam0)
+        assert sorted(P.grading) == sorted(expected)
+        assert top(P) == [(lam0, 0, 1)]
 
 
 def test_graded_radical_solves_only_graded_homs_and_is_homogeneous(monkeypatch):
@@ -175,11 +186,42 @@ def test_second_kernel_projectivity_via_hom_multiplicities():
 
 
 def test_pim_ladder_carries_divided_powers():
-    lad = _pim_ladder(3, 0)
-    assert lad.dim == 6
-    assert not lad.e_pows[3].is_zero()
-    assert lad.e_pows[3] @ lad.e_pows[3] == lad.e_pows[3] @ lad.e_pows[3]
-    assert not lad.f_pows[3].is_zero()
+    for p in (3, 5):
+        alg2 = distribution_sl2(p, 2)
+        for lam0 in range(p - 1):
+            lad = _pim_ladder(p, lam0)
+            e, f = lad.e_pows, lad.f_pows
+            for k in range(p):
+                assert e[1] @ e[k] == e[k + 1].scale(k + 1)
+                assert f[1] @ f[k] == f[k + 1].scale(k + 1)
+            assert e[1] @ f[1] - f[1] @ e[1] == lad.h
+            carrier = {"e0": e[1], "f0": f[1], "e1": e[p], "f1": f[p]}
+            assert alg2.relation_checker(carrier, p) == []
+            assert top(GenAlgebraModule(alg2, carrier)) == [(lam0, 1)]
+
+
+def test_algebra_setup_makes_no_random_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("algebra set-up ran the MeatAxe or drew at random")
+
+    monkeypatch.setattr(algrep, "_fitting_split", refuse)
+    monkeypatch.setattr(algrep, "_rng_of", refuse)
+    for p in (3, 5):
+        _pim_ladder.cache_clear()
+        fresh = (
+            restricted_sl2.__wrapped__(p),
+            graded_restricted_sl2.__wrapped__(p),
+            distribution_sl2.__wrapped__(p, 2),
+        )
+        for alg in fresh:
+            q = p ** alg.meta["r"]
+            for lam, P in enumerate(alg.projectives):
+                if P is None:
+                    continue
+                assert P.dim == (q if lam == q - 1 else 2 * q)
+                simple_top = [(lam, 0, 1)] if P.graded else [(lam, 1)]
+                assert top(P) == simple_top
+                assert socle(P)[0] == simple_top
 
 
 # ---------------------------------------------------------------------------
