@@ -11,26 +11,38 @@ Three algebra families, all built on the generic engine:
   killed by the Hom machinery automatically.
 * ``distribution_sl2(p, r)`` for r >= 2: the r-th kernel, generated by the
   divided powers e^(p^i), f^(p^i) for i < r (named e0, f0, e1, f1, ...).
-  All p^r simples are designated; projective covers are designated for the
-  family whose restriction to higher levels is a Steinberg twist (all
-  base-p digits above the first equal p-1), which is the family with a
-  known closed construction, plus the Steinberg module itself.
+  All p^r simples are designated.  Projective covers are designated for
+  the Steinberg-tail family (every base-p digit above the first equal to
+  p-1) and for the Steinberg module, which is its own cover.
 
-Module constructors: simple modules via tensor products of Frobenius
-twists, baby Verma modules via divided-power binomial formulas, structured
-projective covers as the Casimir block of a tilting tensor product with
-the full divided-power ladder retained, hearts rad P / soc P, and the left
-regular module of the restricted algebra in the PBW basis.  Every algebra
-and module is built exactly: no constructor runs the MeatAxe or draws at
-random.
+Level-one modules are ladders: the matrices of e^(k), f^(k) for k <= p on
+a G-module with its integer weights.  Every Dist(G_r)-module built from
+ladders is one tensor product of Frobenius twists,
+L_0 tensor L_1^[1] tensor ... tensor L_{r-1}^[r-1], ladder i twisted i times
+(``_twisted_tensor``).  e^(p^j) acts by the comultiplication: each term
+puts e^(a_i) on factor i with sum a_i p^i = p^j, since the twist makes
+e^(m) act on factor i as e^(m/p^i), or as zero when p^i does not divide m.
+On the simple and level-one projective ladders the terms that survive are
+e on factor j and, for each k < j, e^(p) on factor k times e^(p-1) on the
+factors k+1 .. j-1; f likewise.  The simple of weight lam is the twisted
+tensor of the simple ladders of its base-p digits (Steinberg's tensor
+product theorem), and its cover is that of the level-one covers Q_1 of the
+digits (Jantzen, Representations of Algebraic Groups, II.11).  Q_1(lam0)
+is the Casimir block of St tensor L(p-1-lam0).  The construction serves
+every weight; only the covers listed above are built at set-up.
+
+The other constructors: baby Verma modules by one divided-power formula at
+every height, hearts rad P / soc P, and the left regular module of the
+restricted algebra in the PBW basis.  Every algebra and module is built
+exactly: no constructor runs the MeatAxe or draws at random.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache, reduce
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -194,8 +206,8 @@ def _tensor_ladder(a: _Ladder, b: _Ladder) -> _Ladder:
 
 
 @lru_cache(maxsize=None)
-def _pim_ladder(p: int, lam0: int) -> _Ladder:
-    """Projective cover Q_1(lam0) of the weight-lam0 simple, with its G-structure.
+def _pim_ladders(p: int) -> Tuple[_Ladder, ...]:
+    """Projective covers Q_1(lam0) of the p simples, with their G-structure.
 
     Q_1(lam0) is the summand of T = St tensor L(p-1-lam0) cut out by the
     Casimir element c = (h+1)^2 + 4fe.  c is central in Dist(G), so it
@@ -204,34 +216,37 @@ def _pim_ladder(p: int, lam0: int) -> _Ladder:
     of T are lam0, lam0+2, ..., so by parity lam0 is the only one in its
     block, and Q_1(lam0) is the kernel of (c - (lam0+1)^2)^(dim T).  That
     kernel is taken homogeneously in the T-weights, and the whole ladder
-    is compressed to it.  No step is random; the dimension and the top are
-    checked.
+    is compressed to it.  Q_1(p-1) is St itself.  No step is random; the
+    dimension of each cover and its top over one u(sl2) are checked.
     """
     st = _simple_ladder(p, p - 1)
-    if lam0 == p - 1:
-        return st
-    tens = _tensor_ladder(st, _simple_ladder(p, p - 1 - lam0))
-    # c - (lam0+1)^2, with (h+1)^2 read off the integer weights
-    c = fpmat(np.diag([(w + 1) ** 2 - (lam0 + 1) ** 2 for w in tens.weights]), p)
-    c = c + (tens.f_pows[1] @ tens.e_pows[1]).scale(4)
-    pick = _graded_kernel(c.power(tens.dim), tens.weights, tens.weights)
+    certifier = _level_one_algebra(p, graded=False)
+    ladders = []
+    for lam0 in range(p - 1):
+        tens = _tensor_ladder(st, _simple_ladder(p, p - 1 - lam0))
+        # c - (lam0+1)^2, with (h+1)^2 read off the integer weights
+        c = fpmat(np.diag([(w + 1) ** 2 - (lam0 + 1) ** 2 for w in tens.weights]), p)
+        c = c + (tens.f_pows[1] @ tens.e_pows[1]).scale(4)
+        pick = _graded_kernel(c.power(tens.dim), tens.weights, tens.weights)
 
-    def compress(mat: FpMat) -> FpMat:
-        coords = solve(pick, mat @ pick)
-        if coords is None:
-            raise RuntimeError("summand basis is not stable under the ladder")
-        return coords
+        def compress(mat: FpMat) -> FpMat:
+            coords = solve(pick, mat @ pick)
+            if coords is None:
+                raise RuntimeError("summand basis is not stable under the ladder")
+            return coords
 
-    lad = _Ladder(
-        p,
-        tuple(_degrees_of_columns(pick, tens.weights)),
-        tuple(compress(m) for m in tens.e_pows),
-        tuple(compress(m) for m in tens.f_pows),
-    )
-    head = top(_ladder_module(_level_one_algebra(p, graded=False), lad))
-    if lad.dim != 2 * p or head != [(lam0, 1)]:
-        raise RuntimeError(f"the Casimir block of St tensor L({p - 1 - lam0}) is not Q({lam0})")
-    return lad
+        lad = _Ladder(
+            p,
+            tuple(_degrees_of_columns(pick, tens.weights)),
+            tuple(compress(m) for m in tens.e_pows),
+            tuple(compress(m) for m in tens.f_pows),
+        )
+        if lad.dim != 2 * p or top(_ladder_module(certifier, lad)) != [(lam0, 1)]:
+            raise RuntimeError(
+                f"the Casimir block of St tensor L({p - 1 - lam0}) is not Q({lam0})"
+            )
+        ladders.append(lad)
+    return (*ladders, st)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +277,7 @@ def _level_one_algebra(p: int, graded: bool) -> GenAlgebra:
 def restricted_sl2(p: int) -> GenAlgebra:
     """u(sl2) over F_p with simples and projective covers designated."""
     alg = _level_one_algebra(p, graded=False)
-    alg.projectives = [_ladder_module(alg, _pim_ladder(p, lam0)) for lam0 in range(p)]
+    alg.projectives = [_ladder_module(alg, lad) for lad in _pim_ladders(p)]
     return alg
 
 
@@ -275,7 +290,7 @@ def graded_restricted_sl2(p: int) -> GenAlgebra:
     head as a G_1T-module is the simple of weight lam0 itself.
     """
     alg = _level_one_algebra(p, graded=True)
-    alg.projectives = [_ladder_module(alg, _pim_ladder(p, lam0)) for lam0 in range(p)]
+    alg.projectives = [_ladder_module(alg, lad) for lad in _pim_ladders(p)]
     return alg
 
 
@@ -286,74 +301,44 @@ def distribution_sl2(p: int, r: int) -> GenAlgebra:
         raise ValueError("use restricted_sl2 for r = 1")
     gens = tuple(x for i in range(r) for x in (f"e{i}", f"f{i}"))
     alg = GenAlgebra(f"dist-sl2-p{p}-r{r}", p, gens, _dist_checker(r), meta={"r": r})
-    simples = [_tensor_simple(alg, lam) for lam in range(p**r)]
-    alg.designate(simples)
-    projs: List[Optional[GenAlgebraModule]] = [None] * p**r
-    projs[p**r - 1] = simples[p**r - 1]
-    steinberg_tail = p**r - p  # digits p-1 at every level above the first
-    for lam0 in range(p - 1):
-        projs[lam0 + steinberg_tail] = _assemble_twist_projective(alg, _pim_ladder(p, lam0), r)
-    alg.projectives = projs
+    simple = [_simple_ladder(p, mu) for mu in range(p)]
+    digits = [base_p_digits(lam, p, r) for lam in range(p**r)]
+    alg.designate([_twisted_tensor(alg, [simple[d] for d in ds]) for ds in digits])
+    # covers of the Steinberg tail (digits p-1 above the first), and St, its own cover
+    pims = _pim_ladders(p)
+    tail = [_twisted_tensor(alg, [pims[d] for d in ds]) for ds in digits[p**r - p : -1]]
+    alg.projectives = [None] * (p**r - p) + tail + [alg.simples[-1]]
     return alg
 
 
-def _kron_chain(mats: List[FpMat]) -> FpMat:
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
+def _twisted_tensor(alg: GenAlgebra, ladders: Sequence[_Ladder]) -> GenAlgebraModule:
+    """L_0 tensor L_1^[1] tensor ... tensor L_{r-1}^[r-1] over Dist(G_r).
 
-
-def _tensor_simple(alg: GenAlgebra, lam: int) -> GenAlgebraModule:
-    """Simple module of weight lam as a tensor of Frobenius twists.
-
-    The divided power e^(p^j) acts through factor j alone: any other split
-    of p^j across the factors needs a divided power that vanishes on a
-    simple of highest weight below p.
+    Ladder i is twisted i times.  e^(p^j) acts as the sum of the
+    comultiplication terms that put e^(a_i) on factor i, with
+    sum a_i p^i = p^j.  On a simple or level-one projective ladder, whose
+    weights span at most 4p-4, e^(a) vanishes for a > 2p-2.  The carries of
+    sum a_i p^i = p^j then leave e on factor j and, for each k < j, e^(p) on
+    factor k times e^(p-1) on factors k+1 .. j-1.  f is the same with f in
+    place of e.  Terms with a zero factor are skipped.
     """
     p = alg.p
-    r = alg.meta["r"]
-    digits = base_p_digits(lam, p, r)
-    ladders = [_simple_ladder(p, d) for d in digits]
-    eyes = [identity(l.dim, p) for l in ladders]
+    eyes = [identity(lad.dim, p) for lad in ladders]
+    n = math.prod(lad.dim for lad in ladders)
     action = {}
-    for j in range(r):
-        action[f"e{j}"] = _kron_chain(
-            [l.e_pows[1] if i == j else eyes[i] for i, l in enumerate(ladders)]
-        )
-        action[f"f{j}"] = _kron_chain(
-            [l.f_pows[1] if i == j else eyes[i] for i, l in enumerate(ladders)]
-        )
-    return GenAlgebraModule(alg, action)
-
-
-def _assemble_twist_projective(
-    alg: GenAlgebra, base: _Ladder, r: int
-) -> GenAlgebraModule:
-    """Projective cover base tensor Steinberg twists, with its cross terms.
-
-    e^(p^j) on the product is e acting on factor j plus the single surviving
-    comultiplication term e^(p) on the base times e^(p-1) on every Steinberg
-    factor below level j; everything else vanishes on the factors involved.
-    """
-    p = alg.p
-    st = _simple_ladder(p, p - 1)
-    eye_b = identity(base.dim, p)
-    eye_s = identity(st.dim, p)
-
-    def chain(base_mat: FpMat, per_level: Dict[int, FpMat]) -> FpMat:
-        return _kron_chain(
-            [base_mat] + [per_level.get(i, eye_s) for i in range(1, r)]
-        )
-
-    action = {"e0": chain(base.e_pows[1], {}), "f0": chain(base.f_pows[1], {})}
-    for j in range(1, r):
-        direct_e = chain(eye_b, {j: st.e_pows[1]})
-        direct_f = chain(eye_b, {j: st.f_pows[1]})
-        cross_e = chain(base.e_pows[p], {i: st.e_pows[p - 1] for i in range(1, j)})
-        cross_f = chain(base.f_pows[p], {i: st.f_pows[p - 1] for i in range(1, j)})
-        action[f"e{j}"] = direct_e + cross_e
-        action[f"f{j}"] = direct_f + cross_f
+    for j in range(len(ladders)):
+        # the divided power each term puts on a factor; absent factors get 1
+        terms = [{j: 1}] + [{k: p, **dict.fromkeys(range(k + 1, j), p - 1)} for k in range(j)]
+        for x in ("e", "f"):
+            total = zeros(n, n, p)
+            for term in terms:
+                factors = [
+                    getattr(lad, f"{x}_pows")[term[i]] if i in term else eyes[i]
+                    for i, lad in enumerate(ladders)
+                ]
+                if not any(m.is_zero() for m in factors):
+                    total = total + reduce(kron, factors)
+            action[f"{x}{j}"] = total
     return GenAlgebraModule(alg, action)
 
 
@@ -361,12 +346,14 @@ def _assemble_twist_projective(
 # module constructors
 
 
+def _kernel_algebra(p: int, r: int, lam: int) -> GenAlgebra:
+    """The algebra of the r-th kernel, once lam is checked to be one of its weights."""
+    base_p_digits(lam, p, r)
+    return restricted_sl2(p) if r == 1 else distribution_sl2(p, r)
+
+
 def simple_module(p: int, r: int, lam: int) -> GenAlgebraModule:
-    if r == 1:
-        if not 0 <= lam < p:
-            raise ValueError(f"weight {lam} outside [0, {p})")
-        return restricted_sl2(p).simples[lam]
-    return distribution_sl2(p, r).simples[lam]
+    return _kernel_algebra(p, r, lam).simples[lam]
 
 
 def graded_simple_module(p: int, lam: int) -> GenAlgebraModule:
@@ -379,11 +366,25 @@ def graded_simple_module(p: int, lam: int) -> GenAlgebraModule:
 
 def verma_module(p: int, r: int, lam: int) -> GenAlgebraModule:
     """Baby Verma module: basis f^(a) v for a < p^r, head of weight lam."""
-    digits = base_p_digits(lam, p, r)  # validates the range
+    return GenAlgebraModule(_kernel_algebra(p, r, lam), _verma_action(p, r, lam))
+
+
+def graded_verma_module(p: int, lam: int) -> GenAlgebraModule:
+    """Level-one Verma with its weight grading; lam may be any integer."""
+    return GenAlgebraModule(
+        graded_restricted_sl2(p),
+        _verma_action(p, 1, lam),
+        grading=[lam - 2 * a for a in range(p)],
+    )
+
+
+def _verma_action(p: int, r: int, lam: int) -> Dict[str, FpMat]:
+    """e^(q), f^(q) for q = p^i, i < r, on the baby Verma basis v_a = f^(a) v.
+
+    f^(q) v_a = binom(a+q, q) v_{a+q} and e^(q) v_a = binom(lam+q-a, q) v_{a-q},
+    for a < p^r.  At r = 1 the generators are e, f and h = diag(lam - 2a).
+    """
     n = p**r
-    if r == 1:
-        return GenAlgebraModule(restricted_sl2(p), _verma_action(p, lam))
-    alg = distribution_sl2(p, r)
     action = {}
     for i in range(r):
         q = p**i
@@ -396,38 +397,15 @@ def verma_module(p: int, r: int, lam: int) -> GenAlgebraModule:
                 e[a - q, a] = gbinom(lam + q - a, q, p)
         action[f"e{i}"] = fpmat(e, p)
         action[f"f{i}"] = fpmat(f, p)
-    return GenAlgebraModule(alg, action)
-
-
-def graded_verma_module(p: int, lam: int) -> GenAlgebraModule:
-    """Level-one Verma with its weight grading; lam may be any integer."""
-    return GenAlgebraModule(
-        graded_restricted_sl2(p),
-        _verma_action(p, lam),
-        grading=[lam - 2 * a for a in range(p)],
-    )
-
-
-def _verma_action(p: int, lam: int) -> Dict[str, FpMat]:
-    """e, f, h on the level-one baby Verma basis f^a v, a < p."""
-    e = np.zeros((p, p), dtype=np.int64)
-    f = np.zeros((p, p), dtype=np.int64)
-    for a in range(p):
-        if a + 1 < p:
-            f[a + 1, a] = a + 1
-        if a - 1 >= 0:
-            e[a - 1, a] = (lam + 1 - a) % p
-    h = np.diag([(lam - 2 * a) % p for a in range(p)])
-    return {"e": fpmat(e, p), "f": fpmat(f, p), "h": fpmat(h, p)}
+    if r > 1:
+        return action
+    h = np.diag([(lam - 2 * a) % p for a in range(n)])
+    return {"e": action["e0"], "f": action["f0"], "h": fpmat(h, p)}
 
 
 def principal_indecomposable(p: int, r: int, lam: int) -> GenAlgebraModule:
     """Projective cover of the weight-lam simple, where a construction exists."""
-    if r == 1:
-        if not 0 <= lam < p:
-            raise ValueError(f"weight {lam} outside [0, {p})")
-        return restricted_sl2(p).projective_of(lam)
-    return distribution_sl2(p, r).projective_of(lam)
+    return _kernel_algebra(p, r, lam).projective_of(lam)
 
 
 def graded_principal_indecomposable(p: int, lam0: int) -> GenAlgebraModule:

@@ -10,7 +10,7 @@ acceptance suite.
 import numpy as np
 import pytest
 
-from frobkern import algrep
+from frobkern import algrep, sl2dist
 from frobkern.algrep import (
     GenAlgebraModule,
     _degrees_of_columns,
@@ -29,7 +29,8 @@ from frobkern.algrep import (
 )
 from frobkern.fplinalg import hstack, kernel_basis, rank, vstack
 from frobkern.sl2dist import (
-    _pim_ladder,
+    _pim_ladders,
+    _twisted_tensor,
     base_p_digits,
     distribution_sl2,
     frobenius_twist,
@@ -62,8 +63,12 @@ def test_base_p_digits_and_ranges():
     assert base_p_digits(7, 3, 2) == [1, 2]
     with pytest.raises(ValueError):
         base_p_digits(9, 3, 2)
-    with pytest.raises(ValueError):
-        verma_module(3, 1, 3)
+    # every constructor checks its weight against [0, p^r), at every height
+    for r in (1, 2):
+        for lam in (-1, 3**r):
+            for make in (simple_module, principal_indecomposable, heart_module, verma_module):
+                with pytest.raises(ValueError, match="outside"):
+                    make(3, r, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +190,31 @@ def test_second_kernel_projectivity_via_hom_multiplicities():
         assert len(hom_space(P6, Z)) == mult
 
 
+def test_twisted_tensor_of_level_one_covers_is_the_cover_at_every_weight():
+    # Q_2(lam0 + p lam1) = Q_1(lam0) tensor Q_1(lam1)^[1].  A module with top
+    # L(lam) is a quotient of the cover of L(lam), so the dimension sum
+    # sum_lam dim L(lam) dim Q(lam) = p^6 = dim Dist(G_2) proves each is the cover
+    p = 3
+    alg = distribution_sl2(p, 2)
+    pims = _pim_ladders(p)
+    total = 0
+    for lam in range(p**2):
+        Q = _twisted_tensor(alg, [pims[d] for d in base_p_digits(lam, p, 2)])
+        assert alg.relation_checker(Q.action, p) == []
+        assert top(Q) == [(lam, 1)]
+        assert socle(Q)[0] == [(lam, 1)]
+        designated = alg.projectives[lam]
+        if designated is not None:
+            assert all(Q.mat(g) == designated.mat(g) for g in alg.gens)
+        total += alg.simples[lam].dim * Q.dim
+    assert total == p**6
+
+
 def test_pim_ladder_carries_divided_powers():
     for p in (3, 5):
         alg2 = distribution_sl2(p, 2)
         for lam0 in range(p - 1):
-            lad = _pim_ladder(p, lam0)
+            lad = _pim_ladders(p)[lam0]
             e, f = lad.e_pows, lad.f_pows
             for k in range(p):
                 assert e[1] @ e[k] == e[k + 1].scale(k + 1)
@@ -206,13 +231,24 @@ def test_algebra_setup_makes_no_random_draws(monkeypatch):
 
     monkeypatch.setattr(algrep, "_fitting_split", refuse)
     monkeypatch.setattr(algrep, "_rng_of", refuse)
+    # the level-one covers are certified over one u(sl2) per prime, so the
+    # three algebras below make three level-one algebras in all
+    level_one = sl2dist._level_one_algebra
+    built = []
+
+    def counting(p, graded):
+        built.append(p)
+        return level_one(p, graded)
+
+    monkeypatch.setattr(sl2dist, "_level_one_algebra", counting)
     for p in (3, 5):
-        _pim_ladder.cache_clear()
+        _pim_ladders.cache_clear()
         fresh = (
             restricted_sl2.__wrapped__(p),
             graded_restricted_sl2.__wrapped__(p),
             distribution_sl2.__wrapped__(p, 2),
         )
+        assert built.count(p) == 3
         for alg in fresh:
             q = p ** alg.meta["r"]
             for lam, P in enumerate(alg.projectives):
