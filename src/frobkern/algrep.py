@@ -23,8 +23,10 @@ Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  The Heller
 operator is exact linear algebra over these self-injective algebras: Omega(M)
 is the kernel of M's minimal projective cover, computed once per module, and
-takes no seed.  The MeatAxe and isomorphism tests draw at random, seeded
-(default 0xF0B).
+takes no seed.  Nor does the isomorphism test: for a module with a simple
+top or socle a Hom basis map decides, and otherwise every combination of
+the basis is tried up to a fixed count.  Only the MeatAxe draws at random,
+seeded (default 0xF0B).
 """
 
 from __future__ import annotations
@@ -57,13 +59,14 @@ from .fplinalg import (
     zeros,
 )
 
-# exhaustive-enumeration ceilings for locality proofs and iso fallbacks
+# the most linear combinations enumerated: by a MeatAxe locality proof, and
+# by an isomorphism test whose source has neither a simple top nor a simple
+# socle (beyond it the test is inconclusive)
 _ENUM_LIMIT = 4096
 
-# random draws before a MeatAxe factor or an isomorphism search gives up
-# (above _ENUM_LIMIT), and the largest module the MeatAxe accepts
+# random draws before a MeatAxe factor gives up (above _ENUM_LIMIT), and the
+# largest module the MeatAxe accepts
 _MEATAXE_ATTEMPTS = 64
-_ISO_ATTEMPTS = 256
 _MEATAXE_DIM_BOUND = 2000
 
 
@@ -847,7 +850,7 @@ def _fitting_split(M: GenAlgebraModule, theta: FpMat) -> Optional[Tuple[FpMat, F
     power = theta
     k = 1
     while k < M.dim:
-        power = power @ power
+        power = FpMat(_exact_matmul(power.a, power.a, p).astype(np.int64), p)
         k *= 2
     if M.graded:
         ker = _graded_kernel(power, M.grading, M.grading)
@@ -958,30 +961,25 @@ class IsoResult:
         return self.status == "iso"
 
 
-def _try_invertible(maps: List[FpMat], p: int, dim: int, rng) -> Optional[FpMat]:
-    if not maps:
-        return None
-    k = len(maps)
-    stacked = np.stack([m.a for m in maps])
-    if p**k <= _ENUM_LIMIT:
-        cands = _all_combinations(stacked, p)
-    else:
-        cands = (
-            _combination(rng.integers(0, p, size=k), stacked, p) for _ in range(_ISO_ATTEMPTS)
-        )
-    return next((c for c in cands if rref(c).rank == dim), None)
+def _is_simple(multiset: List[tuple]) -> bool:
+    # a top or socle structure with one simple, once
+    return len(multiset) == 1 and multiset[0][-1] == 1
 
 
-def is_isomorphic(
-    M: GenAlgebraModule,
-    N: GenAlgebraModule,
-    rng=None,
-    decompose: bool = True,
-) -> IsoResult:
-    """Decide M ~ N with an explicit witness; graded modules need a degree-0 one."""
+def is_isomorphic(M: GenAlgebraModule, N: GenAlgebraModule) -> IsoResult:
+    """Decide M ~ N with an invertible witness; graded modules need a degree-0 one.
+
+    Dimension, degrees, top, socle and an empty Hom(M, N) tell most pairs
+    apart.  A module with a simple top or a simple socle is indecomposable,
+    so End(M) is local: if some phi: M -> N is invertible, the maps that are
+    not form the proper subspace phi . rad End(M), which holds no basis of
+    Hom(M, N).  So the first invertible basis map is a witness, and when
+    there is none no map is invertible.  Any other M tries every combination
+    of the basis while there are at most `_ENUM_LIMIT`, and is inconclusive
+    beyond.  Nothing is drawn at random.
+    """
     if M.algebra is not N.algebra:
         raise ValueError("modules live over different algebras")
-    rng = _rng_of(rng)
     if M.dim != N.dim:
         return IsoResult("not_iso")
     if M.dim == 0:
@@ -990,44 +988,24 @@ def is_isomorphic(
         raise ValueError("cannot compare graded with ungraded modules")
     if M.graded and sorted(M.grading) != sorted(N.grading):
         return IsoResult("not_iso")
-    if sorted(top(M)) != sorted(top(N)):
+    m_top = top(M)
+    if sorted(m_top) != sorted(top(N)):
         return IsoResult("not_iso")
-    if sorted(socle(M)[0]) != sorted(socle(N)[0]):
+    m_socle = socle(M)[0]
+    if sorted(m_socle) != sorted(socle(N)[0]):
         return IsoResult("not_iso")
     maps = hom_space(M, N)
     if not maps:
         return IsoResult("not_iso")
-    witness = _try_invertible(maps, M.algebra.p, M.dim, rng)
-    if witness is not None:
-        return IsoResult("iso", witness)
-    if M.algebra.p ** len(maps) <= _ENUM_LIMIT:
-        # the enumeration above was exhaustive: no invertible hom exists
-        return IsoResult("not_iso")
-    if decompose:
-        return _iso_by_decomposition(M, N, rng)
-    return IsoResult("inconclusive")
-
-
-def _iso_by_decomposition(M, N, rng) -> IsoResult:
-    fm = meataxe_split(M, rng=rng)
-    fn = meataxe_split(N, rng=rng)
-    if sorted(f.dim for f in fm) != sorted(f.dim for f in fn):
-        return IsoResult("not_iso")
-    remaining = list(fn)
-    for f in fm:
-        hit = None
-        for i, g in enumerate(remaining):
-            r = is_isomorphic(f, g, rng=rng, decompose=False)
-            if r.status == "iso":
-                hit = i
-                break
-            if r.status == "inconclusive":
-                return IsoResult("inconclusive")
-        if hit is None:
-            return IsoResult("not_iso")
-        remaining.pop(hit)
-    # factor-wise matching succeeded but no global witness was assembled
-    return IsoResult("iso")
+    p = M.algebra.p
+    if _is_simple(m_top) or _is_simple(m_socle):
+        cands = maps
+    elif p ** len(maps) <= _ENUM_LIMIT:
+        cands = _all_combinations(np.stack([phi.a for phi in maps]), p)
+    else:
+        return IsoResult("inconclusive")
+    witness = next((c for c in cands if rref(c).rank == M.dim), None)
+    return IsoResult("not_iso") if witness is None else IsoResult("iso", witness)
 
 
 # ---------------------------------------------------------------------------

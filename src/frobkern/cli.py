@@ -236,8 +236,8 @@ def suite_verma_period(p: int, seed: int, dump_dir=None) -> List[dict]:
         Z = verma_module(p, 1, lam)
         om1 = heller(Z)
         om2 = heller(om1)
-        r1 = is_isomorphic(om1, Z, rng=seed)
-        r2 = is_isomorphic(om2, Z, rng=seed)
+        r1 = is_isomorphic(om1, Z)
+        r2 = is_isomorphic(om2, Z)
         ok = r1.status == "not_iso" and r2.status == "iso"
         cases.append(
             _case(
@@ -262,7 +262,7 @@ def suite_graded_orbit(p: int, seed: int, dump_dir=None) -> List[dict]:
         Z = graded_verma_module(p, lam)
         om2 = heller_power(Z, 2)
         target = graded_verma_module(p, lam + 2 * p)
-        res = is_isomorphic(om2, target, rng=seed)
+        res = is_isomorphic(om2, target)
         intertwiner_ok = False
         if res.status == "iso" and res.witness is not None:
             C = res.witness
@@ -399,7 +399,7 @@ def suite_meataxe_regular(p: int, seed: int, dump_dir=None) -> List[dict]:
     for F in factors:
         matched = False
         for lam in range(p):
-            if is_isomorphic(F, principal_indecomposable(p, 1, lam), rng=seed).status == "iso":
+            if is_isomorphic(F, principal_indecomposable(p, 1, lam)).status == "iso":
                 mults[lam] += 1
                 matched = True
                 break

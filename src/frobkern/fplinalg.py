@@ -14,13 +14,20 @@ exactly while k * (p-1)^2 < 2^53; the helper checks that bound and raises
 when it fails.  `FpMat.__matmul__` stays on int64, where tiny products are
 cheaper.
 
-Elimination has one routine, the incremental echelon form `Echelon`.  It
+Elimination has two routines.  The incremental echelon form `Echelon`
 takes rows a block at a time: each block is reduced against the rows held
 so far with `_exact_matmul`, its zero rows are dropped, the rest is
 eliminated pivot by pivot, and one more product clears the new pivots from
 the held rows.  `rref`, `kernel_basis`, `solve` and `inverse` feed it all
 rows at once; the Hom solver of `algrep` streams its equations in and stops
-once the rank reaches the number of unknowns.
+once the rank reaches the number of unknowns.  `SpanTracker` grows a basis
+one vector at a time, for the greedy passes of `algrep` that must know
+after each vector whether it enlarged the span (`generating_set`,
+`homogeneous_basis`, `projective_cover`).  It stays because `Echelon.add`
+pays a block's products for each single row: with those passes on
+`Echelon.add` the answers were the same, but `generating_set` took 2.6
+times as long on `cohom --p 7 --r 2 --n 8` (0.10 against 0.25 s, medians
+of seven in-process runs on a 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations

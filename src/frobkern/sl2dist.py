@@ -347,7 +347,9 @@ def _twisted_tensor(alg: GenAlgebra, ladders: Sequence[_Ladder]) -> GenAlgebraMo
 
 
 def _kernel_algebra(p: int, r: int, lam: int) -> GenAlgebra:
-    """The algebra of the r-th kernel, once lam is checked to be one of its weights."""
+    """The algebra of the r-th kernel, once r and lam are checked."""
+    if r < 1:
+        raise ValueError("height r must be >= 1")
     base_p_digits(lam, p, r)
     return restricted_sl2(p) if r == 1 else distribution_sl2(p, r)
 

@@ -58,7 +58,7 @@ def test_criterion_01_graded_heller_orbit():
             Z = graded_verma_module(p, lam)
             om2 = heller_power(Z, 2)
             target = graded_verma_module(p, lam + 2 * p)
-            res = is_isomorphic(om2, target, rng=SEED)
+            res = is_isomorphic(om2, target)
             assert res.status == "iso", (p, lam)
             C = res.witness
             assert C is not None and inverse(C) is not None
@@ -82,8 +82,8 @@ def test_criterion_02_ungraded_period_two():
             Z = verma_module(p, 1, lam)
             om1 = heller(Z)
             om2 = heller(om1)
-            assert is_isomorphic(om1, Z, rng=SEED).status == "not_iso", (p, lam)
-            assert is_isomorphic(om2, Z, rng=SEED).status == "iso", (p, lam)
+            assert is_isomorphic(om1, Z).status == "not_iso", (p, lam)
+            assert is_isomorphic(om2, Z).status == "iso", (p, lam)
             elapsed = time.monotonic() - t0
             assert elapsed < 5.0, f"case (p={p}, lam={lam}) took {elapsed:.1f}s"
     _verdict(2, "ungraded baby Verma period 2 at height one")
@@ -179,7 +179,7 @@ def test_criterion_08_regular_module_meataxe():
         for F in factors:
             for lam in range(p):
                 P = principal_indecomposable(p, 1, lam)
-                if F.dim == P.dim and is_isomorphic(F, P, rng=SEED).status == "iso":
+                if F.dim == P.dim and is_isomorphic(F, P).status == "iso":
                     mults[lam] += 1
                     break
             else:

@@ -945,6 +945,76 @@ def test_iso_result_refuses_boolean_coercion_when_inconclusive():
         bool(r)
 
 
+def test_certified_pair_finds_its_witness_past_a_singular_basis_map():
+    # J_2 has a simple top.  N is J_2 with its basis reversed, so the first
+    # basis map of Hom(J_2, N) sends the generator of J_2 into the socle of
+    # N; the witness is a later basis map
+    alg = line_algebra(3)
+    J2 = jordan(alg, 2, graded=False)
+    N = GenAlgebraModule(alg, {"u": fpmat(np.array([[0, 1], [0, 0]]), 3)})
+    maps = hom_space(J2, N)
+    assert top(J2) == [(0, 1)]
+    assert rank(maps[0]) < 2
+    assert_iso_with_witness(J2, N)
+    assert rank(is_isomorphic(J2, N).witness - maps[0]) > 0
+
+
+def test_uncertified_pairs_are_enumerated_up_to_the_limit():
+    alg = line_algebra(3)
+    rng = np.random.default_rng(5)
+
+    def ungraded_sum(*ks):
+        return direct_sum([jordan(alg, k) for k in ks]).forget_grading()
+
+    # J_1 + J_2 has top and socle twice the simple; the 3^5 combinations
+    # of its Hom basis are enumerated
+    M = ungraded_sum(1, 2)
+    assert top(M) == [(0, 2)] and socle(M)[0] == [(0, 2)]
+    assert_iso_with_witness(M, conjugate(M, rng))
+    # J_1 + J_3 and J_2 + J_2 agree on every invariant, and none of the
+    # 3^6 combinations is invertible
+    A, B = ungraded_sum(1, 3), ungraded_sum(2, 2)
+    assert top(A) == top(B) and socle(A)[0] == socle(B)[0]
+    assert len(hom_space(A, B)) == 6
+    assert is_isomorphic(A, B).status == "not_iso"
+    # End(S^4) has dimension 16, and 3^16 combinations are past the limit
+    S4 = ungraded_sum(1, 1, 1, 1)
+    assert 3**16 > algrep._ENUM_LIMIT
+    res = is_isomorphic(S4, conjugate(S4, rng))
+    assert res.status == "inconclusive" and res.witness is None
+    with pytest.raises(InconclusiveError):
+        bool(res)
+
+
+def test_verify_suite_isomorphisms_draw_nothing(monkeypatch):
+    # the comparisons of verma-period, graded-orbit and meataxe-regular at
+    # p = 3 are decided, each "iso" with a checked witness, while every
+    # random generator raises; the MeatAxe draws, so it splits first
+    p = 3
+    factors = meataxe_split(regular_module(p), rng=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the isomorphism test drew at random")
+
+    monkeypatch.setattr(algrep, "_rng_of", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for lam in range(p - 1):
+        Z = verma_module(p, 1, lam)
+        om1 = heller(Z)
+        assert is_isomorphic(om1, Z).status == "not_iso"
+        assert_iso_with_witness(heller(om1), Z)
+        om2 = heller_power(graded_verma_module(p, lam), 2)
+        assert_iso_with_witness(om2, graded_verma_module(p, lam + 2 * p))
+    pims = [principal_indecomposable(p, 1, lam) for lam in range(p)]
+    matched = []
+    for F in factors:
+        statuses = [is_isomorphic(F, P).status for P in pims]
+        assert statuses.count("iso") == 1 and "inconclusive" not in statuses
+        matched.append(statuses.index("iso"))
+        assert_iso_with_witness(F, pims[matched[-1]])
+    assert sorted(matched) == [0, 1, 1, 2, 2, 2]
+
+
 # ---------------------------------------------------------------------------
 # stable Hom, traces, complexity estimates
 

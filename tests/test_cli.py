@@ -67,7 +67,7 @@ def test_cohom_disagreement_exits_two(capsys, monkeypatch):
 
 def test_singular_graded_orbit_witness_fails_the_case(capsys, monkeypatch):
     # an oracle fault, not bad input: the cases fail and the command exits 2
-    def singular_witness(M, N, rng=None):
+    def singular_witness(M, N):
         return IsoResult("iso", zeros(M.dim, N.dim, M.algebra.p))
 
     monkeypatch.setattr(cli, "is_isomorphic", singular_witness)

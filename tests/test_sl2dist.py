@@ -69,6 +69,11 @@ def test_base_p_digits_and_ranges():
             for make in (simple_module, principal_indecomposable, heart_module, verma_module):
                 with pytest.raises(ValueError, match="outside"):
                     make(3, r, lam)
+    # and the height itself, before the weight
+    for r in (0, -1):
+        for make in (simple_module, principal_indecomposable, heart_module, verma_module):
+            with pytest.raises(ValueError, match="height r must be >= 1"):
+                make(3, r, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +213,28 @@ def test_twisted_tensor_of_level_one_covers_is_the_cover_at_every_weight():
             assert all(Q.mat(g) == designated.mat(g) for g in alg.gens)
         total += alg.simples[lam].dim * Q.dim
     assert total == p**6
+
+
+def test_height_two_verma_syzygies_with_every_cover(monkeypatch):
+    # the oracle side of the height-two Verma period at p = 3.  The formula
+    # layer gives period 6 to the depth-1 weight 0 and period 2 to the
+    # depth-2 weight 2.  With all nine covers of Dist(G_2) installed, the
+    # syzygies of Z_2(0) grow, while those of Z_2(2) keep dimension 9 and
+    # the second one is Z_2(2) again
+    p = 3
+    alg = distribution_sl2(p, 2)
+    pims = _pim_ladders(p)
+    digits = [base_p_digits(lam, p, 2) for lam in range(p**2)]
+    covers = [_twisted_tensor(alg, [pims[d] for d in ds]) for ds in digits]
+    monkeypatch.setattr(alg, "projectives", covers)
+    for lam, dims in ((0, [27, 45, 45, 63]), (2, [9, 9, 9, 9])):
+        Z = verma_module(p, 2, lam)
+        syzygies = [heller(Z)]
+        for _ in range(3):
+            syzygies.append(heller(syzygies[-1]))
+        assert [om.dim for om in syzygies] == dims, lam
+    # Z and its syzygies are now those of the depth-2 weight
+    assert is_isomorphic(syzygies[1], Z).status == "iso"
 
 
 def test_pim_ladder_carries_divided_powers():
