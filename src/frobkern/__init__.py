@@ -19,8 +19,15 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def check_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime, the standing hypothesis."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime >= 3, got {p}")
+
+
 def base_p_digits(lam: int, p: int, r: int) -> list[int]:
     """The r little-endian base-p digits of a weight 0 <= lam < p^r."""
+    check_odd_prime(p)
     if not 0 <= lam < p**r:
         raise ValueError(f"weight {lam} outside [0, p^{r})")
     return [(lam // p**i) % p for i in range(r)]

@@ -16,8 +16,11 @@ coordinates.  A module map is fixed by where it sends the generators, so
 projective covers pick their lifts from those images and stable Homs count
 the maps through a projective from them; only the maps a caller keeps
 become matrices.  Each module keeps its Hom spaces to and from the
-simples; a degree shift of a module shares its spin.  The homogeneous
-kernel of a degree-0 map is one elimination of the whole map.
+simples, its radical, its socle and its cover; its shifts and its ungraded
+copy share its spin.  An ungraded module has degree 0 throughout, so each
+module map has one kernel, homogeneous, from one elimination of the whole
+map, and independent columns are the pivots of one RREF, stably ordered by
+degree.
 
 Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  The Heller
@@ -52,7 +55,6 @@ from .fplinalg import (
     hstack,
     identity,
     inverse,
-    kernel_basis,
     rref,
     solve,
     vstack,
@@ -165,10 +167,10 @@ class GenAlgebraModule:
         check: bool = True,
     ):
         self.algebra = algebra
-        # read-only, so that the cached spin and simple Homs below cannot go stale
+        # read-only, so that the spin and the structure cached below cannot go stale
         self.action = MappingProxyType(dict(action))
         self.grading = None if grading is None else tuple(int(d) for d in grading)
-        # the module whose spin this one shares; set on shifts only
+        # the module whose spin this one shares; set on regraded copies only
         self._spin_source: Optional[GenAlgebraModule] = None
         dims = {m.rows for m in self.action.values()} | {m.cols for m in self.action.values()}
         if set(self.action) != set(algebra.gens):
@@ -202,52 +204,28 @@ class GenAlgebraModule:
     def graded(self) -> bool:
         return self.grading is not None
 
+    @property
+    def degrees(self) -> Tuple[int, ...]:
+        """The grading, or degree 0 throughout for an ungraded module."""
+        return self.grading if self.graded else (0,) * self.dim
+
     def mat(self, g: str) -> FpMat:
         return self.action[g]
 
     @cached_property
     def spin(self) -> "Spin":
-        """The spun basis of `generating_set`, in the form Hom solves read.
-
-        Computed once per module and shared with its shifts, which have the
-        same action; every Hom space out of the module reads it.
-        """
+        """`build_spin` of this module, which every Hom space out of it reads;
+        shared with its shifts and its ungraded copy, which have its action."""
         if self._spin_source is not None:
             return self._spin_source.spin
-        p = self.algebra.p
-        B, derivs, G = generating_set(self)
-        binv = inverse(B).a.astype(np.float64)
-        roots = np.array([t for t, d in enumerate(derivs) if d[0] == "root"], dtype=np.int64)
-        # the spanning-tree edges b_t = g*b_parent, grouped by the depth of t
-        # and then by generator: every parent of a group lies one level up
-        gens = self.algebra.gens
-        depth = [0] * self.dim
-        edges: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        tree = set()
-        for t, d in enumerate(derivs):
-            if d[0] == "mul":
-                _, g, parent = d
-                tree.add((g, parent))
-                depth[t] = depth[parent] + 1
-                edges.setdefault((depth[t], gens.index(g)), []).append((parent, t))
-        levels = []
-        for key in sorted(edges):
-            parents, kids = np.array(edges[key], dtype=np.int64).T
-            levels.append((gens[key[1]], parents, kids))
-        pairs, rows = [], []
-        for g in self.algebra.gens:
-            ts = np.array([t for t in range(self.dim) if (g, t) not in tree], dtype=np.int64)
-            pairs.append((g, ts))
-            # column t of B^-1 g B holds the coordinates of g*b_t
-            rows.append(_exact_matmul(binv, _exact_matmul(self.mat(g).a, B.a[:, ts], p), p).T)
-        return Spin(roots, tuple(levels), G.a.argmax(axis=0), binv, tuple(pairs), np.vstack(rows))
+        return build_spin(self)
 
     @cached_property
     def maps_to_simples(self) -> Tuple[tuple, ...]:
         """(simple index, shift or None, simple S, Hom(M, S)) for each S of
         `_simple_targets` with Hom(M, S) nonzero, M being this module.
 
-        Solved once per module; top, radical and projective_cover read it.
+        Solved once per module; top, radical_basis and projective_cover read it.
         """
         targets = ((idx, d, S, hom_space(self, S)) for idx, d, S in _simple_targets(self))
         return tuple(t for t in targets if t[3])
@@ -257,34 +235,61 @@ class GenAlgebraModule:
         """(simple index, shift or None, simple S, Hom(S, M)) for each S of
         `_simple_targets` with Hom(S, M) nonzero, M being this module.
 
-        Solved once per module; socle reads it.
+        Solved once per module; socle and socle_basis read it.
         """
         sources = ((idx, d, S, hom_space(S, self)) for idx, d, S in _simple_targets(self))
         return tuple(t for t in sources if t[3])
+
+    @cached_property
+    def radical_basis(self) -> FpMat:
+        """Basis of rad(M), M being this module: the homogeneous common
+        kernel of its maps onto the simples.  Computed once; radical and
+        projective_cover read it."""
+        # for a graded M an ungraded map onto a simple splits into degree-0
+        # maps onto shifted simples, so the degree-0 maps cut out rad(M)
+        maps = [(S, phi) for _, _, S, phis in self.maps_to_simples for phi in phis]
+        if not maps:
+            return identity(self.dim, self.algebra.p)
+        row_deg = [d for S, _ in maps for d in S.degrees]
+        return _graded_kernel(vstack([phi for _, phi in maps]), row_deg, self.degrees)
+
+    @cached_property
+    def socle_basis(self) -> FpMat:
+        """Basis of soc(M), M being this module: the independent images of
+        its maps from the simples.  Computed once; socle reads it."""
+        maps = [(S, phi) for _, _, S, phis in self.maps_from_simples for phi in phis]
+        if not maps:
+            return zeros(self.dim, 0, self.algebra.p)
+        images = hstack([phi for _, phi in maps])
+        col_deg = [d for S, _ in maps for d in S.degrees]
+        return FpMat(images.a[:, _independent_columns(images, col_deg)], images.p)
 
     @cached_property
     def cover(self) -> Tuple["GenAlgebraModule", FpMat, List[tuple]]:
         """`projective_cover` of this module, computed once; the Heller path reads it."""
         return projective_cover(self)
 
-    def forget_grading(self) -> "GenAlgebraModule":
-        return GenAlgebraModule(self.algebra, self.action, None, check=False)
-
-    def shifted(self, d: int) -> "GenAlgebraModule":
-        """This module with every degree raised by d.
-
-        A shift relabels degrees only, so the shifted grading needs no new
-        check and the spin is shared.  The Hom spaces to and from the
-        simples and the cover depend on the degrees, so they start empty.
-        """
-        if not self.graded:
-            raise ValueError("cannot shift an ungraded module")
+    def _regraded(self, grading: Optional[Tuple[int, ...]]) -> "GenAlgebraModule":
+        # the same action with another grading, or none: the grading needs
+        # no new check and the spin is shared, while the structure that
+        # depends on the degrees starts empty
         out = copy.copy(self)
-        out.grading = tuple(x + d for x in self.grading)
+        out.grading = grading
         out._spin_source = self if self._spin_source is None else self._spin_source
-        for name in ("maps_to_simples", "maps_from_simples", "cover"):
+        names = ("maps_to_simples", "maps_from_simples", "radical_basis", "socle_basis", "cover")
+        for name in names:
             vars(out).pop(name, None)
         return out
+
+    def forget_grading(self) -> "GenAlgebraModule":
+        """This module, ungraded; it shares the spin."""
+        return self._regraded(None)
+
+    def shifted(self, d: int) -> "GenAlgebraModule":
+        """This module with every degree raised by d; it shares the spin."""
+        if not self.graded:
+            raise ValueError("cannot shift an ungraded module")
+        return self._regraded(tuple(x + d for x in self.grading))
 
     def __repr__(self):
         tag = f", degrees {sorted(set(self.grading))}" if self.graded else ""
@@ -293,7 +298,7 @@ class GenAlgebraModule:
 
 @dataclass(frozen=True)
 class Spin:
-    """A module's spun basis B = (b_0, ..., b_{m-1}) from `generating_set`.
+    """A module's spun basis B = (b_0, ..., b_{m-1}) from `build_spin`.
 
     Generator j is the unit vector e_{gen_pos[j]} and spins into column
     roots[j] of B.  `levels` lists the spanning tree of the spin as
@@ -325,11 +330,8 @@ def direct_sum(mods: Sequence[GenAlgebraModule]) -> GenAlgebraModule:
     for m in mods[1:]:
         if m.algebra is not alg:
             raise ValueError("summands live over different algebras")
-    graded = all(m.graded for m in mods)
     action = {g: block_diag([m.mat(g) for m in mods], alg.p) for g in alg.gens}
-    grading = None
-    if graded:
-        grading = [d for m in mods for d in m.grading]
+    grading = [d for m in mods for d in m.grading] if all(m.graded for m in mods) else None
     return GenAlgebraModule(alg, action, grading, check=False)
 
 
@@ -353,9 +355,7 @@ def submodule(M: GenAlgebraModule, basis: FpMat) -> GenAlgebraModule:
     for g in M.algebra.gens:
         moved = _exact_matmul(M.mat(g).a, basis.a, p).astype(np.int64)
         action[g] = _coords_in_basis(basis, FpMat(moved, p))
-    grading = None
-    if M.graded:
-        grading = _degrees_of_columns(basis, M.grading)
+    grading = _degrees_of_columns(basis, M.grading) if M.graded else None
     return GenAlgebraModule(M.algebra, action, grading, check=False)
 
 
@@ -371,23 +371,15 @@ def _degrees_of_columns(basis: FpMat, grading: Sequence[int]) -> List[int]:
     return out
 
 
-def homogeneous_basis(span: FpMat, grading: Sequence[int]) -> FpMat:
-    """Homogeneous basis of a graded subspace given by arbitrary spanning columns."""
-    p = span.p
-    deg = np.asarray(grading)
-    tracker = SpanTracker(span.rows, p)
-    cols: List[np.ndarray] = []
-    for d in sorted(set(deg.tolist())):
-        mask = deg == d
-        for k in range(span.cols):
-            v = np.where(mask, span.a[:, k], 0) % p
-            if v.any() and tracker.insert(v):
-                cols.append(v)
-    if len(cols) != rref(span).rank:
-        raise ValueError("subspace is not graded")
-    if not cols:
-        return zeros(span.rows, 0, p)
-    return FpMat(np.column_stack(cols), p)
+def _independent_columns(C: FpMat, col_deg: Sequence[int]) -> np.ndarray:
+    """The columns of C independent of those before them, stably ordered by
+    their degrees: the pivots of one RREF.
+
+    Columns of different degrees have disjoint supports when each column is
+    homogeneous, so the order within a degree is all that decides.
+    """
+    pivots = np.asarray(rref(C).pivots, dtype=np.int64)
+    return pivots[np.argsort(np.asarray(col_deg)[pivots], kind="stable")]
 
 
 def _complement_projection(sub_basis: FpMat, n: int) -> Tuple[FpMat, List[int]]:
@@ -415,9 +407,7 @@ def quotient(M: GenAlgebraModule, sub_basis: FpMat) -> Tuple[GenAlgebraModule, F
     projm, comp = _complement_projection(sub_basis, M.dim)
     embm = FpMat(np.eye(M.dim, dtype=np.int64)[:, comp], p)
     action = {g: projm @ M.mat(g) @ embm for g in M.algebra.gens}
-    grading = None
-    if M.graded:
-        grading = [M.grading[c] for c in comp]
+    grading = [M.grading[c] for c in comp] if M.graded else None
     return GenAlgebraModule(M.algebra, action, grading, check=False), projm
 
 
@@ -425,45 +415,54 @@ def quotient(M: GenAlgebraModule, sub_basis: FpMat) -> Tuple[GenAlgebraModule, F
 # Hom spaces
 
 
-def generating_set(M: GenAlgebraModule) -> Tuple[FpMat, List[tuple], FpMat]:
-    """Greedy generating vectors with a spun basis and its derivation forest.
+def build_spin(M: GenAlgebraModule) -> Spin:
+    """Spin M from greedy generating vectors into a basis B and its tree.
 
-    Returns (basis matrix B, derivations, generator columns).  Derivations
-    record how each basis column arises: ("root", j) for the j-th generator
-    vector, ("mul", g, t) for generator g applied to column t.
+    The generator vectors are the unit vectors e_c, in order, that lie
+    outside the span so far; each is spun breadth-first, keeping every
+    g*b_t that enlarges the span as the next column of B.
     """
-    p = M.algebra.p
-    n = M.dim
+    p, n, gens = M.algebra.p, M.dim, M.algebra.gens
     tracker = SpanTracker(n, p)
-    basis_cols: List[np.ndarray] = []
-    derivs: List[tuple] = []
-    gen_cols: List[np.ndarray] = []
-    nxt = 0
-    while tracker.dim < n:
-        while nxt < n:
-            v = np.zeros(n, dtype=np.int64)
-            v[nxt] = 1
-            nxt += 1
-            if not tracker.contains(v):
-                break
-        else:
-            raise RuntimeError("standard basis exhausted before spanning")
-        tracker.insert(v)
-        basis_cols.append(v)
-        derivs.append(("root", len(gen_cols)))
-        gen_cols.append(v)
-        frontier = [len(basis_cols) - 1]
+    cols: List[np.ndarray] = []
+    roots: List[int] = []
+    # the spanning-tree edges b_kid = g*b_parent, grouped by the depth of
+    # the kid and then by generator: every parent of a group lies one level up
+    edges: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    tree = set()
+    for c in range(n):
+        if tracker.dim == n:
+            break
+        v = np.zeros(n, dtype=np.int64)
+        v[c] = 1
+        if not tracker.insert(v):
+            continue
+        roots.append(len(cols))
+        frontier = [(len(cols), 0)]  # (column, its depth in the tree)
+        cols.append(v)
         while frontier:
-            t = frontier.pop(0)
-            for g in M.algebra.gens:
-                w = (M.mat(g).a @ basis_cols[t]) % p
+            t, depth = frontier.pop(0)
+            for j, g in enumerate(gens):
+                w = (M.mat(g).a @ cols[t]) % p
                 if w.any() and tracker.insert(w):
-                    basis_cols.append(w)
-                    derivs.append(("mul", g, t))
-                    frontier.append(len(basis_cols) - 1)
-    B = FpMat(np.column_stack(basis_cols) % p, p)
-    G = FpMat(np.column_stack(gen_cols) % p, p)
-    return B, derivs, G
+                    tree.add((g, t))
+                    edges.setdefault((depth + 1, j), []).append((t, len(cols)))
+                    frontier.append((len(cols), depth + 1))
+                    cols.append(w)
+    B = np.column_stack(cols)
+    binv = inverse(FpMat(B, p)).a.astype(np.float64)
+    levels = []
+    for key in sorted(edges):
+        parents, kids = np.array(edges[key], dtype=np.int64).T
+        levels.append((gens[key[1]], parents, kids))
+    pairs, rows = [], []
+    for g in gens:
+        ts = np.array([t for t in range(n) if (g, t) not in tree], dtype=np.int64)
+        pairs.append((g, ts))
+        # column t of B^-1 g B holds the coordinates of g*b_t
+        rows.append(_exact_matmul(binv, _exact_matmul(M.mat(g).a, B[:, ts], p), p).T)
+    gen_pos = B[:, roots].argmax(axis=0)  # the roots are unit vectors
+    return Spin(np.array(roots), tuple(levels), gen_pos, binv, tuple(pairs), np.vstack(rows))
 
 
 @dataclass(frozen=True)
@@ -612,37 +611,15 @@ def top(M: GenAlgebraModule) -> List[tuple]:
     return [_multiset_entry(idx, d, len(maps)) for idx, d, _, maps in M.maps_to_simples]
 
 
-def _radical_from(M: GenAlgebraModule, targets: Sequence[tuple]) -> FpMat:
-    # rad(M) is the common kernel of the maps onto simples; for a graded M
-    # an ungraded such map splits into degree-0 maps onto shifted simples,
-    # so the degree-0 maps already cut out rad(M), homogeneously
-    mats = [phi for _, _, _, maps in targets for phi in maps]
-    if not mats:
-        return identity(M.dim, M.algebra.p)
-    stacked = vstack(mats)
-    if not M.graded:
-        return kernel_basis(stacked)
-    row_deg = [d for _, _, S, maps in targets for _ in maps for d in S.grading]
-    return _graded_kernel(stacked, row_deg, M.grading)
-
-
 def radical(M: GenAlgebraModule) -> FpMat:
     """Basis of rad(M) = intersection of kernels of all maps onto simples."""
-    if M.dim == 0:
-        return zeros(0, 0, M.algebra.p)
-    return _radical_from(M, M.maps_to_simples)
+    return M.radical_basis
 
 
 def socle(M: GenAlgebraModule) -> Tuple[List[tuple], FpMat]:
     """Socle structure and a basis of the sum of all simple submodules."""
-    p = M.algebra.p
     structure = [_multiset_entry(idx, d, len(maps)) for idx, d, _, maps in M.maps_from_simples]
-    images = [phi for _, _, _, maps in M.maps_from_simples for phi in maps]
-    if not images:
-        return structure, zeros(M.dim, 0, p)
-    # the columns independent of those before them: the pivots of one RREF
-    stacked = hstack(images)
-    return structure, FpMat(stacked.a[:, list(rref(stacked).pivots)], p)
+    return structure, M.socle_basis
 
 
 def composition_factors(M: GenAlgebraModule) -> List[Tuple[int, int]]:
@@ -670,16 +647,16 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
     The surjection is an (dim M) x (dim P) matrix.  Blocks list entries
     (simple index, shift or None, multiplicity) in the order the summands
     of P are laid out.  For each simple S in the top, with multiplicity
-    mult, the lifts P(S) -> M are picked greedily from the kernel of
-    Hom(P(S), M) by their generator images modulo rad(M), and only the
-    mult chosen maps are formed.
+    mult, the lifts P(S) -> M are the first mult maps of the kernel of
+    Hom(P(S), M) whose generator images modulo rad(M) are independent of
+    those before them, and only those maps are formed.
     """
     alg = M.algebra
     p = alg.p
     if M.dim == 0:
         return zero_module(alg, M.graded), zeros(0, 0, p), []
     targets = M.maps_to_simples
-    proj, _ = _complement_projection(_radical_from(M, targets), M.dim)
+    proj, _ = _complement_projection(M.radical_basis, M.dim)
     blocks: List[GenAlgebraModule] = []
     block_info: List[tuple] = []
     columns: List[FpMat] = []
@@ -695,19 +672,14 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
         else:
             Pblock = Pcan.forget_grading() if Pcan.graded else Pcan
         hom = _hom_kernel(Pblock, M)
-        chosen: List[int] = []
+        chosen: Sequence[int] = ()
         if hom is not None:
             # proj . phi is a module map P -> top(M), fixed by where it sends
             # the generators of P: proj times the generator images tells the
-            # lifts apart exactly, so the greedy pass keeps the maps it would
-            # keep on the whole products, and only those are formed
+            # lifts apart exactly, so the pivots of their RREF are the maps
+            # the whole products would pick, and only those are formed
             induced = _exact_matmul(proj.a, hom.gen_images, p).astype(np.int64)
-            tracker = SpanTracker(induced.shape[0] * proj.rows, p)
-            for c in range(hom.dim):
-                if tracker.insert(induced[:, :, c].ravel()):
-                    chosen.append(c)
-                    if len(chosen) == mult:
-                        break
+            chosen = rref(FpMat(induced.reshape(-1, hom.dim), p)).pivots[:mult]
         if len(chosen) != mult:
             raise RuntimeError("projective cover lifting failed to reach the top")
         for phi in _hom_maps(Pblock, hom, chosen):
@@ -737,7 +709,9 @@ def _graded_kernel(C: FpMat, row_deg: Sequence[int], col_deg: Sequence[int]) -> 
     ech = Echelon(C.cols, C.p)
     ech.add(C.a)
     order = np.argsort(col_deg[ech.free], kind="stable")
-    return FpMat(ech.kernel().a[:, order], C.p)
+    # take keeps the kernel C-ordered, as fancy indexing would not: the
+    # products that read it ran slower on a Fortran-ordered one
+    return FpMat(ech.kernel().a.take(order, axis=1), C.p)
 
 
 def strip_projectives(M: GenAlgebraModule) -> GenAlgebraModule:
@@ -775,8 +749,7 @@ def heller(M: GenAlgebraModule) -> GenAlgebraModule:
     nothing is split off first.
     """
     P, C, _ = M.cover
-    ker = _graded_kernel(C, M.grading, P.grading) if M.graded else kernel_basis(C)
-    return submodule(P, ker)
+    return submodule(P, _graded_kernel(C, M.degrees, P.degrees))
 
 
 def heller_power(M: GenAlgebraModule, n: int) -> GenAlgebraModule:
@@ -852,16 +825,11 @@ def _fitting_split(M: GenAlgebraModule, theta: FpMat) -> Optional[Tuple[FpMat, F
     while k < M.dim:
         power = FpMat(_exact_matmul(power.a, power.a, p).astype(np.int64), p)
         k *= 2
-    if M.graded:
-        ker = _graded_kernel(power, M.grading, M.grading)
-    else:
-        ker = kernel_basis(power)
+    ker = _graded_kernel(power, M.degrees, M.degrees)
     if ker.cols == 0 or ker.cols == M.dim:
         return None
-    if M.graded:
-        img = homogeneous_basis(power, M.grading)
-    else:
-        img = FpMat(power.a[:, list(rref(power).pivots)], p)
+    # theta has degree 0, so each column of its power is homogeneous
+    img = FpMat(power.a[:, _independent_columns(power, M.degrees)], p)
     if ker.cols + img.cols != M.dim:
         return None
     both = FpMat(np.hstack([ker.a, img.a]), p)
@@ -986,7 +954,7 @@ def is_isomorphic(M: GenAlgebraModule, N: GenAlgebraModule) -> IsoResult:
         return IsoResult("iso", zeros(0, 0, M.algebra.p))
     if M.graded != N.graded:
         raise ValueError("cannot compare graded with ungraded modules")
-    if M.graded and sorted(M.grading) != sorted(N.grading):
+    if sorted(M.degrees) != sorted(N.degrees):
         return IsoResult("not_iso")
     m_top = top(M)
     if sorted(m_top) != sorted(top(N)):

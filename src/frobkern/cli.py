@@ -25,7 +25,7 @@ import sys
 import time
 from typing import List, Optional
 
-from . import DEFAULT_SEED, is_prime
+from . import DEFAULT_SEED, check_odd_prime
 from .algrep import (
     composition_factors,
     dump_module,
@@ -516,8 +516,10 @@ def _cmd_verify(args) -> int:
 
 def _odd_prime(text: str) -> int:
     p = int(text)
-    if p < 3 or not is_prime(p):
-        raise argparse.ArgumentTypeError(f"{text} is not an odd prime")
+    try:
+        check_odd_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return p
 
 

@@ -21,13 +21,13 @@ eliminated pivot by pivot, and one more product clears the new pivots from
 the held rows.  `rref`, `kernel_basis`, `solve` and `inverse` feed it all
 rows at once; the Hom solver of `algrep` streams its equations in and stops
 once the rank reaches the number of unknowns.  `SpanTracker` grows a basis
-one vector at a time, for the greedy passes of `algrep` that must know
-after each vector whether it enlarged the span (`generating_set`,
-`homogeneous_basis`, `projective_cover`).  It stays because `Echelon.add`
-pays a block's products for each single row: with those passes on
-`Echelon.add` the answers were the same, but `generating_set` took 2.6
-times as long on `cohom --p 7 --r 2 --n 8` (0.10 against 0.25 s, medians
-of seven in-process runs on a 2-vCPU Xeon VM).
+one vector at a time, for the one greedy pass of `algrep` that must know
+after each vector whether it enlarged the span: the spin of a module
+(`algrep.build_spin`), whose next vectors depend on which ones were kept.
+It stays because `Echelon.add` pays a block's products for each single
+row: with the spin on `Echelon.add` the answers were the same, but it took
+2.6 times as long on `cohom --p 7 --r 2 --n 8` (0.10 against 0.25 s,
+medians of seven in-process runs on a 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import is_prime
+from . import check_odd_prime
 
 __all__ = [
     "FpMat",
@@ -65,12 +65,9 @@ _FLOAT_EXACT = 2**53
 
 
 def _check_prime(p: int) -> None:
-    if p < 3:
-        raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
     if p >= MAX_MODULUS:
         raise ValueError(f"modulus {p} is too large: exact products need p < {MAX_MODULUS}")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    check_odd_prime(p)
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

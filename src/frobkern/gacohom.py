@@ -133,6 +133,8 @@ def minimal_resolution_dims(p: int, r: int, length: int) -> ResolutionTrace:
     Omega^{n+1} because the algebra is local, so each term is a direct
     sum of copies of the regular module.
     """
+    if length < 0:
+        raise ValueError("cohomological degree must be >= 0")
     alg = truncated_poly_algebra(p, r)
     trace = ext_dims(alg.simples[0], length + 1, with_ext=False)
     order = p**r

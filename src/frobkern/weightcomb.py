@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import base_p_digits, is_prime
+from . import base_p_digits, check_odd_prime
 from .algrep import InconclusiveError, ResolutionTrace, estimate_complexity
 
 Weight = Union[int, Sequence[int]]
@@ -71,8 +71,7 @@ class RootDatum:
     good_prime: bool = True
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p < 3:
-            raise ValueError("p must be an odd prime >= 3")
+        check_odd_prime(self.p)
         if len(self.simple_roots) != len(self.simple_coroots):
             raise ValueError("simple roots and coroots must align")
         for a, av in zip(self.simple_roots, self.simple_coroots):
@@ -253,6 +252,7 @@ class BlockId:
     s: Optional[int] = None
 
     def __post_init__(self):
+        check_odd_prime(self.p)
         if self.kind not in ("regular", "steinberg"):
             raise ValueError("kind must be 'regular' or 'steinberg'")
         if self.kind == "steinberg":
@@ -407,7 +407,10 @@ def classify_component(
             raise ValueError("the graded category has no periodic modules")
         if p is None or s is None:
             raise ValueError("complexity-1 evidence needs p and s")
-        if r is not None and not 0 <= s <= r - 1:
+        check_odd_prime(p)
+        if s < 0:
+            raise ValueError("tube rank exponent s must be >= 0")
+        if r is not None and s > r - 1:
             raise ValueError("tube rank exponent s must lie in 0..r-1")
         return (f"Z[A_inf]/tau^{p**s}",)
     if evidence == "simple-cx2":

@@ -21,6 +21,7 @@ from frobkern.algrep import (
     InconclusiveError,
     _complement_projection,
     _graded_kernel,
+    _independent_columns,
     _simple_targets,
     composition_factors,
     direct_sum,
@@ -393,7 +394,7 @@ def test_empty_hom_stops_once_no_unknown_is_free(monkeypatch):
 
 def test_top_radical_and_cover_spin_the_module_once(monkeypatch):
     M = regular_module(3)
-    calls = record_calls(monkeypatch, "generating_set")
+    calls = record_calls(monkeypatch, "build_spin")
     top(M)
     radical(M)
     projective_cover(M)
@@ -406,7 +407,9 @@ def test_simple_homs_are_solved_once_per_module(monkeypatch):
     calls = record_calls(monkeypatch, "hom_space")
     # composition_factors starts from socle(M)
     composition_factors(M)
-    socle(M)
+    struct, basis = socle(M)
+    struct.append(None)  # the caller's list: the module keeps its own
+    assert socle(M) == (struct[:-1], basis)
     assert [id(A) for A, N in calls if N is M] == simples
     for _ in range(2):
         top(M)
@@ -433,7 +436,7 @@ def test_shifts_of_a_simple_share_its_spin(monkeypatch):
     # top and socle compare a graded module with each simple at every shift
     # that meets its degrees; a shift relabels degrees only, so the simple is
     # spun once, however many shifts there are
-    calls = record_calls(monkeypatch, "generating_set")
+    calls = record_calls(monkeypatch, "build_spin")
     alg = line_algebra(3)  # designating the simple spins it
     (S,) = alg.simples
     P = alg.projective_of(0)
@@ -451,6 +454,38 @@ def test_shifts_of_a_simple_share_its_spin(monkeypatch):
     assert len(list(_simple_targets(P))) > len(simples)
     spun = [id(A) for (A,) in calls if A is not P]
     assert len(set(spun)) == len(spun) and set(spun) <= set(simples)
+
+
+def test_forget_grading_shares_the_spin(monkeypatch):
+    P = graded_principal_indecomposable(3, 1)
+    P = GenAlgebraModule(P.algebra, P.action, P.grading, check=False)  # nothing cached
+    calls = record_calls(monkeypatch, "build_spin")
+    Pu = P.forget_grading()
+    assert Pu.spin is P.spin
+    assert Pu.forget_grading().spin is P.spin and P.shifted(2).forget_grading().spin is P.spin
+    assert [A for (A,) in calls] == [P]
+    # an ungraded module is compared with ungraded copies of the graded
+    # simples, and covered by ungraded copies of the graded projectives:
+    # none of the copies is spun
+    calls.clear()
+    M = graded_verma_module(3, 1).forget_grading()
+    socle(M)
+    heller(M)
+    spun = [id(A) for (A,) in calls]
+    assert all(A.graded for (A,) in calls) and len(set(spun)) == len(spun)
+
+
+def test_radical_cover_and_heller_eliminate_the_radical_once(monkeypatch):
+    calls = record_calls(monkeypatch, "_graded_kernel")
+    for M in [verma_module(3, 1, 0), graded_verma_module(3, 0)]:
+        M = GenAlgebraModule(M.algebra, M.action, M.grading, check=False)  # nothing cached
+        calls.clear()
+        rad = radical(M)
+        projective_cover(M)
+        heller(M)
+        assert radical(M) is rad
+        # one elimination for rad(M) and one for the kernel of the cover
+        assert [C.cols for C, _, _ in calls] == [M.dim, M.cover[0].dim]
 
 
 def test_shifted_module_solves_its_own_simple_homs():
@@ -568,9 +603,42 @@ def test_graded_kernel_is_the_kernel_of_each_degree(p):
         C, row_deg, col_deg = random_degree_zero_map(rng, p)
         ker = _graded_kernel(C, row_deg, col_deg)
         assert np.array_equal(ker.a, graded_kernel_per_degree(C, row_deg, col_deg))
+        assert ker.a.flags.c_contiguous  # as the products that read it expect
+    # an ungraded map is the one-degree case: its kernel is kernel_basis's,
+    # column for column
+    for _ in range(50):
+        rows, k, cols = rng.integers(0, 8), rng.integers(0, 4), rng.integers(1, 8)
+        C = FpMat(rng.integers(0, p, (rows, k)) @ rng.integers(0, p, (k, cols)) % p, p)
+        assert _graded_kernel(C, [0] * rows, [0] * cols) == kernel_basis(C)
     # an entry from degree 1 to degree 0 is not a degree-0 map
     with pytest.raises(ValueError, match="degrees"):
         _graded_kernel(fpmat([[0, 1], [0, 0]], p), [0, 1], [0, 1])
+
+
+def homogeneous_basis_per_degree(span, grading):
+    """The homogeneous basis of a graded column span by a greedy span pass
+    over the columns masked to each degree in turn, lowest degree first."""
+    p = span.p
+    deg = np.asarray(grading)
+    tracker = SpanTracker(span.rows, p)
+    cols = []
+    for d in sorted(set(deg.tolist())):
+        for k in range(span.cols):
+            v = np.where(deg == d, span.a[:, k], 0) % p
+            if v.any() and tracker.insert(v):
+                cols.append(v)
+    return np.column_stack(cols) if cols else np.zeros((span.rows, 0), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_degree_ordered_pivots_are_the_per_degree_span_pass(p):
+    # the image of a degree-0 map: its columns are homogeneous, so the RREF
+    # pivots, stably ordered by degree, are the columns the per-degree pass keeps
+    rng = np.random.default_rng(10 + p)
+    for _ in range(200):
+        C, row_deg, col_deg = random_degree_zero_map(rng, p)
+        image = C.a[:, _independent_columns(C, col_deg)]
+        assert np.array_equal(image, homogeneous_basis_per_degree(C, row_deg))
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,11 @@ def test_classify_component_command(capsys):
     )
     assert code == 0
     assert payload["result"]["components"] == ["Z[A_inf]/tau^3"]
+    # a negative tube exponent is refused with or without r
+    for extra in ([], ["--r", "2"]):
+        argv = ["classify-component", "--context", "G_r", "--evidence", "complexity-1"]
+        assert cli.main(argv + ["--p", "3", "--s", "-1"] + extra) == 1
+        assert capsys.readouterr().out == ""
 
 
 def test_user_errors_exit_one(capsys):
@@ -137,6 +142,10 @@ def test_user_errors_exit_one(capsys):
     # out-of-range weight
     code = cli.main(["block", "--p", "3", "--r", "1", "--lambda", "7"])
     assert code == 1
+    # a negative resolution length
+    code = cli.main(["cohom", "--p", "3", "--r", "2", "--n", "-1", "--method", "resolution"])
+    assert code == 1
+    assert "cohomological degree must be >= 0" in capsys.readouterr().err
     # malformed arguments (argparse) must also exit 1, not 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["block", "--p", "3", "--r", "2"])

@@ -1,4 +1,4 @@
-"""Pinned digests of the constructed sl2 modules.
+"""Pinned digests of the constructed sl2 modules and of one verify report.
 
 Each family of modules built by `sl2dist` is reduced to one blake2b digest
 over the algebra id, the dimension, the grading and the bytes of every
@@ -6,13 +6,21 @@ action matrix, in generator order.  A refactor of the constructors must
 leave every digest as it is: the modules are exact, and the oracle's
 answers and dump files depend on their bases.  A change that alters a basis
 on purpose updates the digest here and says so in CHANGES.md.
+
+The output of `verify all --p 3 --seed 7` is pinned the same way: one
+digest of its JSON line with `wall_ms` removed, and one per file it writes
+to `--dump-dir`.  The JSON contract says this output is byte-identical for
+a fixed seed apart from `wall_ms`, and a refactor of the oracle must keep
+it so.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
+import frobkern.cli as cli
 from frobkern.sl2dist import (
     distribution_sl2,
     graded_restricted_sl2,
@@ -85,3 +93,33 @@ PINNED = {
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_constructed_modules_match_pinned_digest(family):
     assert _digest(FAMILIES[family]()) == PINNED[family]
+
+
+def _blake2b(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+VERIFY_ALL_P3 = {
+    "report": "5610d7796d581e9883ebb9e64762efcf",
+    "graded-orbit-p3-l0.json": "e82e635becad0886450be6f21c6a1ac1",
+    "graded-orbit-p3-l1.json": "4b118559dfce07c3ce5023e713f71acf",
+    "heart-p3-l6.json": "2575ff82baa3e5c6da94d29962c38fac",
+    "heart-p3-l7.json": "269fd6eef00c9b3848aae8b87a816dc2",
+    "regular-p3-factor0.json": "2469eaf9fec69666ddd654f519b1c2d3",
+    "regular-p3-factor1.json": "cb668c64af3c652ebffaacf3cde7959b",
+    "regular-p3-factor2.json": "02a8f9b0d97b2914a7a0e594f4fc8613",
+    "regular-p3-factor3.json": "dadcf64c0df7918b6775485b2aa47aa7",
+    "regular-p3-factor4.json": "6d24a520775938bbede40bea2a9d518f",
+    "regular-p3-factor5.json": "02a8f9b0d97b2914a7a0e594f4fc8613",
+    "regular-p3.json": "c88135cd94e1cba3524355b8effad068",
+}
+
+
+def test_verify_all_output_matches_pinned_digests(capsys, tmp_path):
+    argv = ["verify", "all", "--p", "3", "--seed", "7", "--dump-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    report = re.sub(r', "wall_ms": \d+', "", capsys.readouterr().out)
+    digests = {"report": _blake2b(report.encode())}
+    for name in sorted(tmp_path.iterdir()):
+        digests[name.name] = _blake2b(name.read_bytes())
+    assert digests == VERIFY_ALL_P3

@@ -157,6 +157,17 @@ def test_block_id_validation():
         BlockId(3, 2, "steinberg", i=0, s=0)
 
 
+def test_formulas_refuse_a_modulus_that_is_not_an_odd_prime():
+    for call in (
+        lambda: block_of(9, 2, 4),
+        lambda: simple_complexity(9, 2, 3),
+        lambda: all_blocks(4, 1),
+        lambda: classify_component("G_r", "complexity-1", p=9, s=1),
+    ):
+        with pytest.raises(ValueError, match="odd prime"):
+            call()
+
+
 def test_morita_weight_map():
     assert morita_weight_map(3, 2, 0, 4) == 4
     assert morita_weight_map(3, 2, 1, 0) == 2
@@ -285,6 +296,9 @@ def test_classify_component():
     assert "Z[D_inf]" in classify_component("G_rT", "generic")
     with pytest.raises(ValueError):
         classify_component("G_rT", "complexity-1", p=3, s=0)
+    for r in (None, 2):
+        with pytest.raises(ValueError, match="tube rank exponent"):
+            classify_component("G_r", "complexity-1", p=3, r=r, s=-1)
     with pytest.raises(ValueError):
         classify_component("G_r", "generic")
     with pytest.raises(ValueError):
