@@ -10,6 +10,12 @@ exact complexity estimator.
 
 Every Hom space is solved one way: spin M once from generator vectors and
 solve for their images; degree-0 maps mask those images by degree.  The
+solve runs in two stages.  The local equations, where a generator sends a
+generator vector into the span of the generator vectors (e*v = 0 on a
+highest-weight vector), read the images alone and are eliminated first; the
+word operators of the spin and the other equations are then formed only
+on the images that survive.  Both kernels are canonical, so their product
+is the kernel one elimination of the whole system would give.  The
 equations stream into an incremental echelon form, which stops as soon as
 no image is left free.  A solve first yields its kernel in generator-image
 coordinates.  A module map is fixed by where it sends the generators, so
@@ -308,6 +314,13 @@ class Spin:
     not itself a column of B (the pairs off the spanning tree), and
     `coord_rows` holds the coordinates of those g*b_t in B, one float64 row
     per pair in the same order.  `binv` is B^-1 in float64.
+
+    `local` lists the local pairs: those (g, t) where b_t is a generator
+    and g*b_t lies in the span of the generators.  Each entry is
+    (g, js, coeffs), one per generator g of the algebra that has any: its
+    pair l has b_t = generator js[l] and g*b_t = sum_j coeffs[l, j] *
+    (generator j), with int64 coefficients in [0, p).  Their equations read
+    the generator images alone, so a Hom solve eliminates them first.
     """
 
     roots: np.ndarray
@@ -316,6 +329,7 @@ class Spin:
     binv: np.ndarray
     pairs: Tuple[Tuple[str, np.ndarray], ...]
     coord_rows: np.ndarray
+    local: Tuple[Tuple[str, np.ndarray, np.ndarray], ...]
 
 
 def zero_module(algebra: GenAlgebra, graded: bool = False) -> GenAlgebraModule:
@@ -455,25 +469,40 @@ def build_spin(M: GenAlgebraModule) -> Spin:
     for key in sorted(edges):
         parents, kids = np.array(edges[key], dtype=np.int64).T
         levels.append((gens[key[1]], parents, kids))
-    pairs, rows = [], []
+    roots_arr = np.array(roots, dtype=np.int64)
+    is_root = np.zeros(n, dtype=bool)
+    is_root[roots_arr] = True
+    pairs, rows, local = [], [], []
     for g in gens:
         ts = np.array([t for t in range(n) if (g, t) not in tree], dtype=np.int64)
         pairs.append((g, ts))
         # column t of B^-1 g B holds the coordinates of g*b_t
-        rows.append(_exact_matmul(binv, _exact_matmul(M.mat(g).a, B[:, ts], p), p).T)
+        coords = _exact_matmul(binv, _exact_matmul(M.mat(g).a, B[:, ts], p), p).T
+        rows.append(coords)
+        # a pair is local when b_t is a root and g*b_t lies in the span of
+        # the roots: its equation then reads the generator images alone
+        is_local = is_root[ts] & ~coords[:, ~is_root].any(axis=1)
+        if is_local.any():
+            # the roots increase, so generator j is the root of rank j
+            js = np.searchsorted(roots_arr, ts[is_local])
+            local.append((g, js, coords[is_local][:, roots_arr].astype(np.int64)))
     gen_pos = B[:, roots].argmax(axis=0)  # the roots are unit vectors
-    return Spin(np.array(roots), tuple(levels), gen_pos, binv, tuple(pairs), np.vstack(rows))
+    return Spin(
+        roots_arr, tuple(levels), gen_pos, binv, tuple(pairs), np.vstack(rows), tuple(local)
+    )
 
 
 @dataclass(frozen=True)
 class HomKernel:
     """A nonzero Hom(M, N) as the kernel of the spin system of M.
 
-    Column c of `ker` is one map c, in the unknowns of the system.  A module
-    map is fixed by where it sends the generator vectors of M, and
+    A module map is fixed by where it sends the generator vectors of M, and
     `gen_images[j, :, c]` is the image of generator j under map c: the
-    kernel in generator-image coordinates.  `W[t] @ ker[:, c]` is the image
-    of the spun basis vector b_t, which `_hom_maps` turns into matrices.
+    kernel in generator-image coordinates.  The local equations of the spin
+    leave k free combinations of those images, and `W` holds the images of
+    the spun basis in them: `W[t] @ ker[:, c]` is the image of b_t under
+    map c.  `ker` lives in those k coordinates, and `_hom_maps` turns its
+    columns into matrices.
     """
 
     W: np.ndarray
@@ -483,6 +512,31 @@ class HomKernel:
     @property
     def dim(self) -> int:
         return self.ker.shape[1]
+
+
+def _local_echelon(
+    spin: Spin, N: GenAlgebraModule, gen_of: np.ndarray, row_of: np.ndarray
+) -> Optional[Echelon]:
+    """The echelon form of the equations of the local pairs of `spin`, in
+    the unknowns (gen_of, row_of) of a Hom system into N; None when it
+    leaves no unknown free.
+
+    A local pair says g*x_j = sum_j' c_j' x_j' of the generator images x
+    alone: e*x = 0 on a highest-weight generator asks for x in ker e.
+    """
+    p, unknowns = N.algebra.p, gen_of.size
+    ech = Echelon(unknowns, p)
+    blocks = []
+    for g, js, coeffs in spin.local:
+        # block[l, :, u]: column row_of[u] of g on N where u belongs to
+        # generator js[l], less coeffs[l, gen_of[u]] in row row_of[u]
+        block = N.mat(g).a[:, row_of] * (gen_of == js[:, None])[:, None, :]
+        block[:, row_of, np.arange(unknowns)] -= coeffs[:, gen_of]
+        blocks.append(block.reshape(-1, unknowns))
+    if blocks:
+        rows = np.concatenate(blocks) % p
+        ech.add(rows[rows.any(axis=1)])
+    return ech if ech.rank < unknowns else None
 
 
 def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]:
@@ -510,16 +564,31 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
     unknowns = gen_of.size
     if unknowns == 0:
         return None
+    # stage one eliminates the local pairs; the rest is solved in the k
+    # coordinates of their canonical kernel K.  K is the identity on the k
+    # free unknowns, and each pivot unknown depends only on free ones after
+    # it, so K times the canonical kernel of stage two is the canonical
+    # kernel of the whole system, column for column.  Only the pivot rows
+    # of K are formed: with no local pair there are none
+    local = _local_echelon(spin, N, gen_of, row_of)
+    if local is None:
+        return None
+    free, piv = local.free, local.pivots
+    k = free.size
+    K_piv = (-local.rows[:, free]) % p
     act = {g: N.mat(g).a.astype(np.float64) for g in M.algebra.gens}
-    # W[t] @ x is the image of b_t when x holds the unknowns; one stacked
-    # product per group of tree edges, each slice the size of one edge's
-    W = np.zeros((m, n, unknowns), dtype=np.float64)
-    W[spin.roots[gen_of], row_of, np.arange(unknowns)] = 1
+    # stage two, in the k coordinates of K.  W[t] @ y is the image of b_t
+    # when K @ y holds the unknowns; one stacked product per group of tree
+    # edges, each slice the size of one edge's
+    W = np.zeros((m, n, k), dtype=np.float64)
+    W[spin.roots[gen_of[free]], row_of[free], np.arange(k)] = 1
+    W[spin.roots[gen_of[piv]], row_of[piv]] = K_piv
     for g, parents, kids in spin.levels:
         W[kids] = _exact_matmul(act[g], W[parents], p)
     # phi(g*b_t) = g*phi(b_t), where g*b_t = sum_s coord_rows[pair, s] b_s;
     # on a spanning-tree edge g*b_t is the column built from b_t, so W
-    # satisfies it already and only the other pairs give equations
+    # satisfies it already and only the other pairs give equations.  The
+    # local pairs hold for every y and give zero rows, dropped below
     lhs = np.concatenate([_exact_matmul(act[g], W[ts], p) for g, ts in spin.pairs])
     # rhs[b] = coord_rows @ W[:, b, :], one product per coordinate b of N,
     # laid out as lhs with its first two axes swapped; one flattened product
@@ -535,17 +604,18 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
     # pairs in blocks that double, the first just tall enough to bind every
     # unknown, and stop once none is free.  A block is reduced one
     # coordinate of N at a time, as rhs is formed, for the same reason
-    ech = Echelon(unknowns, p)
-    start, size = 0, -(-unknowns // n)
+    ech = Echelon(k, p)
+    start, size = 0, -(-k // n)
     while start < len(live):
         ech.add(system[live[start : start + size]].transpose(1, 0, 2))
-        if ech.rank == unknowns:
+        if ech.rank == k:
             return None
         start, size = start + size, 2 * size
     ker = ech.kernel().a
-    # generator j is b_roots[j], so its image is read off the unknowns
+    # generator j is b_roots[j], so its image is read off the unknowns K @ ker
     gen_images = np.zeros((n_gen, n, ker.shape[1]), dtype=np.int64)
-    gen_images[gen_of, row_of] = ker
+    gen_images[gen_of[free], row_of[free]] = ker
+    gen_images[gen_of[piv], row_of[piv]] = _exact_matmul(K_piv, ker, p).astype(np.int64)
     return HomKernel(W, ker, gen_images)
 
 

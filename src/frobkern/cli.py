@@ -488,6 +488,7 @@ def run_verify(
 
 
 def _cmd_verify(args) -> int:
+    _check_verify_prime(args.p)
     seed = _resolve_seed(args)
     report = run_verify(
         args.suite, args.p, seed, budget_ms=args.budget_ms, dump_dir=args.dump_dir
@@ -521,6 +522,17 @@ def _odd_prime(text: str) -> int:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return p
+
+
+# the largest prime at which every verify suite can run: meataxe-regular
+# splits the p^3-dimensional regular module of u(sl2), and the MeatAxe takes
+# at most 2000 dimensions (algrep._MEATAXE_DIM_BOUND)
+_VERIFY_MAX_P = 11
+
+
+def _check_verify_prime(p: int) -> None:
+    if p > _VERIFY_MAX_P:
+        raise ValueError(f"verify runs at p <= {_VERIFY_MAX_P}, got {p}")
 
 
 def _height(text: str) -> int:

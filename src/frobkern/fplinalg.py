@@ -12,7 +12,8 @@ fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).  With inner
 size k every entry is a sum of k integers below (p-1)^2, so it is computed
 exactly while k * (p-1)^2 < 2^53; the helper checks that bound and raises
 when it fails.  `FpMat.__matmul__` stays on int64, where tiny products are
-cheaper.
+cheaper; `FpMat.power` squares through `_exact_matmul`, since the relation
+checkers raise whole module actions to the p-th power.
 
 Elimination has two routines.  The incremental echelon form `Echelon`
 takes rows a block at a time: each block is reduced against the rows held
@@ -136,16 +137,17 @@ class FpMat:
         return FpMat(self.a.T.copy(), self.p)
 
     def power(self, n: int) -> "FpMat":
+        """self^n by square and multiply, each product in float64 BLAS."""
         if self.rows != self.cols:
             raise ValueError("power needs a square matrix")
-        result = identity(self.rows, self.p)
-        base = self
+        p = self.p
+        result, base = identity(self.rows, p).a, self.a
         while n:
             if n & 1:
-                result = result @ base
-            base = base @ base
+                result = _exact_matmul(result, base, p).astype(np.int64)
+            base = _exact_matmul(base, base, p).astype(np.int64)
             n >>= 1
-        return result
+        return FpMat(result, p)
 
     def is_zero(self) -> bool:
         return not self.a.any()

@@ -8,12 +8,13 @@ spaces and the per-module spin are also checked on graded u(sl2) modules.
 """
 
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from frobkern import algrep, gacohom
+from frobkern import algrep, fplinalg, gacohom
 from frobkern.algrep import (
     GenAlgebra,
     GenAlgebraModule,
@@ -62,10 +63,12 @@ from frobkern.fplinalg import (
     zeros,
 )
 from frobkern.sl2dist import (
+    distribution_sl2,
     graded_principal_indecomposable,
     graded_restricted_sl2,
     graded_simple_module,
     graded_verma_module,
+    heart_module,
     principal_indecomposable,
     regular_module,
     restricted_sl2,
@@ -390,6 +393,99 @@ def test_empty_hom_stops_once_no_unknown_is_free(monkeypatch):
     assert fed[-1][2] == unknowns
     # the blocks end before the last of the pairs, each giving dim M equations
     assert sum(rows for _, rows, _ in fed) < M.dim * sum(ts.size for _, ts in S.spin.pairs)
+
+
+def one_stage_copy(M):
+    """M with the local pairs taken off its spin: every Hom system out of it
+    is then solved in one stage, all equations through the word operators."""
+    out = GenAlgebraModule(M.algebra, M.action, M.grading, check=False)
+    if M.dim:  # a zero module has no spin
+        vars(out)["spin"] = dataclasses.replace(M.spin, local=())
+    return out
+
+
+def presolve_pairs():
+    """(M, N) pairs over every algebra family, with Homs of all kinds."""
+    for p in (3, 5):
+        alg = distribution_sl2(p, 2)
+        covers = [P for P in alg.projectives if P is not None]
+        hearts = [heart_module(p, 2, lam) for lam in range(p * p - p, p * p - 1)]
+        for S in alg.simples:
+            for X in hearts + covers:
+                yield S, X
+                yield X, S
+    alg = restricted_sl2(5)
+    for S in alg.simples:
+        omega2 = heller_power(S, 2)
+        for P in alg.projectives:
+            yield P, omega2
+            yield omega2, P
+    alg = graded_restricted_sl2(5)
+    mods = [S.shifted(d) for S in alg.simples for d in (-10, 0, 10)]
+    mods += [graded_verma_module(5, lam) for lam in (0, 3, 4, 7)]
+    mods += [P.shifted(d) for P in alg.projectives for d in (-10, 0)]
+    yield from ((M, N) for M in mods for N in mods)
+    k = gacohom.trivial_module(3, 2)
+    mods = [k, gacohom.regular_module(3, 2)] + [heller_power(k, i) for i in (1, 2, 3)]
+    yield from ((M, N) for M in mods for N in mods)
+
+
+def test_local_presolve_keeps_the_canonical_kernel():
+    # stage one eliminates the local pairs and stage two solves in the
+    # kernel K of stage one; K times the stage-two kernel must be the kernel
+    # the one-stage solve returns, column for column
+    shrunk = nonzero = 0
+    for M, N in presolve_pairs():
+        hom = algrep._hom_kernel(M, N)
+        plain_M = one_stage_copy(M)
+        plain = algrep._hom_kernel(plain_M, N)
+        assert (hom is None) == (plain is None)
+        if hom is None:
+            continue
+        nonzero += 1
+        shrunk += hom.W.shape[2] < plain.W.shape[2]
+        assert hom.dim == plain.dim
+        assert np.array_equal(hom.gen_images, plain.gen_images)
+        assert algrep._hom_maps(M, hom) == algrep._hom_maps(plain_M, plain)
+    assert 0 < shrunk < nonzero
+
+
+def local_solution_dim(S, N):
+    """Dimension of the images x of S's one generator v with g*x = c*x for
+    every generator g that sends v to c*v: the local equations, read off
+    the actions."""
+    (j,) = S.spin.gen_pos
+    v = np.zeros(S.dim, dtype=np.int64)
+    v[j] = 1
+    p = S.algebra.p
+    rows = []
+    for g in S.algebra.gens:
+        w = S.mat(g).a @ v % p
+        if np.array_equal(w, w[j] * v):
+            rows.append(N.mat(g) - identity(N.dim, p).scale(int(w[j])))
+    return N.dim - rank(vstack(rows))
+
+
+def test_local_presolve_shrinks_the_hom_system(monkeypatch):
+    p, lam = 5, 21
+    H = heart_module(p, 2, lam)
+    alg = H.algebra
+    sources = [S for S in alg.simples if hom_space(S, H)]
+    assert sources
+    for S in sources:
+        hom = algrep._hom_kernel(S, H)
+        assert S.spin.gen_pos.size == 1
+        assert hom.W.shape[2] == local_solution_dim(S, H) < H.dim
+    # a simple whose weight carries no U+-invariant of H is refused by the
+    # local equations alone: no word operator is formed
+    S = next(S for S in alg.simples if local_solution_dim(S, H) == 0)
+    S.spin  # spun before the count starts
+    calls = []
+    for module in (algrep, fplinalg):
+        real = module._exact_matmul
+        monkeypatch.setattr(module, "_exact_matmul", lambda *a, real=real: calls.append(a) or real(*a))
+    assert algrep._hom_kernel(S, H) is None
+    assert calls == []
 
 
 def test_top_radical_and_cover_spin_the_module_once(monkeypatch):

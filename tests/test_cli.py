@@ -150,6 +150,14 @@ def test_user_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["block", "--p", "3", "--r", "2"])
     assert exc.value.code == 1
+    # a prime past the largest at which the verify suites can run is refused
+    # with one line, before any suite starts
+    capsys.readouterr()  # the usage printed above
+    code = cli.main(["verify", "blocks", "--p", "65537"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "frobkern: verify runs at p <= 11, got 65537\n"
+    assert cli.main(["verify", "blocks", "--p", "11"]) == 0
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from frobkern.algrep import (
     socle,
     top,
 )
-from frobkern.fplinalg import hstack, kernel_basis, rank, vstack
+from frobkern.fplinalg import hstack, identity, kernel_basis, rank, vstack
 from frobkern.sl2dist import (
     _pim_ladders,
     _twisted_tensor,
@@ -234,6 +234,31 @@ def test_height_two_verma_syzygies_with_every_cover(monkeypatch):
         assert [om.dim for om in syzygies] == dims, lam
     # Z and its syzygies are now those of the depth-2 weight
     assert is_isomorphic(syzygies[1], Z).status == "iso"
+
+
+def test_dist_checker_reports_each_broken_relation():
+    # a Dist(G_2) cover at p = 3 with generators altered: each alteration
+    # breaks exactly the relations listed, reported in the checker's order
+    p = 3
+    X = distribution_sl2(p, 2).projective_of(p * p - 2)
+    a, one = dict(X.action), identity(X.dim, p)
+    h_f1 = "[e0, f1] != (-1)^1 f^(p^1-1) (h+1)"
+    e1_h = "[e1, f0] != (-1)^1 (h+1) e^(p^1-1)"
+    cases = [
+        ({}, []),
+        ({"e0": a["e0"] + one}, ["e0^p != 0", "[h,e0] != 2 e0", e1_h]),
+        ({"f0": a["f0"] + one}, ["f0^p != 0", "[h,f0] != -2 f0", h_f1]),
+        ({"f0": a["f0"].scale(2)}, ["[h,e0] != 2 e0", "[h,f0] != -2 f0", h_f1, e1_h]),
+        ({"e1": a["e1"] + one}, ["e1^p != 0"]),
+        ({"f1": a["f1"] + one}, ["f1^p != 0"]),
+        ({"e1": a["e1"].scale(2)}, [e1_h]),
+        ({"f1": a["e1"]}, ["[f0,f1] != 0", h_f1]),
+        ({"e1": a["e0"]}, ["h does not commute with level 1", e1_h]),
+        ({"e0": a["f0"], "f0": a["e0"]}, ["[e0,e1] != 0", "[f0,f1] != 0", h_f1, e1_h]),
+    ]
+    checker = sl2dist._dist_checker(2)
+    for change, messages in cases:
+        assert checker({**a, **change}, p) == messages
 
 
 def test_pim_ladder_carries_divided_powers():
