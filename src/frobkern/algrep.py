@@ -15,15 +15,18 @@ generator vector into the span of the generator vectors (e*v = 0 on a
 highest-weight vector), read the images alone and are eliminated first; the
 word operators of the spin and the other equations are then formed only
 on the images that survive.  Both kernels are canonical, so their product
-is the kernel one elimination of the whole system would give.  The
+is the kernel one elimination of the whole system would give.  The first
+stage is solved once per target and local system and kept on the target,
+as sources with the same local pairs pose the same equations.  The
 equations stream into an incremental echelon form, which stops as soon as
 no image is left free.  A solve first yields its kernel in generator-image
 coordinates.  A module map is fixed by where it sends the generators, so
 projective covers pick their lifts from those images and stable Homs count
 the maps through a projective from them; only the maps a caller keeps
 become matrices.  Each module keeps its Hom spaces to and from the
-simples, its radical, its socle and its cover; its shifts and its ungraded
-copy share its spin.  An ungraded module has degree 0 throughout, so each
+simples, its radical, its socle, its cover and the first stage of every
+Hom solve into it; its shifts and its ungraded copy share its spin and
+those first stages.  An ungraded module has degree 0 throughout, so each
 module map has one kernel, homogeneous, from one elimination of the whole
 map, and independent columns are the pivots of one RREF, stably ordered by
 degree.
@@ -178,6 +181,9 @@ class GenAlgebraModule:
         self.grading = None if grading is None else tuple(int(d) for d in grading)
         # the module whose spin this one shares; set on regraded copies only
         self._spin_source: Optional[GenAlgebraModule] = None
+        # stage one of the Hom solves into this module, by local system
+        # (`_local_kernel`); read through the spin source, as it holds the action
+        self._local_kernels: Dict[tuple, Optional[tuple]] = {}
         dims = {m.rows for m in self.action.values()} | {m.cols for m in self.action.values()}
         if set(self.action) != set(algebra.gens):
             raise ValueError("action must cover exactly the algebra's generators")
@@ -330,6 +336,12 @@ class Spin:
     pairs: Tuple[Tuple[str, np.ndarray], ...]
     coord_rows: np.ndarray
     local: Tuple[Tuple[str, np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def local_key(self) -> tuple:
+        """`local` as a hashable key, formed once per spin: each Hom solve's
+        stage one is kept under it (`_local_kernel`)."""
+        return tuple((g, js.tobytes(), coeffs.shape, coeffs.tobytes()) for g, js, coeffs in self.local)
 
 
 def zero_module(algebra: GenAlgebra, graded: bool = False) -> GenAlgebraModule:
@@ -519,7 +531,8 @@ def _local_echelon(
 ) -> Optional[Echelon]:
     """The echelon form of the equations of the local pairs of `spin`, in
     the unknowns (gen_of, row_of) of a Hom system into N; None when it
-    leaves no unknown free.
+    leaves no unknown free.  `_local_kernel` calls it once per target and
+    local system.
 
     A local pair says g*x_j = sum_j' c_j' x_j' of the generator images x
     alone: e*x = 0 on a highest-weight generator asks for x in ker e.
@@ -537,6 +550,41 @@ def _local_echelon(
         rows = np.concatenate(blocks) % p
         ech.add(rows[rows.any(axis=1)])
     return ech if ech.rank < unknowns else None
+
+
+def _local_kernel(
+    spin: Spin, N: GenAlgebraModule, gen_of: np.ndarray, row_of: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Stage one of a Hom system into N: the canonical kernel K of the
+    equations of the local pairs of `spin`, as read-only (free, pivots,
+    K_piv), where K is the identity on the free unknowns and K_piv holds
+    its pivot rows; None when no unknown is left free.
+
+    Solved once per target and local system.  Sources whose spins have the
+    same local pairs pose the same equations (every simple's generator is a
+    highest-weight vector), so the result is kept on the module that holds
+    N's action, shared by its shifts and ungraded copy, under the local
+    pairs and the unknown layout, which carries the degrees.  The key is
+    kept small, as the targets that live longest, the simples, gather one
+    entry for every source compared with them.
+    """
+    owner = N._spin_source or N
+    # the layout as one bit per (generator, row of N), set for the unknowns:
+    # gen_of * dim N + row_of increases with u, so the bits fix both arrays
+    n_gen = spin.gen_pos.size
+    layout = np.zeros(n_gen * N.dim, dtype=bool)
+    layout[gen_of * N.dim + row_of] = True
+    key = (spin.local_key, n_gen, np.packbits(layout).tobytes())
+    if key not in owner._local_kernels:
+        ech = _local_echelon(spin, N, gen_of, row_of)
+        kernel = None
+        if ech is not None:
+            free = ech.free
+            kernel = (free, np.array(ech.pivots, dtype=np.int64), (-ech.rows[:, free]) % N.algebra.p)
+            for a in kernel:
+                a.setflags(write=False)
+        owner._local_kernels[key] = kernel
+    return owner._local_kernels[key]
 
 
 def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]:
@@ -564,18 +612,18 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
     unknowns = gen_of.size
     if unknowns == 0:
         return None
-    # stage one eliminates the local pairs; the rest is solved in the k
-    # coordinates of their canonical kernel K.  K is the identity on the k
-    # free unknowns, and each pivot unknown depends only on free ones after
-    # it, so K times the canonical kernel of stage two is the canonical
-    # kernel of the whole system, column for column.  Only the pivot rows
-    # of K are formed: with no local pair there are none
-    local = _local_echelon(spin, N, gen_of, row_of)
+    # stage one eliminates the local pairs, once per target and local
+    # system; the rest is solved in the k coordinates of their canonical
+    # kernel K.  K is the identity on the k free unknowns, and each pivot
+    # unknown depends only on free ones after it, so K times the canonical
+    # kernel of stage two is the canonical kernel of the whole system,
+    # column for column.  Only the pivot rows of K are formed: with no
+    # local pair there are none
+    local = _local_kernel(spin, N, gen_of, row_of)
     if local is None:
         return None
-    free, piv = local.free, local.pivots
+    free, piv, K_piv = local
     k = free.size
-    K_piv = (-local.rows[:, free]) % p
     act = {g: N.mat(g).a.astype(np.float64) for g in M.algebra.gens}
     # stage two, in the k coordinates of K.  W[t] @ y is the image of b_t
     # when K @ y holds the unknowns; one stacked product per group of tree

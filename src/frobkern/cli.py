@@ -18,12 +18,13 @@ except for the wall_ms field of verify reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import DEFAULT_SEED, check_odd_prime
 from .algrep import (
@@ -219,6 +220,11 @@ def _cmd_cohom(args):
 
 _STANDING = ["p >= 3"]
 
+# a suite yields its cases lazily, each as its input and a function that
+# computes it, returning (expected, got, ok); so run_verify can stop at any
+# case and still name the cases it did not run
+_SuiteCases = Iterator[Tuple[dict, Callable[[], Tuple[dict, dict, bool]]]]
+
 
 def _case(inp: dict, expected: dict, got: dict, ok: bool) -> dict:
     return {
@@ -229,36 +235,35 @@ def _case(inp: dict, expected: dict, got: dict, ok: bool) -> dict:
     }
 
 
-def suite_verma_period(p: int, seed: int, dump_dir=None) -> List[dict]:
+def suite_verma_period(p: int, seed: int, dump_dir=None) -> _SuiteCases:
     """Ungraded height-one baby Vermas have Heller period exactly 2."""
-    cases = []
-    for lam in range(p - 1):
+
+    def case(lam):
         Z = verma_module(p, 1, lam)
         om1 = heller(Z)
         om2 = heller(om1)
         r1 = is_isomorphic(om1, Z)
         r2 = is_isomorphic(om2, Z)
         ok = r1.status == "not_iso" and r2.status == "iso"
-        cases.append(
-            _case(
-                {"p": p, "r": 1, "lambda": lam},
-                {
-                    "omega1": "not_iso",
-                    "omega2": "iso",
-                    "source": "period formula 2*p^(r-depth)",
-                },
-                {"omega1": r1.status, "omega2": r2.status},
-                ok,
-            )
+        return (
+            {
+                "omega1": "not_iso",
+                "omega2": "iso",
+                "source": "period formula 2*p^(r-depth)",
+            },
+            {"omega1": r1.status, "omega2": r2.status},
+            ok,
         )
-    return cases
+
+    for lam in range(p - 1):
+        yield {"p": p, "r": 1, "lambda": lam}, functools.partial(case, lam)
 
 
-def suite_graded_orbit(p: int, seed: int, dump_dir=None) -> List[dict]:
+def suite_graded_orbit(p: int, seed: int, dump_dir=None) -> _SuiteCases:
     """Graded second syzygy of a graded baby Verma is the Verma with
     highest weight raised by 2p, via an explicit degree-zero intertwiner."""
-    cases = []
-    for lam in range(p - 1):
+
+    def case(lam):
         Z = graded_verma_module(p, lam)
         om2 = heller_power(Z, 2)
         target = graded_verma_module(p, lam + 2 * p)
@@ -273,27 +278,25 @@ def suite_graded_orbit(p: int, seed: int, dump_dir=None) -> List[dict]:
         ok = res.status == "iso" and intertwiner_ok and expected_weight == lam + 2 * p
         if dump_dir:
             dump_module(om2, os.path.join(dump_dir, f"graded-orbit-p{p}-l{lam}.json"))
-        cases.append(
-            _case(
-                {"p": p, "r": 1, "lambda": lam},
-                {
-                    "iso_to_weight": lam + 2 * p,
-                    "intertwiner_degree": 0,
-                    "source": "orbit formula lambda + n*p^r*alpha",
-                },
-                {"status": res.status, "intertwiner_checked": intertwiner_ok},
-                ok,
-            )
+        return (
+            {
+                "iso_to_weight": lam + 2 * p,
+                "intertwiner_degree": 0,
+                "source": "orbit formula lambda + n*p^r*alpha",
+            },
+            {"status": res.status, "intertwiner_checked": intertwiner_ok},
+            ok,
         )
-    return cases
+
+    for lam in range(p - 1):
+        yield {"p": p, "r": 1, "lambda": lam}, functools.partial(case, lam)
 
 
-def suite_heart(p: int, seed: int, dump_dir=None) -> List[dict]:
+def suite_heart(p: int, seed: int, dump_dir=None) -> _SuiteCases:
     """Hearts of the height-two structured projectives: composition
     factor weights match the closed form; indecomposable, simple socle."""
-    cases = []
-    for lam0 in range(p - 1):
-        lam = lam0 + (p - 1) * p
+
+    def case(lam):
         H = heart_module(p, 2, lam)
         factors = composition_factors(H)
         got_weights = tuple(sorted({idx for idx, _ in factors}))
@@ -305,119 +308,120 @@ def suite_heart(p: int, seed: int, dump_dir=None) -> List[dict]:
         ok = got_weights == expected_weights and simple_socle and indecomposable
         if dump_dir:
             dump_module(H, os.path.join(dump_dir, f"heart-p{p}-l{lam}.json"))
-        cases.append(
-            _case(
-                {"p": p, "r": 2, "lambda": lam},
-                {
-                    "weights": list(expected_weights),
-                    "indecomposable": True,
-                    "simple_socle": True,
-                    "source": "heart weight closed form",
-                },
-                {
-                    "weights": list(got_weights),
-                    "indecomposable": indecomposable,
-                    "simple_socle": simple_socle,
-                    "factors": [[idx, mult] for idx, mult in factors],
-                },
-                ok,
-            )
+        return (
+            {
+                "weights": list(expected_weights),
+                "indecomposable": True,
+                "simple_socle": True,
+                "source": "heart weight closed form",
+            },
+            {
+                "weights": list(got_weights),
+                "indecomposable": indecomposable,
+                "simple_socle": simple_socle,
+                "factors": [[idx, mult] for idx, mult in factors],
+            },
+            ok,
         )
-    return cases
+
+    for lam0 in range(p - 1):
+        lam = lam0 + (p - 1) * p
+        yield {"p": p, "r": 2, "lambda": lam}, functools.partial(case, lam)
 
 
-def suite_cohom(p: int, seed: int, dump_dir=None) -> List[dict]:
+def suite_cohom(p: int, seed: int, dump_dir=None) -> _SuiteCases:
     """Degree-2p cohomology of the height-two additive kernel three ways."""
     n = 2 * p
-    closed = cohom_dim(p, 2, n)
-    enum = cohom_dim_by_enumeration(p, 2, n)
-    resol = minimal_resolution_dims(p, 2, n).ext_dims[n]
-    ok = closed == enum == resol == 2 * p + 1
-    return [
-        _case(
-            {"p": p, "r": 2, "n": n},
+
+    def case():
+        closed = cohom_dim(p, 2, n)
+        enum = cohom_dim_by_enumeration(p, 2, n)
+        resol = minimal_resolution_dims(p, 2, n).ext_dims[n]
+        ok = closed == enum == resol == 2 * p + 1
+        return (
             {"dim": 2 * p + 1, "source": "closed form binom(n+r-1, r-1)"},
             {"closed-form": closed, "enumeration": enum, "resolution": resol},
             ok,
         )
-    ]
+
+    yield {"p": p, "r": 2, "n": n}, case
 
 
-def suite_blocks(p: int, seed: int, dump_dir=None) -> List[dict]:
+def suite_blocks(p: int, seed: int, dump_dir=None) -> _SuiteCases:
     """Blocks partition the restricted weights; Steinberg is a singleton."""
-    cases = []
-    for r in (1, 2):
+
+    def case(r):
         seen = []
         for block in all_blocks(p, r):
             seen.extend(block_members(p, r, block))
         partition_ok = sorted(seen) == list(range(p**r))
         st = block_members(p, r, block_of(p, r, p**r - 1))
         ok = partition_ok and st == [p**r - 1]
-        cases.append(
-            _case(
-                {"p": p, "r": r},
-                {
-                    "partition": True,
-                    "steinberg_members": [p**r - 1],
-                    "source": "digit pattern block definition",
-                },
-                {"partition": partition_ok, "steinberg_members": st},
-                ok,
-            )
+        return (
+            {
+                "partition": True,
+                "steinberg_members": [p**r - 1],
+                "source": "digit pattern block definition",
+            },
+            {"partition": partition_ok, "steinberg_members": st},
+            ok,
         )
-    return cases
+
+    for r in (1, 2):
+        yield {"p": p, "r": r}, functools.partial(case, r)
 
 
-def suite_ub1(p: int, seed: int, dump_dir=None) -> List[dict]:
+def suite_ub1(p: int, seed: int, dump_dir=None) -> _SuiteCases:
     """Complexity never exceeds the self-extension dimension in the
     checkpoint degrees, for all height-one simples and baby Vermas."""
-    cases = []
-    mods = [("simple", lam, simple_module(p, 1, lam)) for lam in range(p)]
-    mods += [("verma", lam, verma_module(p, 1, lam)) for lam in range(p)]
-    for kind, lam, M in mods:
-        trace = ext_dims(M, 13)
-        for n in (1, 2, 3):
-            report = ub1_bound_check(trace, 1, n)
-            cases.append(
-                _case(
-                    {"p": p, "r": 1, "module": kind, "lambda": lam, "n": n},
-                    {"inequality_holds": True, "source": "self-extension bound"},
-                    report,
-                    report["inequality_holds"],
-                )
-            )
-    return cases
+    makers = {"simple": simple_module, "verma": verma_module}
+
+    @functools.cache
+    def trace(kind, lam):
+        # one resolution serves the three checkpoint degrees of a module
+        return ext_dims(makers[kind](p, 1, lam), 13)
+
+    def case(kind, lam, n):
+        report = ub1_bound_check(trace(kind, lam), 1, n)
+        expected = {"inequality_holds": True, "source": "self-extension bound"}
+        return expected, report, report["inequality_holds"]
+
+    for kind in makers:
+        for lam in range(p):
+            for n in (1, 2, 3):
+                inp = {"p": p, "r": 1, "module": kind, "lambda": lam, "n": n}
+                yield inp, functools.partial(case, kind, lam, n)
 
 
-def suite_meataxe_regular(p: int, seed: int, dump_dir=None) -> List[dict]:
+def suite_meataxe_regular(p: int, seed: int, dump_dir=None) -> _SuiteCases:
     """The regular module of the restricted rank-one enveloping algebra
     splits into principal indecomposables with multiplicity lambda + 1."""
-    reg = regular_module(p)
-    factors = meataxe_split(reg, rng=seed)
-    mults = {lam: 0 for lam in range(p)}
-    unmatched = 0
-    for F in factors:
-        matched = False
-        for lam in range(p):
-            if is_isomorphic(F, principal_indecomposable(p, 1, lam)).status == "iso":
-                mults[lam] += 1
-                matched = True
-                break
-        if not matched:
-            unmatched += 1
-    expected_mults = {lam: lam + 1 for lam in range(p)}
-    expected_dims = sorted(
-        [2 * p] * sum(lam + 1 for lam in range(p - 1)) + [p] * p
-    )
-    got_dims = sorted(F.dim for F in factors)
-    ok = mults == expected_mults and unmatched == 0 and got_dims == expected_dims
-    if dump_dir:
-        dump_module(reg, os.path.join(dump_dir, f"regular-p{p}.json"))
-        for i, F in enumerate(factors):
-            dump_module(F, os.path.join(dump_dir, f"regular-p{p}-factor{i}.json"))
-    return [
-        _case(
-            {"p": p, "r": 1, "module": "regular"},
+
+    def case():
+        reg = regular_module(p)
+        factors = meataxe_split(reg, rng=seed)
+        mults = {lam: 0 for lam in range(p)}
+        unmatched = 0
+        for F in factors:
+            matched = False
+            for lam in range(p):
+                if is_isomorphic(F, principal_indecomposable(p, 1, lam)).status == "iso":
+                    mults[lam] += 1
+                    matched = True
+                    break
+            if not matched:
+                unmatched += 1
+        expected_mults = {lam: lam + 1 for lam in range(p)}
+        expected_dims = sorted(
+            [2 * p] * sum(lam + 1 for lam in range(p - 1)) + [p] * p
+        )
+        got_dims = sorted(F.dim for F in factors)
+        ok = mults == expected_mults and unmatched == 0 and got_dims == expected_dims
+        if dump_dir:
+            dump_module(reg, os.path.join(dump_dir, f"regular-p{p}.json"))
+            for i, F in enumerate(factors):
+                dump_module(F, os.path.join(dump_dir, f"regular-p{p}-factor{i}.json"))
+        return (
             {
                 "multiplicities": {str(k): v for k, v in expected_mults.items()},
                 "dims": expected_dims,
@@ -430,7 +434,8 @@ def suite_meataxe_regular(p: int, seed: int, dump_dir=None) -> List[dict]:
             },
             ok,
         )
-    ]
+
+    yield {"p": p, "r": 1, "module": "regular"}, case
 
 
 _SUITES = {
@@ -451,7 +456,11 @@ def run_verify(
     budget_ms: Optional[int] = None,
     dump_dir: Optional[str] = None,
 ) -> dict:
-    """Run one verify suite (or all) and assemble the report."""
+    """Run one verify suite (or all) and assemble the report.
+
+    The budget is checked before each case: once it is spent, every case
+    not yet started is reported inconclusive and none of them runs.
+    """
     names = list(_SUITES) if suite == "all" else [suite]
     start = time.monotonic()
     deadline = None if budget_ms is None else start + budget_ms / 1000.0
@@ -460,19 +469,18 @@ def run_verify(
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
     for name in names:
-        if deadline is not None and time.monotonic() > deadline:
-            budget_exceeded = True
-            cases.append(
-                {
-                    "input": {"suite": name},
+        for inp, run in _SUITES[name](p, seed, dump_dir=dump_dir):
+            if deadline is not None and time.monotonic() > deadline:
+                budget_exceeded = True
+                case = {
+                    "input": inp,
                     "expected": {},
                     "got": {},
                     "status": "inconclusive",
-                    "note": "budget exhausted before this suite",
+                    "note": "budget exhausted before this case",
                 }
-            )
-            continue
-        for case in _SUITES[name](p, seed, dump_dir=dump_dir):
+            else:
+                case = _case(inp, *run())
             case["suite"] = name
             cases.append(case)
     wall_ms = int((time.monotonic() - start) * 1000)

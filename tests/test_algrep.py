@@ -376,8 +376,11 @@ def test_hom_system_has_only_the_rows_off_the_spanning_tree():
 
 def test_empty_hom_stops_once_no_unknown_is_free(monkeypatch):
     # the Steinberg module L(4) of u(sl2) at p = 5 is simple and projective,
-    # so it maps to no other projective indecomposable: Hom(L(4), P(0)) = 0
-    S, M = simple_module(5, 1, 4), principal_indecomposable(5, 1, 0)
+    # so it maps to no other projective indecomposable: Hom(L(4), P(0)) = 0.
+    # P(0) is built anew, as the cached one keeps the local kernels of the
+    # solves into it that ran before
+    S, P = simple_module(5, 1, 4), principal_indecomposable(5, 1, 0)
+    M = GenAlgebraModule(P.algebra, P.action, check=False)
     fed = []
     real_add = Echelon.add
 
@@ -486,6 +489,71 @@ def test_local_presolve_shrinks_the_hom_system(monkeypatch):
         monkeypatch.setattr(module, "_exact_matmul", lambda *a, real=real: calls.append(a) or real(*a))
     assert algrep._hom_kernel(S, H) is None
     assert calls == []
+
+
+def rebuilt(N):
+    """N built anew from its action and grading: it keeps no stage one."""
+    return GenAlgebraModule(N.algebra, N.action, N.grading, check=False)
+
+
+def shared_kernel_pairs():
+    """`presolve_pairs`, then every graded simple into graded targets at
+    every shift from -5 to 5: sources whose local pairs differ in a
+    coefficient alone (h*v = lam*v), and layouts that differ in their rows
+    alone, meet in one target.  h*x = lam*x holds on no row unless the shift
+    is 0 mod 5, so one such layout leaves unknowns free where another of the
+    same size leaves none."""
+    yield from presolve_pairs()
+    alg = graded_restricted_sl2(5)
+    targets = [graded_verma_module(5, lam) for lam in (3, 4)] + list(alg.projectives)
+    for N in targets:
+        for d in range(-5, 6):
+            yield from ((S, N.shifted(d)) for S in alg.simples)
+
+
+def test_shared_local_kernel_is_the_uncached_one():
+    # stage one is kept on the target and read by every later solve with
+    # the same local system; each solve must equal the solve into a module
+    # built anew from the same action, which starts with nothing kept
+    for M, N in shared_kernel_pairs():
+        hom = algrep._hom_kernel(M, N)
+        fresh = algrep._hom_kernel(M, rebuilt(N))
+        assert (hom is None) == (fresh is None)
+        if hom is None:
+            continue
+        assert hom.dim == fresh.dim
+        assert np.array_equal(hom.gen_images, fresh.gen_images)
+        assert algrep._hom_maps(M, hom) == algrep._hom_maps(M, fresh)
+
+
+def test_local_kernel_is_solved_once_per_target_and_system(monkeypatch):
+    calls = record_calls(monkeypatch, "_local_echelon")
+    # two simples of Dist(G_2) at p = 5 whose generators both satisfy
+    # e0*v = e1*v = 0 and nothing more: one local system into a heart
+    S, S2 = distribution_sl2(5, 2).simples[6:8]
+    key = [[(g, js.tolist(), c.tolist()) for g, js, c in T.spin.local] for T in (S, S2)]
+    assert key[0] == key[1] and S.dim != S2.dim
+    H = rebuilt(heart_module(5, 2, 21))
+    assert algrep._hom_kernel(S, H) is None
+    assert len(calls) == 1
+    assert algrep._hom_kernel(S2, H) is None
+    assert len(calls) == 1
+    # a module built anew from the same action keeps its own
+    algrep._hom_kernel(S2, rebuilt(H))
+    assert len(calls) == 2
+    # shifted and ungraded copies read the entries of the module they copy
+    alg = graded_restricted_sl2(5)
+    T, N = alg.simples[2], rebuilt(alg.projectives[2])
+    assert algrep._hom_kernel(T, N) is not None
+    assert len(calls) == 3
+    assert algrep._hom_kernel(T.shifted(2), N.shifted(2)) is not None
+    assert len(calls) == 3
+    # an ungraded source gives every row of N an unknown: a new layout,
+    # which the ungraded copy and a shift of N then share
+    assert algrep._hom_kernel(T.forget_grading(), N.forget_grading()) is not None
+    assert len(calls) == 4
+    assert algrep._hom_kernel(T.forget_grading(), N.shifted(-2)) is not None
+    assert len(calls) == 4
 
 
 def test_top_radical_and_cover_spin_the_module_once(monkeypatch):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -255,6 +256,33 @@ def test_verify_budget_flag(capsys):
     assert code == 0  # inconclusive is not failure
     assert report["budget_exceeded"] is True
     assert all(c["status"] == "inconclusive" for c in report["cases"])
+
+
+def test_verify_budget_binds_per_case(capsys, monkeypatch):
+    # a clock that moves one second with every Verma module built: the first
+    # two cases of verma-period fit in 1.5 s, and the other two are reported
+    # inconclusive without being run
+    now = [0.0]
+    real_verma = cli.verma_module
+
+    def verma(*args):
+        now[0] += 1
+        return real_verma(*args)
+
+    monkeypatch.setattr(cli, "verma_module", verma)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    argv = ["verify", "verma-period", "--p", "5", "--budget-ms", "1500"]
+    code, payload = run_json(capsys, argv)
+    report = payload["result"]
+    assert code == 0  # inconclusive is not failure
+    assert now[0] == 2
+    assert report["budget_exceeded"] is True
+    assert [c["input"] for c in report["cases"]] == [
+        {"p": 5, "r": 1, "lambda": lam} for lam in range(4)
+    ]
+    statuses = [c["status"] for c in report["cases"]]
+    assert statuses == ["pass", "pass", "inconclusive", "inconclusive"]
+    assert all("budget" in c["note"] for c in report["cases"][2:])
 
 
 def test_verify_text_format(capsys):
