@@ -152,6 +152,21 @@ def split_pair_algebra(p):
     return alg
 
 
+def split_line_algebra(p):
+    """F_p[z]/(z^2 (z - 1)) = F_p[z]/(z^2) x F_p, with the simples z = 0 and
+    z = 1, whose covers are the Jordan block J_2 and the second simple."""
+
+    def checker(action, pp):
+        z = action["z"]
+        return [] if z @ z @ z == z @ z else ["z^3 != z^2"]
+
+    alg = GenAlgebra(f"split-line-p{p}", p, ["z"], checker)
+    S0, S1 = (GenAlgebraModule(alg, {"z": fpmat([[c]], p)}) for c in (0, 1))
+    J2 = GenAlgebraModule(alg, {"z": fpmat([[0, 0], [1, 0]], p)})
+    alg.designate([S0, S1], [J2, S1])
+    return alg
+
+
 def record_calls(monkeypatch, name):
     """Wrap algrep.<name> so that the arguments of every call are recorded."""
     calls = []
@@ -554,6 +569,103 @@ def test_local_kernel_is_solved_once_per_target_and_system(monkeypatch):
     assert len(calls) == 4
     assert algrep._hom_kernel(T.forget_grading(), N.shifted(-2)) is not None
     assert len(calls) == 4
+
+
+def faithful_cover_pairs():
+    """(cover, rebuilt cover, target) out of the lone cover of an algebra
+    with one simple: its shifts and ungraded copy too.  The rebuilt cover
+    has the same action and spin but is not designated, so every solve out
+    of it forms every pair."""
+    for p in (3, 5, 7):
+        for r in (1, 2):
+            alg = gacohom.truncated_poly_algebra(p, r)
+            P = alg.projectives[0]
+            for i in range(5):
+                yield P, rebuilt(P), heller_power(alg.simples[0], i)
+    alg = line_algebra(5)
+    P, full = alg.projectives[0], rebuilt(alg.projectives[0])
+    targets = [jordan(alg, j, d) for j in (1, 2, 4, 5) for d in (-2, 0, 3)]
+    for d in (-3, 0, 2):
+        yield from ((P.shifted(d), full.shifted(d), N) for N in targets)
+    for N in targets:
+        yield P.forget_grading(), full.forget_grading(), N.forget_grading()
+    alg = plane_algebra(3)
+    P, full = alg.projectives[0], rebuilt(alg.projectives[0])
+    targets = [heller_power(alg.simples[0], i) for i in range(4)]
+    targets += [P, direct_sum([targets[1], targets[2]])]
+    yield from ((P, full, N) for N in targets)
+
+
+def test_faithful_cover_solves_only_the_relations_nonzero_in_the_algebra():
+    # the pairs a faithful cover leaves out give zero equations into every
+    # module, so its solves must equal those that form every pair, column
+    # for column
+    pruned = 0
+    for P, full, N in faithful_cover_pairs():
+        kept = algrep._kept_pairs(P)
+        assert kept is not None and algrep._kept_pairs(full) is None
+        pruned += kept.size - kept.sum()
+        hom = algrep._hom_kernel(P, N)
+        plain = algrep._hom_kernel(full, N)
+        assert (hom is None) == (plain is None)
+        if hom is None:
+            continue
+        assert hom.dim == plain.dim
+        assert np.array_equal(hom.gen_images, plain.gen_images)
+        assert algrep._hom_maps(P, hom) == algrep._hom_maps(full, plain)
+    assert pruned > 0
+
+
+def test_hom_out_of_the_regular_module_forms_no_equation(monkeypatch):
+    # every off-tree pair of the spin of A = F_5[u0, u1]/(u0^5, u1^5) is a
+    # relation of A, so Hom(A, N) is N: only W's word operators are formed
+    # (one product per tree level, and one for the pivot images of stage
+    # one), with no product for the equations and no elimination
+    alg = gacohom.truncated_poly_algebra(5, 2)
+    A, omega3 = alg.projectives[0], heller_power(alg.simples[0], 3)
+    assert not algrep._kept_pairs(A).any()
+    counts = {}
+    for source in (A, rebuilt(A)):
+        source.spin
+        calls, adds = [], []
+        with monkeypatch.context() as m:
+            for module in (algrep, fplinalg):
+                real = module._exact_matmul
+                m.setattr(module, "_exact_matmul", lambda *a, real=real: calls.append(a) or real(*a))
+            real_add = Echelon.add
+            m.setattr(Echelon, "add", lambda self, block: adds.append(block) or real_add(self, block))
+            hom = algrep._hom_kernel(source, omega3)
+        assert hom.dim == omega3.dim
+        counts[source is A] = (len(calls), len(adds))
+    assert counts[True] == (len(A.spin.levels) + 1, 0)
+    # forming every pair costs one lhs product per generator and one rhs
+    assert counts[False][0] == counts[True][0] + len(alg.gens) + 1
+    assert counts[False][1] == 0  # every equation is zero
+
+
+def test_covers_of_several_simples_form_every_pair():
+    # a cover of one of several simples need not be faithful: the spin of
+    # the cover J_2 of z = 0 over F_3[z]/(z^2 (z - 1)) ends with the pair
+    # z*(z*v) = 0, whose relation z^2 kills J_2 but not the simple z = 1,
+    # so it is the one equation that makes Hom(J_2, S1) zero.  Such covers
+    # keep every pair, graded or not
+    alg = split_line_algebra(3)
+    J2, S1 = alg.projectives[0], alg.simples[1]
+    assert algrep._kept_pairs(J2) is None
+    assert hom_space(J2, S1) == []
+    for alg in (restricted_sl2(5), graded_restricted_sl2(5)):
+        covers = list(alg.projectives)
+        covers += [P.forget_grading() for P in covers if P.graded]
+        assert all(algrep._kept_pairs(P) is None for P in covers)
+        targets = [heller_power(S, 2) for S in alg.simples] + list(alg.projectives)
+        for P in covers:
+            for N in targets:
+                if P.graded != N.graded:
+                    N = N.forget_grading()
+                hom, plain = algrep._hom_kernel(P, N), algrep._hom_kernel(rebuilt(P), N)
+                assert (hom is None) == (plain is None)
+                if hom is not None:
+                    assert np.array_equal(hom.gen_images, plain.gen_images)
 
 
 def test_top_radical_and_cover_spin_the_module_once(monkeypatch):

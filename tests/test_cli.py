@@ -285,6 +285,28 @@ def test_verify_budget_binds_per_case(capsys, monkeypatch):
     assert all("budget" in c["note"] for c in report["cases"][2:])
 
 
+def test_verify_budget_overrun_by_the_last_case_is_reported(capsys, monkeypatch):
+    # the same clock with a 3.5 s budget: every case starts in time, but the
+    # last one ends at 4 s, past the deadline
+    now = [0.0]
+    real_verma = cli.verma_module
+
+    def verma(*args):
+        now[0] += 1
+        return real_verma(*args)
+
+    monkeypatch.setattr(cli, "verma_module", verma)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    argv = ["verify", "verma-period", "--p", "5", "--budget-ms", "3500"]
+    code, payload = run_json(capsys, argv)
+    report = payload["result"]
+    assert code == 0
+    assert now[0] == 4
+    assert report["budget_exceeded"] is True
+    assert report["wall_ms"] == 4000
+    assert [c["status"] for c in report["cases"]] == ["pass"] * 4
+
+
 def test_verify_text_format(capsys):
     code = cli.main(["verify", "cohom", "--p", "3", "--format", "text"])
     out = capsys.readouterr().out

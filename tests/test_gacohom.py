@@ -97,6 +97,15 @@ def test_resolution_height_two_at_p5():
     assert trace.ext_dims == [cohom_dim(5, 2, n) for n in range(7)]
 
 
+def test_resolution_height_two_at_p7():
+    # the answer of `cohom --p 7 --r 2 --n 8`.  Its nine covers solve Hom
+    # out of the regular module into syzygies up to 197-dim, and every
+    # equation of those solves is a relation of the algebra, so none is formed
+    trace = minimal_resolution_dims(7, 2, 8)
+    assert trace.omega_dims == [1, 48, 50, 97, 99, 146, 148, 195, 197, 244]
+    assert trace.ext_dims == list(range(1, 10))
+
+
 def test_generator_weights():
     assert weight_of_generator(3, 2, "x_1", 2) == -6
     assert weight_of_generator(3, 2, "y_0", 2) == -2
