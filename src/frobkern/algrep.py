@@ -18,25 +18,21 @@ on the images that survive.  Both kernels are canonical, so their product
 is the kernel one elimination of the whole system would give.  The first
 stage is solved once per target and local system and kept on the target,
 as sources with the same local pairs pose the same equations.  Each
-off-tree pair of the spin is a relation of M, and its equations vanish
-into every module when that relation is zero in the algebra, which a
-faithful M shows by the relation vanishing on M.  The lone cover of an
-algebra with one simple is faithful, so its solves form only the pairs
-whose relation is nonzero in the algebra, a mask computed once per cover
-(none at all for the regular module of a local algebra spun from 1);
-covers of several simples need not be faithful and form every pair.  The
-equations stream into an incremental echelon form, which stops as soon as
-no image is left free.  A solve first yields its kernel in generator-image
-coordinates.  A module map is fixed by where it sends the generators, so
-projective covers pick their lifts from those images and stable Homs count
-the maps through a projective from them; only the maps a caller keeps
-become matrices.  Each module keeps its Hom spaces to and from the
-simples, its radical, its socle, its cover and the first stage of every
-Hom solve into it, and a faithful cover its mask; its shifts and its
-ungraded copy share its spin, those first stages and that mask.  An
-ungraded module has degree 0 throughout, so each module map has one
-kernel, homogeneous, from one elimination of the whole map, and independent
-columns are the pivots of one RREF, stably ordered by degree.
+off-tree pair of the spin is a relation of M.  When M is free, spun from
+one vector and as large as the algebra, each is a relation of the algebra
+and holds on every module, so a solve out of M forms no equation: Hom(A, N)
+is N.  Every other source forms every pair.  The equations stream into an
+incremental echelon form, which stops as soon as no image is left free.  A
+solve first yields its kernel in generator-image coordinates.  A module map
+is fixed by where it sends the generators, so projective covers pick their
+lifts from those images and stable Homs count the maps through a
+projective from them; only the maps a caller keeps become matrices.  Each
+module keeps its Hom spaces to and from the simples, its radical, its
+socle, its cover and the first stage of every Hom solve into it; its shifts
+and its ungraded copy share its spin and those first stages.  An ungraded
+module has degree 0 throughout, so each module map has one kernel,
+homogeneous, from one elimination of the whole map, and independent columns
+are the pivots of one RREF, stably ordered by degree.
 
 Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  The Heller
@@ -191,9 +187,6 @@ class GenAlgebraModule:
         # stage one of the Hom solves into this module, by local system
         # (`_local_kernel`); read through the spin source, as it holds the action
         self._local_kernels: Dict[tuple, Optional[tuple]] = {}
-        # the off-tree pairs of its spin that a Hom solve out of it forms,
-        # once computed on a faithful cover (`_kept_pairs`); read likewise
-        self._pair_mask: Optional[np.ndarray] = None
         dims = {m.rows for m in self.action.values()} | {m.cols for m in self.action.values()}
         if set(self.action) != set(algebra.gens):
             raise ValueError("action must cover exactly the algebra's generators")
@@ -384,14 +377,27 @@ def _coords_in_basis(basis: FpMat, vectors: FpMat) -> FpMat:
 
 def submodule(M: GenAlgebraModule, basis: FpMat) -> GenAlgebraModule:
     """Module structure on the span of `basis` columns (must be action-stable)."""
+    return _span_module(M, basis, None)
+
+
+def _span_module(
+    M: GenAlgebraModule, basis: FpMat, unit_rows: Optional[np.ndarray]
+) -> GenAlgebraModule:
+    """`submodule`; `unit_rows`, when given, are rows on which `basis` is
+    the identity, so a vector of the span has its coordinates there."""
     if basis.cols == 0:
         return zero_module(M.algebra, M.graded)
     p, gens, k = M.algebra.p, M.algebra.gens, basis.cols
     # the images of the basis under every generator, side by side, so that
-    # one elimination gives all their coordinates; the columns of the basis
-    # are independent, so the coordinates are unique
+    # one elimination, or one read of the unit rows, gives all their
+    # coordinates; the columns of the basis are independent, so the
+    # coordinates are unique
     moved = _exact_matmul(np.stack([M.mat(g).a for g in gens]), basis.a, p).astype(np.int64)
-    coords = _coords_in_basis(basis, FpMat(np.hstack(list(moved)), p)).a
+    moved = np.hstack(list(moved))
+    if unit_rows is None:
+        coords = _coords_in_basis(basis, FpMat(moved, p)).a
+    else:
+        coords = moved[unit_rows]
     action = {g: FpMat(coords[:, i * k : (i + 1) * k].copy(), p) for i, g in enumerate(gens)}
     grading = _degrees_of_columns(basis, M.grading) if M.graded else None
     return GenAlgebraModule(M.algebra, action, grading, check=False)
@@ -607,67 +613,38 @@ def _spin_words(spin: Spin, act: Dict[str, np.ndarray], W: np.ndarray, p: int) -
         W[kids] = _exact_matmul(act[g], W[parents], p)
 
 
-def _pair_equations(
-    pairs: Sequence[Tuple[str, np.ndarray]],
-    coord_rows: np.ndarray,
-    act: Dict[str, np.ndarray],
-    W: np.ndarray,
-    p: int,
-) -> np.ndarray:
-    """The equations phi(g*b_t) = g*phi(b_t) of the off-tree `pairs`, whose
-    coordinates are `coord_rows`, on the images W of the spun basis: int64
-    in [0, p), pair-major, so that system[pair] holds the dim N equations of
-    one pair.  On a spanning-tree edge g*b_t is the column built from b_t,
-    so W satisfies it already and only the other pairs give equations."""
+def _pair_equations(spin: Spin, act: Dict[str, np.ndarray], W: np.ndarray, p: int) -> np.ndarray:
+    """The equations phi(g*b_t) = g*phi(b_t) of the off-tree pairs of
+    `spin` on the images W of the spun basis: int64 in [0, p), pair-major,
+    so that system[pair] holds the dim N equations of one pair.  On a
+    spanning-tree edge g*b_t is the column built from b_t, so W satisfies it
+    already and only the other pairs give equations."""
     # g*b_t = sum_s coord_rows[pair, s] b_s
-    lhs = np.concatenate([_exact_matmul(act[g], W[ts], p) for g, ts in pairs])
+    lhs = np.concatenate([_exact_matmul(act[g], W[ts], p) for g, ts in spin.pairs])
     # rhs[b] = coord_rows @ W[:, b, :], one product per coordinate b of N,
     # laid out as lhs with its first two axes swapped; one flattened product
     # would be large enough for OpenBLAS to start helper threads, which then
     # spin between calls
-    rhs = _exact_matmul(coord_rows, W.transpose(1, 0, 2), p)
+    rhs = _exact_matmul(spin.coord_rows, W.transpose(1, 0, 2), p)
     system = (lhs - rhs.transpose(1, 0, 2)).astype(np.int64)
     del lhs, rhs  # freed before the sign fix forms its mask
     np.add(system, p, out=system, where=system < 0)  # lhs - rhs lies in (-p, p)
     return system
 
 
-def _kept_pairs(M: GenAlgebraModule) -> Optional[np.ndarray]:
-    """The off-tree pairs of M's spin that a Hom solve out of M forms, as a
-    read-only mask over the rows of `coord_rows`; None for every pair.
+def _is_free(M: GenAlgebraModule) -> bool:
+    """Whether M is the free module A, by its spin and its dimension.
 
-    Each pair is a relation of M: with b_s = w_s * v_j(s) for words w_s and
-    generator vectors v_j, g*b_t = sum_s c_s b_s says sum_j R_j * v_j = 0
-    for one element R_j of the algebra per generator.  Its equations in a
-    Hom solve into N read R_j(N) on the image of v_j, so they vanish on
-    every N when each R_j is zero in the algebra.  A faithful M shows that:
-    R_j(M) = 0, which its block of the full Hom(M, M) system (all G * dim M
-    unknowns, no presolve) reads off, gives R_j = 0.  The lone cover P of
-    an algebra with one simple S is faithful, as the regular module is
-    P^(dim S), so its mask is computed once and kept on the module that
-    holds its action, shared by its shifts and its ungraded copy.  Every
-    other source keeps every pair: a cover of one of several simples need
-    not be faithful, and the sum of all covers, which is, prunes few pairs
-    for the cost of its mask.
+    M is spun from one vector v, so a -> a*v maps A onto M, and dim A is the
+    sum of dim S * dim P(S) over the designated simples S and covers P(S);
+    when the dimensions agree the map is one-to-one.  Unknown when a cover
+    is not designated, and then False.  The sum is formed at each call, as
+    an algebra designates its covers after its simples.
     """
-    alg, owner = M.algebra, M._spin_source or M
-    if len(alg.simples) != 1 or alg.projectives[0] is None:
-        return None
-    cover = alg.projectives[0]
-    if owner is not (cover._spin_source or cover):
-        return None
-    if owner._pair_mask is None:
-        spin, p, n = owner.spin, alg.p, owner.dim
-        n_gen = spin.gen_pos.size
-        # unknown u is coordinate u % n of the image of generator u // n
-        W = np.zeros((n, n, n_gen * n), dtype=np.float64)
-        W[np.repeat(spin.roots, n), np.tile(np.arange(n), n_gen), np.arange(n_gen * n)] = 1
-        act = {g: owner.mat(g).a.astype(np.float64) for g in alg.gens}
-        _spin_words(spin, act, W, p)
-        mask = _pair_equations(spin.pairs, spin.coord_rows, act, W, p).any(axis=(1, 2))
-        mask.setflags(write=False)
-        owner._pair_mask = mask
-    return owner._pair_mask
+    alg = M.algebra
+    if M.spin.roots.size != 1 or None in alg.projectives:
+        return False
+    return M.dim == sum(S.dim * P.dim for S, P in zip(alg.simples, alg.projectives))
 
 
 def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]:
@@ -714,23 +691,15 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
     W[spin.roots[gen_of[free]], row_of[free], np.arange(k)] = 1
     W[spin.roots[gen_of[piv]], row_of[piv]] = K_piv
     _spin_words(spin, act, W, p)
-    # the equations are those of the off-tree pairs (`_pair_equations`).  A
-    # faithful source, the lone cover of an algebra with one simple, forms
-    # only the pairs whose relation is nonzero in the algebra, as the others
-    # give zero equations into every module.  On any other source a
-    # relation that vanishes on it may still act on N, so it forms every
-    # pair.  The local pairs hold for every y and give zero rows, dropped
-    # below.  With no pair formed every y solves the system
-    pairs, coord_rows = spin.pairs, spin.coord_rows
-    kept = _kept_pairs(M)
-    if kept is not None:
-        # coord_rows stacks the pairs of each generator in turn
-        ends = np.cumsum([ts.size for _, ts in pairs])[:-1]
-        pairs = [(g, ts[keep]) for (g, ts), keep in zip(pairs, np.split(kept, ends))]
-        coord_rows = coord_rows[kept]
+    # the equations are those of the off-tree pairs (`_pair_equations`).
+    # Each pair is a relation of M; when M is free it is a relation of the
+    # algebra, which holds on every module, so a free source forms no
+    # equation (Hom(A, N) is N).  Any other source forms every pair.  The
+    # local pairs hold for every y and give zero rows, dropped below.  With
+    # no equation formed every y solves the system
     ech = Echelon(k, p)
-    if coord_rows.shape[0]:
-        system = _pair_equations(pairs, coord_rows, act, W, p)
+    if spin.coord_rows.shape[0] and not _is_free(M):
+        system = _pair_equations(spin, act, W, p)
         live = np.flatnonzero(system.any(axis=(1, 2)))  # pairs with a nonzero equation
         # most Hom spaces out of a simple, or into one, are zero: feed the
         # live pairs in blocks that double, the first just tall enough to
@@ -900,6 +869,14 @@ def _graded_kernel(C: FpMat, row_deg: Sequence[int], col_deg: Sequence[int]) -> 
 
     The basis is ordered by degree, and within a degree by free column.
     """
+    return _graded_kernel_and_unit_rows(C, row_deg, col_deg)[0]
+
+
+def _graded_kernel_and_unit_rows(
+    C: FpMat, row_deg: Sequence[int], col_deg: Sequence[int]
+) -> Tuple[FpMat, np.ndarray]:
+    """`_graded_kernel` of C, and the free columns of C in the order of its
+    basis: the basis is the identity on those rows."""
     row_deg = np.asarray(row_deg, dtype=np.int64)
     col_deg = np.asarray(col_deg, dtype=np.int64)
     i, j = np.nonzero(C.a)
@@ -910,10 +887,11 @@ def _graded_kernel(C: FpMat, row_deg: Sequence[int], col_deg: Sequence[int]) -> 
     # its free column: one elimination, then a stable sort by that degree
     ech = Echelon(C.cols, C.p)
     ech.add(C.a)
-    order = np.argsort(col_deg[ech.free], kind="stable")
+    free = ech.free
+    order = np.argsort(col_deg[free], kind="stable")
     # take keeps the kernel C-ordered, as fancy indexing would not: the
     # products that read it ran slower on a Fortran-ordered one
-    return FpMat(ech.kernel().a.take(order, axis=1), C.p)
+    return FpMat(ech.kernel().a.take(order, axis=1), C.p), free[order]
 
 
 def strip_projectives(M: GenAlgebraModule) -> GenAlgebraModule:
@@ -951,7 +929,7 @@ def heller(M: GenAlgebraModule) -> GenAlgebraModule:
     nothing is split off first.
     """
     P, C, _ = M.cover
-    return submodule(P, _graded_kernel(C, M.degrees, P.degrees))
+    return _span_module(P, *_graded_kernel_and_unit_rows(C, M.degrees, P.degrees))
 
 
 def heller_power(M: GenAlgebraModule, n: int) -> GenAlgebraModule:

@@ -80,7 +80,10 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("FROBKERN_SEED")
     if env:
-        return int(env)
+        try:
+            return _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"FROBKERN_SEED: {exc}") from None
     return DEFAULT_SEED
 
 
@@ -550,11 +553,23 @@ def _height(text: str) -> int:
     return r
 
 
+def _nonnegative(text: str, what: str) -> int:
+    error = argparse.ArgumentTypeError(f"{text} is not {what}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error from None
+    if value < 0:
+        raise error
+    return value
+
+
 def _budget(text: str) -> int:
-    ms = int(text)
-    if ms < 0:
-        raise argparse.ArgumentTypeError(f"{text} is not a budget >= 0 ms")
-    return ms
+    return _nonnegative(text, "a budget >= 0 ms")
+
+
+def _seed(text: str) -> int:
+    return _nonnegative(text, "a seed >= 0")
 
 
 def _add_common(sp, *, p=True, r=True, lam=False, n=False, s=False):
@@ -569,7 +584,7 @@ def _add_common(sp, *, p=True, r=True, lam=False, n=False, s=False):
     if s:
         sp.add_argument("--s", type=int)
     sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -598,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=_height)
     sp.add_argument("--s", type=int)
     sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_seed)
 
     sp = sub.add_parser("cohom")
     _add_common(sp, n=True)
@@ -612,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=tuple(_SUITES) + ("all",))
     sp.add_argument("--p", type=_odd_prime, default=3)
     sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_seed)
     sp.add_argument("--budget-ms", dest="budget_ms", type=_budget)
     sp.add_argument("--dump-dir", dest="dump_dir", help="write constructed modules as JSON")
     return parser

@@ -571,49 +571,62 @@ def test_local_kernel_is_solved_once_per_target_and_system(monkeypatch):
     assert len(calls) == 4
 
 
+def all_pairs_kernel(monkeypatch, M, N):
+    """`_hom_kernel(M, N)` with no source taken for free: every off-tree
+    pair of M's spin forms its equations."""
+    with monkeypatch.context() as m:
+        m.setattr(algrep, "_is_free", lambda M: False)
+        return algrep._hom_kernel(M, N)
+
+
+def assert_same_kernel(M, hom, plain):
+    """Two solves of Hom(M, N) agree: `gen_images`, `dim` and every map."""
+    assert (hom is None) == (plain is None)
+    if hom is not None:
+        assert hom.dim == plain.dim
+        assert np.array_equal(hom.gen_images, plain.gen_images)
+        assert algrep._hom_maps(M, hom) == algrep._hom_maps(M, plain)
+
+
 def faithful_cover_pairs():
-    """(cover, rebuilt cover, target) out of the lone cover of an algebra
-    with one simple: its shifts and ungraded copy too.  The rebuilt cover
-    has the same action and spin but is not designated, so every solve out
-    of it forms every pair."""
+    """(cover, target) out of the lone cover of an algebra with one simple,
+    which is the free module: its shifts and ungraded copy too."""
     for p in (3, 5, 7):
         for r in (1, 2):
             alg = gacohom.truncated_poly_algebra(p, r)
             P = alg.projectives[0]
             for i in range(5):
-                yield P, rebuilt(P), heller_power(alg.simples[0], i)
+                yield P, heller_power(alg.simples[0], i)
     alg = line_algebra(5)
-    P, full = alg.projectives[0], rebuilt(alg.projectives[0])
+    P = alg.projectives[0]
     targets = [jordan(alg, j, d) for j in (1, 2, 4, 5) for d in (-2, 0, 3)]
     for d in (-3, 0, 2):
-        yield from ((P.shifted(d), full.shifted(d), N) for N in targets)
+        yield from ((P.shifted(d), N) for N in targets)
     for N in targets:
-        yield P.forget_grading(), full.forget_grading(), N.forget_grading()
+        yield P.forget_grading(), N.forget_grading()
     alg = plane_algebra(3)
-    P, full = alg.projectives[0], rebuilt(alg.projectives[0])
+    P = alg.projectives[0]
     targets = [heller_power(alg.simples[0], i) for i in range(4)]
     targets += [P, direct_sum([targets[1], targets[2]])]
-    yield from ((P, full, N) for N in targets)
+    yield from ((P, N) for N in targets)
 
 
-def test_faithful_cover_solves_only_the_relations_nonzero_in_the_algebra():
-    # the pairs a faithful cover leaves out give zero equations into every
-    # module, so its solves must equal those that form every pair, column
-    # for column
-    pruned = 0
-    for P, full, N in faithful_cover_pairs():
-        kept = algrep._kept_pairs(P)
-        assert kept is not None and algrep._kept_pairs(full) is None
-        pruned += kept.size - kept.sum()
+def test_faithful_cover_solves_only_the_relations_nonzero_in_the_algebra(monkeypatch):
+    # the lone cover of an algebra with one simple is free, so each off-tree
+    # pair of its spin is a relation of the algebra and gives zero equations
+    # into every module: its solves form no pair, and must equal those that
+    # form every pair, column for column
+    calls = record_calls(monkeypatch, "_pair_equations")
+    skipped = 0
+    for P, N in faithful_cover_pairs():
+        # freeness is read off the module: a copy built anew is free too
+        assert algrep._is_free(P) and algrep._is_free(rebuilt(P))
+        skipped += sum(ts.size for _, ts in P.spin.pairs)
+        calls.clear()
         hom = algrep._hom_kernel(P, N)
-        plain = algrep._hom_kernel(full, N)
-        assert (hom is None) == (plain is None)
-        if hom is None:
-            continue
-        assert hom.dim == plain.dim
-        assert np.array_equal(hom.gen_images, plain.gen_images)
-        assert algrep._hom_maps(P, hom) == algrep._hom_maps(full, plain)
-    assert pruned > 0
+        assert calls == []
+        assert_same_kernel(P, hom, all_pairs_kernel(monkeypatch, P, N))
+    assert skipped > 0
 
 
 def test_hom_out_of_the_regular_module_forms_no_equation(monkeypatch):
@@ -623,49 +636,120 @@ def test_hom_out_of_the_regular_module_forms_no_equation(monkeypatch):
     # one), with no product for the equations and no elimination
     alg = gacohom.truncated_poly_algebra(5, 2)
     A, omega3 = alg.projectives[0], heller_power(alg.simples[0], 3)
-    assert not algrep._kept_pairs(A).any()
+    assert algrep._is_free(A)
+    A.spin
     counts = {}
-    for source in (A, rebuilt(A)):
-        source.spin
+    for free in (True, False):
         calls, adds = [], []
         with monkeypatch.context() as m:
+            if not free:
+                m.setattr(algrep, "_is_free", lambda M: False)
             for module in (algrep, fplinalg):
                 real = module._exact_matmul
                 m.setattr(module, "_exact_matmul", lambda *a, real=real: calls.append(a) or real(*a))
             real_add = Echelon.add
             m.setattr(Echelon, "add", lambda self, block: adds.append(block) or real_add(self, block))
-            hom = algrep._hom_kernel(source, omega3)
+            hom = algrep._hom_kernel(A, omega3)
         assert hom.dim == omega3.dim
-        counts[source is A] = (len(calls), len(adds))
+        counts[free] = (len(calls), len(adds))
     assert counts[True] == (len(A.spin.levels) + 1, 0)
     # forming every pair costs one lhs product per generator and one rhs
     assert counts[False][0] == counts[True][0] + len(alg.gens) + 1
     assert counts[False][1] == 0  # every equation is zero
 
 
-def test_covers_of_several_simples_form_every_pair():
-    # a cover of one of several simples need not be faithful: the spin of
-    # the cover J_2 of z = 0 over F_3[z]/(z^2 (z - 1)) ends with the pair
-    # z*(z*v) = 0, whose relation z^2 kills J_2 but not the simple z = 1,
-    # so it is the one equation that makes Hom(J_2, S1) zero.  Such covers
-    # keep every pair, graded or not
+def test_covers_of_several_simples_form_every_pair(monkeypatch):
+    # a cover of one of several simples is not free: the spin of the cover
+    # J_2 of z = 0 over F_3[z]/(z^2 (z - 1)) ends with the pair z*(z*v) = 0,
+    # whose relation z^2 kills J_2 but not the simple z = 1, so it is the one
+    # equation that makes Hom(J_2, S1) zero.  Such covers keep every pair,
+    # graded or not
+    calls = record_calls(monkeypatch, "_pair_equations")
     alg = split_line_algebra(3)
     J2, S1 = alg.projectives[0], alg.simples[1]
-    assert algrep._kept_pairs(J2) is None
+    assert not algrep._is_free(J2)
+    calls.clear()
     assert hom_space(J2, S1) == []
+    assert [spin for spin, *_ in calls] == [J2.spin]
     for alg in (restricted_sl2(5), graded_restricted_sl2(5)):
         covers = list(alg.projectives)
         covers += [P.forget_grading() for P in covers if P.graded]
-        assert all(algrep._kept_pairs(P) is None for P in covers)
+        assert not any(algrep._is_free(P) for P in covers)
         targets = [heller_power(S, 2) for S in alg.simples] + list(alg.projectives)
         for P in covers:
             for N in targets:
                 if P.graded != N.graded:
                     N = N.forget_grading()
-                hom, plain = algrep._hom_kernel(P, N), algrep._hom_kernel(rebuilt(P), N)
-                assert (hom is None) == (plain is None)
-                if hom is not None:
-                    assert np.array_equal(hom.gen_images, plain.gen_images)
+                hom = algrep._hom_kernel(P, N)
+                assert_same_kernel(P, hom, all_pairs_kernel(monkeypatch, P, N))
+    assert len(calls) > 1
+
+
+def test_hom_out_of_the_free_sl2_module_forms_no_equation(monkeypatch):
+    # the regular module of u(sl2) at p = 3 is spun from one vector and is
+    # p^3 = sum dim L(i) * dim P(i) dimensional, so it is free: its solves
+    # into the simples, the covers and the Omega^2 of the simples run no
+    # elimination and equal those that form every pair
+    A = regular_module(3)
+    alg = A.algebra
+    assert algrep._is_free(A)
+    targets = list(alg.simples) + list(alg.projectives)
+    targets += [heller_power(S, 2) for S in alg.simples]
+    real_add = Echelon.add
+    for N in targets:
+        adds = []
+        with monkeypatch.context() as m:
+            m.setattr(Echelon, "add", lambda self, b: adds.append(b) or real_add(self, b))
+            hom = algrep._hom_kernel(A, N)
+        assert adds == []
+        # Hom(A, N) is N; Omega^2 of the projective simple L(2) is zero
+        assert (0 if hom is None else hom.dim) == N.dim
+        assert_same_kernel(A, hom, all_pairs_kernel(monkeypatch, A, N))
+
+
+def not_free_pairs():
+    """(source, target) where the source is not free though it looks close:
+    k^(p^r) has the dimension of the algebra but is not cyclic, Dist(G_2) at
+    p = 3 leaves covers undesignated, and the cover J_2 of F_3[z]/(z^2 (z -
+    1)) is cyclic but smaller than the algebra, also when the other cover is
+    undesignated and the covers that are known add up to dim J_2."""
+    alg = gacohom.truncated_poly_algebra(3, 2)
+    k = alg.simples[0]
+    sum_k = direct_sum([k] * 9)
+    yield sum_k, k
+    yield sum_k, alg.projectives[0]
+    yield sum_k, heller_power(k, 1)
+    alg = distribution_sl2(3, 2)
+    P = next(P for P in alg.projectives if P is not None)
+    yield from ((P, N) for N in list(alg.simples[:3]) + [P])
+    for known in ([0, 1], [0]):
+        alg = split_line_algebra(3)
+        alg.projectives = [P if i in known else None for i, P in enumerate(alg.projectives)]
+        J2 = alg.projectives[0]
+        yield from ((J2, N) for N in list(alg.simples) + [J2])
+
+
+def test_sources_that_are_not_free_form_every_pair(monkeypatch):
+    calls = record_calls(monkeypatch, "_pair_equations")
+    for M, N in not_free_pairs():
+        assert not algrep._is_free(M)
+        calls.clear()
+        hom = algrep._hom_kernel(M, N)
+        # a solve that stage one leaves open forms the equations of every pair
+        assert [spin for spin, *_ in calls] in ([], [M.spin])
+        assert_same_kernel(M, hom, all_pairs_kernel(monkeypatch, M, N))
+        assert_hom_matches_commutant(M, N)
+    alg = split_line_algebra(3)
+    assert hom_space(alg.projectives[0], alg.simples[1]) == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_restricted_regular_module_is_free(p):
+    # restricted_sl2 designates its covers after its simples, and designate
+    # solves Homs before then: the dimension of the algebra must be read
+    # when asked, not kept from a call that had no covers to read
+    assert algrep._is_free(regular_module(p))
+    assert not any(algrep._is_free(P) for P in restricted_sl2(p).projectives)
 
 
 def test_top_radical_and_cover_spin_the_module_once(monkeypatch):
@@ -752,7 +836,9 @@ def test_forget_grading_shares_the_spin(monkeypatch):
 
 
 def test_radical_cover_and_heller_eliminate_the_radical_once(monkeypatch):
-    calls = record_calls(monkeypatch, "_graded_kernel")
+    # `_graded_kernel` is `_graded_kernel_and_unit_rows` less the rows, which
+    # heller reads its action from
+    calls = record_calls(monkeypatch, "_graded_kernel_and_unit_rows")
     for M in [verma_module(3, 1, 0), graded_verma_module(3, 0)]:
         M = GenAlgebraModule(M.algebra, M.action, M.grading, check=False)  # nothing cached
         calls.clear()
@@ -1103,6 +1189,37 @@ def test_heller_of_jordan_blocks():
         u_om, u_target = om.mat("u"), jordan(alg, 5 - k, graded=False).mat("u")
         assert u_target @ w.witness == w.witness @ u_om
         assert rank(w.witness) == om.dim
+
+
+def heller_cases():
+    """Modules with Omega of every kind: graded and ungraded, over one or
+    several simples, a projective among them."""
+    alg = line_algebra(5)
+    for graded in (True, False):
+        yield from (jordan(alg, k, d, graded) for k in (1, 3, 5) for d in (0, 2))
+    k = gacohom.trivial_module(3, 2)
+    yield from (heller_power(k, i) for i in range(3))
+    alg = restricted_sl2(5)
+    yield from list(alg.simples) + [heller_power(alg.simples[1], 2)]
+    alg = graded_restricted_sl2(5)
+    yield from [S.shifted(3) for S in alg.simples] + [graded_verma_module(5, 7)]
+
+
+def test_heller_reads_the_action_of_omega_off_the_kernel_rows(monkeypatch):
+    # the kernel basis of the cover map is the identity on its free rows, so
+    # Omega's action is those rows of the moved basis: no elimination, and
+    # the module submodule builds on the same basis, byte for byte
+    calls = record_calls(monkeypatch, "_coords_in_basis")
+    for M in heller_cases():
+        P, C, _ = M.cover
+        omega = heller(M)
+        assert calls == []
+        expected = submodule(P, _graded_kernel(C, M.degrees, P.degrees))
+        calls.clear()
+        assert omega.grading == expected.grading and omega.dim == expected.dim
+        for g in M.algebra.gens:
+            assert omega.mat(g).a.dtype == expected.mat(g).a.dtype
+            assert omega.mat(g).a.tobytes() == expected.mat(g).a.tobytes()
 
 
 def test_heller_kills_projectives():

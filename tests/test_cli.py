@@ -250,6 +250,41 @@ def test_seed_resolution(capsys, monkeypatch):
     assert payload["result"]["seed"] == 9
 
 
+def refuse_to_run(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_verify", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "heart", "--p", "3", "--seed", "-1"],
+        ["verify", "meataxe-regular", "--p", "3", "--seed", "-1"],
+        ["block", "--p", "3", "--r", "1", "--lambda", "0", "--seed", "-2"],
+        ["verify", "heart", "--p", "3", "--seed", "x"],
+    ],
+)
+def test_negative_seed_flag_exits_one_before_any_suite(capsys, monkeypatch, argv):
+    refuse_to_run(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert f"argument --seed: {argv[-1]} is not a seed >= 0" in err
+
+
+def test_negative_seed_from_the_environment_exits_one_before_any_suite(capsys, monkeypatch):
+    refuse_to_run(monkeypatch)
+    for seed in ("-3", "x"):
+        monkeypatch.setenv("FROBKERN_SEED", seed)
+        assert cli.main(["verify", "blocks", "--p", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"frobkern: FROBKERN_SEED: {seed} is not a seed >= 0\n"
+
+
 def test_verify_budget_flag(capsys):
     code, payload = run_json(capsys, ["verify", "all", "--p", "3", "--budget-ms", "0"])
     report = payload["result"]

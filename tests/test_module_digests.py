@@ -9,9 +9,10 @@ on purpose updates the digest here and says so in CHANGES.md.
 
 The output of `verify all --p 3 --seed 7` is pinned the same way: one
 digest of its JSON line with `wall_ms` removed, and one per file it writes
-to `--dump-dir`.  The JSON contract says this output is byte-identical for
-a fixed seed apart from `wall_ms`, and a refactor of the oracle must keep
-it so.
+to `--dump-dir`; so is the JSON line of `verify meataxe-regular --p 5
+--seed 7`, which splits the 125-dimensional regular module.  The JSON
+contract says this output is byte-identical for a fixed seed apart from
+`wall_ms`, and a refactor of the oracle must keep it so.
 """
 
 import hashlib
@@ -123,3 +124,10 @@ def test_verify_all_output_matches_pinned_digests(capsys, tmp_path):
     for name in sorted(tmp_path.iterdir()):
         digests[name.name] = _blake2b(name.read_bytes())
     assert digests == VERIFY_ALL_P3
+
+
+def test_verify_meataxe_regular_p5_output_matches_pinned_digest(capsys):
+    argv = ["verify", "meataxe-regular", "--p", "5", "--seed", "7"]
+    assert cli.main(argv) == 0
+    report = re.sub(r', "wall_ms": \d+', "", capsys.readouterr().out)
+    assert _blake2b(report.encode()) == "763793ea38c827909f952944527a7b88"
