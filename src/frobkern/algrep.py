@@ -633,9 +633,9 @@ def _pair_equations(spin: Spin, act: Dict[str, np.ndarray], W: np.ndarray, p: in
     # g*b_t = sum_s coord_rows[pair, s] b_s
     lhs = np.concatenate([_exact_matmul(act[g], W[ts], p) for g, ts in spin.pairs])
     # rhs[b] = coord_rows @ W[:, b, :], one product per coordinate b of N,
-    # laid out as lhs with its first two axes swapped; one flattened product
-    # would be large enough for OpenBLAS to start helper threads, which then
-    # spin between calls
+    # laid out as lhs with its first two axes swapped.  _exact_matmul would
+    # keep one flattened product coord_rows @ W on one BLAS thread as well,
+    # but in blocks of a few wide rows, which made `verify heart --p 7` slower
     rhs = _exact_matmul(spin.coord_rows, W.transpose(1, 0, 2), p)
     system = (lhs - rhs.transpose(1, 0, 2)).astype(np.int64)
     del lhs, rhs  # freed before the sign fix forms its mask

@@ -11,9 +11,15 @@ in Dumas, Giorgi and Pernet, "Dense linear algebra over word-size prime
 fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).  With inner
 size k every entry is a sum of k integers below (p-1)^2, so it is computed
 exactly while k * (p-1)^2 < 2^53; the helper checks that bound and raises
-when it fails.  `FpMat.__matmul__` stays on int64, where tiny products are
-cheaper; `FpMat.power` squares through `_exact_matmul`, since the relation
-checkers raise whole module actions to the p-th power.
+when it fails.  It is also the one place that decides whether BLAS may use
+threads: a product whose slices are mid-size is formed in blocks small
+enough for OpenBLAS to run each on the calling thread, because a helper
+thread it wakes spins after the product and costs more CPU than it saves;
+small products and large ones run whole (see `_SERIAL_MACS`).  Every block
+is exact, so the answer does not depend on the split.  `FpMat.__matmul__`
+stays on int64, where tiny products are cheaper; `FpMat.power` squares
+through `_exact_matmul`, since the relation checkers raise whole module
+actions to the p-th power.
 
 Elimination has two routines.  The incremental echelon form `Echelon`
 takes rows a block at a time: each block is reduced against the rows held
@@ -64,6 +70,20 @@ MAX_MODULUS = 2**16
 # float64 represents every integer below this exactly
 _FLOAT_EXACT = 2**53
 
+# OpenBLAS decides per gemm or gemv call whether to use more than one thread.
+# Measured with OpenBLAS 0.3.31 on a 2-vCPU Xeon VM, from the CPU ticks of
+# the helper threads: gemm wakes a helper above 10^6 multiply-adds (100^3
+# does not, 101^3 does) and gemv from 460 800 (670 x 670 does not, 680 x 680
+# does).  A woken helper spins for 0.1-0.25 s of CPU after the product, and
+# waking it takes milliseconds.  So a product of fewer multiply-adds per slice
+# than _SERIAL_MACS runs whole, on one thread, and so does one of at least
+# _THREADED_MACS, whose slices use the second core well: formed in blocks, the
+# slices of 2^22 to 2^24 of `verify meataxe-regular --p 7` took 3.9 s instead
+# of 1.3 s.  A product in between is formed in blocks of fewer than
+# _SERIAL_MACS multiply-adds each, which costs little at that size.
+_SERIAL_MACS = 2**18
+_THREADED_MACS = 2**22
+
 
 def _check_prime(p: int) -> None:
     if p >= MAX_MODULUS:
@@ -76,7 +96,10 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
     Stacked operands multiply slice by slice, as in `np.matmul`.  The
     product runs in float64 BLAS and is exact while k * (p-1)^2 < 2^53 for
-    inner size k; a larger product raises ValueError.
+    inner size k; a larger product raises ValueError.  A product whose slices
+    are mid-size is formed in blocks small enough for BLAS to stay on one
+    thread (see _SERIAL_MACS): rows of a, and columns of b once a single row
+    is over the bound.
     """
     k = a.shape[-1]
     if k * (p - 1) ** 2 >= _FLOAT_EXACT:
@@ -84,7 +107,25 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             f"inner size {k} at modulus {p}: k * (p-1)^2 must stay below 2^53 for exact products"
         )
     a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
-    return np.fmod(np.matmul(a, b), p)
+    # a 1-D operand is one row of a or one column of b, as in np.matmul
+    m = a.shape[-2] if a.ndim > 1 else 1
+    n = b.shape[-1] if b.ndim > 1 else 1
+    if not _SERIAL_MACS <= m * k * n < _THREADED_MACS:
+        return np.fmod(np.matmul(a, b), p)
+    a2, b2 = (a[None] if a.ndim == 1 else a), (b[:, None] if b.ndim == 1 else b)
+    out = np.empty(np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2]) + (m, n))
+    per_block = (_SERIAL_MACS - 1) // k  # rows * cols of one block
+    rows, cols = (per_block // n, n) if per_block >= n else (1, max(per_block, 1))
+    for r in range(0, m, rows):
+        for c in range(0, n, cols):
+            rs, cs = slice(r, r + rows), slice(c, c + cols)
+            np.matmul(a2[..., rs, :], b2[..., cs], out=out[..., rs, cs])
+    # not in place: that held 12 MB more resident memory at the same traced
+    # peak on `verify meataxe-regular --p 5`, from where the allocator put it
+    out = np.fmod(out, p)
+    if a.ndim == 1:
+        out = out[..., 0, :]
+    return out[..., 0] if b.ndim == 1 else out
 
 
 def _inv_scalar(a: int, p: int) -> int:

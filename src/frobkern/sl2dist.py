@@ -100,7 +100,8 @@ def _dist_checker(r: int):
     # with f^(p^j - 1) rewritten as (-1)^j f0^(p-1) ... f_{j-1}^(p-1).
     # Commutators between two higher divided powers involve binom(h, p^i),
     # which is not a polynomial in the generators, and are not checked.
-    # Every product, powers included, runs in float64 BLAS (_exact_matmul).
+    # Every product, powers included, runs through _exact_matmul, exact in
+    # float64 BLAS and on one thread unless it is large enough to pay for more.
     def checker(action: Dict[str, FpMat], p: int) -> List[str]:
         def mul(a: FpMat, b: FpMat) -> FpMat:
             return FpMat(_exact_matmul(a.a, b.a, p).astype(np.int64), p)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -240,6 +241,32 @@ def test_oracle_answers_match_stored_reference(capsys, name):
     for case, ref in zip(result["cases"], reference["cases"]):
         assert case["status"] == ref["status"]
         assert {key: case["got"].get(key) for key in ref["got"]} == ref["got"]
+
+
+def helper_thread_ticks():
+    """CPU clock ticks used so far by the threads of this process but the main one."""
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread has ended
+            continue
+        ticks += int(fields[11]) + int(fields[12])  # utime and stime
+    return ticks
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs per-thread CPU times")
+def test_ub1_wakes_no_blas_helper_thread(capsys):
+    # its mid-size products run in blocks on the calling thread; taken whole,
+    # each woke an OpenBLAS helper thread that then spun (about 30-50 ticks)
+    time.sleep(0.5)  # a helper woken by an earlier test stops spinning
+    before = helper_thread_ticks()
+    code, _ = run_json(capsys, ["verify", "ub1", "--p", "5", "--seed", "7"])
+    assert code == 0
+    assert helper_thread_ticks() - before <= 3
 
 
 def test_seed_resolution(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frobkern import fplinalg
 from frobkern.fplinalg import (
     Echelon,
     FpMat,
@@ -218,6 +219,60 @@ def test_float_products_refuse_inner_sizes_past_the_exact_bound():
     # one term fewer still fits, and every term is (p-1)^2 = 1 mod p
     row = np.broadcast_to(np.int64(p - 1), (1, k - 1))
     assert _exact_matmul(row, row.T, p).tolist() == [[(k - 1) % p]]
+
+
+def slice_macs(a, b):
+    """Multiply-adds of one slice of np.matmul(a, b), a 1-D operand as one row or column."""
+    m = a.shape[-2] if a.ndim > 1 else 1
+    n = b.shape[-1] if b.ndim > 1 else 1
+    return m * a.shape[-1] * n
+
+
+# (shape of a, shape of b): 2-D, stacked, 2-D @ 3-D, 3-D @ 2-D, column and
+# 1-D operands, below, inside and above the range formed in blocks
+PRODUCT_SHAPES = [
+    ((30, 40), (40, 20)),
+    ((130, 130), (130, 69)),
+    ((3, 600), (600, 1000)),  # one row is over the bound: blocks of columns
+    ((2, 200_000), (200_000, 3)),  # so is one row times two columns
+    ((256, 256), (256, 256)),
+    ((3, 100, 90), (3, 90, 80)),
+    ((200, 197), (4, 197, 9)),
+    ((3, 130, 130), (130, 69)),
+    ((700, 700), (700, 1)),
+    ((700, 700), (700,)),
+    ((700,), (700, 700)),
+    ((600,), (2, 600, 500)),
+    ((2, 600, 500), (500,)),
+    ((5,), (5,)),
+    ((5,), (5, 3)),
+]
+
+
+@pytest.mark.parametrize("a_shape,b_shape", PRODUCT_SHAPES)
+def test_exact_products_stay_below_the_thread_bound_or_run_whole(monkeypatch, a_shape, b_shape):
+    p = 65521
+    rng = np.random.default_rng(sum(a_shape) + sum(b_shape))
+    a = rng.integers(0, p, size=a_shape)
+    b = rng.integers(0, p, size=b_shape)
+    calls = []
+    matmul = np.matmul
+
+    def counted(x, y, **kwargs):
+        calls.append(slice_macs(x, y))
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(fplinalg.np, "matmul", counted)
+    got = _exact_matmul(a, b, p)
+    monkeypatch.undo()
+    want = np.matmul(a, b) % p
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert (got == want).all()
+    macs = slice_macs(a, b)
+    if fplinalg._SERIAL_MACS <= macs < fplinalg._THREADED_MACS:
+        assert len(calls) > 1 and max(calls) < fplinalg._SERIAL_MACS
+    else:
+        assert calls == [macs]
 
 
 def gauss_jordan(rows, p):
