@@ -40,11 +40,12 @@ RREF, stably ordered by degree.
 Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  The Heller
 operator is exact linear algebra over these self-injective algebras: Omega(M)
-is the kernel of M's minimal projective cover, computed once per module, and
-takes no seed.  Nor does the isomorphism test: for a module with a simple
-top or socle a Hom basis map decides, and otherwise every combination of
-the basis is tried up to a fixed count.  Only the MeatAxe draws at random,
-seeded (default 0xF0B).
+is the kernel of M's minimal projective cover, computed once per module,
+and the cover acts on it one summand at a time, with one product per
+distinct projective in the cover.  It takes no seed.  Nor does the
+isomorphism test: for a module with a simple top or socle a Hom basis map
+decides, and otherwise every combination of the basis is tried up to a
+fixed count.  Only the MeatAxe draws at random, seeded (default 0xF0B).
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ class GenAlgebraModule:
         # stage one of the Hom solves into this module, by local system
         # (`_local_kernel`); read through the spin source, as it holds the action
         self._local_kernels: Dict[tuple, Optional[tuple]] = {}
+        # the modules of `direct_sum` this one is, when it is one (`summands`)
+        self._summands: Optional[Tuple[GenAlgebraModule, ...]] = None
         dims = {m.rows for m in self.action.values()} | {m.cols for m in self.action.values()}
         if set(self.action) != set(algebra.gens):
             raise ValueError("action must cover exactly the algebra's generators")
@@ -229,6 +232,12 @@ class GenAlgebraModule:
 
     def mat(self, g: str) -> FpMat:
         return self.action[g]
+
+    @property
+    def summands(self) -> Tuple["GenAlgebraModule", ...]:
+        """The modules this one is the direct sum of, in the order of its
+        basis: those `direct_sum` was given, or this module alone."""
+        return self._summands or (self,)
 
     @cached_property
     def spin(self) -> "Spin":
@@ -294,6 +303,7 @@ class GenAlgebraModule:
         out = copy.copy(self)
         out.grading = grading
         out._spin_source = self if self._spin_source is None else self._spin_source
+        out._summands = None  # the summands keep their own degrees
         names = ("maps_to_simples", "maps_from_simples", "radical_basis", "socle_basis", "cover")
         for name in names:
             vars(out).pop(name, None)
@@ -356,6 +366,9 @@ def zero_module(algebra: GenAlgebra, graded: bool = False) -> GenAlgebraModule:
 
 
 def direct_sum(mods: Sequence[GenAlgebraModule]) -> GenAlgebraModule:
+    """The direct sum of `mods`, laid out in their order, with block-diagonal
+    action.  It keeps them as its `summands`, flattened, so that
+    `_span_module` can act one summand block at a time."""
     if not mods:
         raise ValueError("direct_sum of nothing; pass zero_module explicitly")
     alg = mods[0].algebra
@@ -364,7 +377,9 @@ def direct_sum(mods: Sequence[GenAlgebraModule]) -> GenAlgebraModule:
             raise ValueError("summands live over different algebras")
     action = {g: block_diag([m.mat(g) for m in mods], alg.p) for g in alg.gens}
     grading = [d for m in mods for d in m.grading] if all(m.graded for m in mods) else None
-    return GenAlgebraModule(alg, action, grading, check=False)
+    out = GenAlgebraModule(alg, action, grading, check=False)
+    out._summands = tuple(S for m in mods for S in m.summands)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +402,34 @@ def _span_module(
     M: GenAlgebraModule, basis: FpMat, unit_rows: Optional[np.ndarray]
 ) -> GenAlgebraModule:
     """`submodule`; `unit_rows`, when given, are rows on which `basis` is
-    the identity, so a vector of the span has its coordinates there."""
+    the identity, so a vector of the span has its coordinates there.
+
+    The images g*basis are formed one summand of M at a time, as M's action
+    is block-diagonal over `M.summands`: a summand's rows of g*basis are its
+    own action times its rows of the basis.  Summands that share an action,
+    as the shifted and ungraded copies of one projective in a cover do, are
+    stacked into one product for all generators, each slice the size of one
+    summand's block.  A module that is no direct sum is its one summand.
+    """
     if basis.cols == 0:
         return zero_module(M.algebra, M.graded)
     p, gens, k = M.algebra.p, M.algebra.gens, basis.cols
-    # the images of the basis under every generator, side by side, so that
-    # one elimination, or one read of the unit rows, gives all their
-    # coordinates; the columns of the basis are independent, so the
-    # coordinates are unique
-    moved = _exact_matmul(np.stack([M.mat(g).a for g in gens]), basis.a, p).astype(np.int64)
+    # each distinct action, as held by the module that owns it, with the
+    # first basis row of every summand that has it
+    starts: Dict[GenAlgebraModule, List[int]] = {}
+    offset = 0
+    for S in M.summands:
+        starts.setdefault(S._spin_source or S, []).append(offset)
+        offset += S.dim
+    moved = np.empty((len(gens), M.dim, k), dtype=np.int64)
+    for S, firsts in starts.items():
+        rows = (np.array(firsts)[:, None] + np.arange(S.dim)).ravel()
+        blocks = basis.a[rows].reshape(len(firsts), S.dim, k)
+        act = np.stack([S.mat(g).a for g in gens])[:, None]
+        moved[:, rows] = _exact_matmul(act, blocks, p).reshape(len(gens), rows.size, k)
+    # the images side by side, so that one elimination, or one read of the
+    # unit rows, gives all their coordinates; the columns of the basis are
+    # independent, so the coordinates are unique
     moved = np.hstack(list(moved))
     if unit_rows is None:
         coords = _coords_in_basis(basis, FpMat(moved, p)).a
@@ -467,9 +501,11 @@ def build_spin(M: GenAlgebraModule) -> Spin:
 
     The generator vectors are the unit vectors e_c, in order, that lie
     outside the span so far; each is spun breadth-first, keeping every
-    g*b_t that enlarges the span as the next column of B.
+    g*b_t that enlarges the span as the next column of B.  The images of
+    b_t under all generators come from one stacked product.
     """
     p, n, gens = M.algebra.p, M.dim, M.algebra.gens
+    act = np.stack([M.mat(g).a for g in gens]).astype(np.float64)
     tracker = SpanTracker(n, p)
     cols: List[np.ndarray] = []
     roots: List[int] = []
@@ -489,8 +525,8 @@ def build_spin(M: GenAlgebraModule) -> Spin:
         cols.append(v)
         while frontier:
             t, depth = frontier.pop(0)
-            for j, g in enumerate(gens):
-                w = (M.mat(g).a @ cols[t]) % p
+            moved = _exact_matmul(act, cols[t], p).astype(np.int64)
+            for j, (g, w) in enumerate(zip(gens, moved)):
                 if w.any() and tracker.insert(w):
                     tree.add((g, t))
                     edges.setdefault((depth + 1, j), []).append((t, len(cols)))
@@ -958,7 +994,11 @@ def heller(M: GenAlgebraModule) -> GenAlgebraModule:
 
     Omega(M' + Q) = Omega(M') for a projective Q, and over a self-injective
     algebra the kernel of a minimal cover has no projective summand, so
-    nothing is split off first.
+    nothing is split off first.  The kernel basis of the cover map is the
+    identity on the rows of the map's free columns, so Omega(M)'s action is
+    read off those rows of the moved basis with no elimination.  The cover
+    is a direct sum of a few projectives, shifted or repeated, and
+    `_span_module` moves the basis one summand at a time.
     """
     P, C, _ = M.cover
     return _span_module(P, *_graded_kernel_and_unit_rows(C, M.degrees, P.degrees))

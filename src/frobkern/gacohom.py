@@ -29,6 +29,14 @@ from .algrep import GenAlgebra, GenAlgebraModule, ResolutionTrace, ext_dims
 from .fplinalg import fpmat
 
 
+# the largest algebra dimension p^r that `truncated_poly_algebra` builds: its
+# regular module has one dense p^r x p^r action matrix per generator, and
+# each resolution step spins and eliminates a syzygy of about that size.
+# Near the bound, minimal_resolution_dims(43, 2, 1) (p^r = 1849) took 100 s
+# at 1.2 GB of peak memory on a 2-vCPU Xeon VM
+MAX_ORDER = 2000
+
+
 def _truncated_checker(r: int):
     names = [f"u{i}" for i in range(r)]
 
@@ -69,9 +77,18 @@ def _regular(alg: GenAlgebra) -> GenAlgebraModule:
 
 @lru_cache(maxsize=None)
 def truncated_poly_algebra(p: int, r: int) -> GenAlgebra:
-    """F_p[u_0..u_{r-1}]/(u_i^p), with its one simple and one projective."""
+    """F_p[u_0..u_{r-1}]/(u_i^p), with its one simple and one projective.
+
+    Refused, before anything is built, when p^r exceeds `MAX_ORDER`.
+    """
     if r < 1:
         raise ValueError("height r must be >= 1")
+    # p >= 3, so a height past the bit length of the bound is past the bound,
+    # and p^r is never formed for a huge r
+    if r > MAX_ORDER.bit_length() or p**r > MAX_ORDER:
+        raise ValueError(
+            f"the algebra has dimension {p}^{r}, above {MAX_ORDER}, the largest the oracle builds"
+        )
     alg = GenAlgebra(
         f"ga-p{p}-r{r}",
         p,

@@ -9,6 +9,7 @@ spaces and the per-module spin are also checked on graded u(sl2) modules.
 
 import contextlib
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -22,8 +23,10 @@ from frobkern.algrep import (
     InconclusiveError,
     _complement_projection,
     _graded_kernel,
+    _graded_kernel_and_unit_rows,
     _independent_columns,
     _simple_targets,
+    _span_module,
     composition_factors,
     direct_sum,
     dual_module,
@@ -1291,6 +1294,132 @@ def test_heller_reads_the_action_of_omega_off_the_kernel_rows(monkeypatch):
         for g in M.algebra.gens:
             assert omega.mat(g).a.dtype == expected.mat(g).a.dtype
             assert omega.mat(g).a.tobytes() == expected.mat(g).a.tobytes()
+
+
+def mixed_cover_cases():
+    """Modules whose covers repeat a projective, shifted or not, beside others."""
+    yield heller_power(gacohom.trivial_module(5, 2), 3)
+    yield direct_sum([simple_module(5, 1, 0), simple_module(5, 1, 2), verma_module(5, 1, 0)])
+    graded = [graded_simple_module(5, 0), graded_simple_module(5, 3), graded_simple_module(5, 5)]
+    yield direct_sum(graded + [graded_verma_module(5, 1), graded_verma_module(5, 6)])
+    yield heller_power(direct_sum([graded_verma_module(5, 2), graded_verma_module(5, 7)]), 2)
+
+
+def test_heller_acts_summand_by_summand_as_on_the_whole_cover():
+    shared, shifted = 0, 0
+    for M in mixed_cover_cases():
+        P, C, _ = M.cover
+        owners = [S._spin_source or S for S in P.summands]
+        assert sum(S.dim for S in P.summands) == P.dim and len(owners) > 1
+        shared += len(set(owners)) < len(owners)
+        shifted += any(S._spin_source is not None and S.graded for S in P.summands)
+        omega = heller(M)
+        # the same action and grading, with no summands but itself
+        whole = GenAlgebraModule(P.algebra, P.action, P.grading, check=False)
+        expected = _span_module(whole, *_graded_kernel_and_unit_rows(C, M.degrees, P.degrees))
+        assert omega.grading == expected.grading and omega.dim == expected.dim
+        for g in M.algebra.gens:
+            assert omega.mat(g).a.dtype == expected.mat(g).a.dtype
+            assert omega.mat(g).a.tobytes() == expected.mat(g).a.tobytes()
+    assert shared == 4 and shifted == 2
+
+
+def test_direct_sum_keeps_its_summands_flattened():
+    alg = line_algebra(5)
+    parts = [jordan(alg, 2), jordan(alg, 3, shift=1)]
+    inner = direct_sum(parts)
+    outer = direct_sum([inner, jordan(alg, 1)])
+    assert outer.summands[:2] == tuple(parts) and len(outer.summands) == 3
+    assert parts[0].summands == (parts[0],)
+    # a regraded copy is its own one summand, as its summands keep their degrees
+    for copy_ in (outer.shifted(2), outer.forget_grading()):
+        assert copy_.summands == (copy_,)
+
+
+def slice_macs(a, b):
+    """Multiply-adds of one slice of np.matmul(a, b), a 1-D operand as one row or column."""
+    m = a.shape[-2] if a.ndim > 1 else 1
+    n = b.shape[-1] if b.ndim > 1 else 1
+    return m * a.shape[-1] * n
+
+
+def test_resolution_steps_form_no_threaded_product_in_span_module(monkeypatch):
+    # each cover of `cohom --p 7 --r 2 --n 8` is copies of the regular module,
+    # so each step forms one stacked product of 49 x 49 actions per slice
+    inside, macs = [], []
+    real_span, real_matmul = algrep._span_module, algrep._exact_matmul
+
+    def span(*args):
+        inside.append(True)
+        try:
+            return real_span(*args)
+        finally:
+            inside.pop()
+
+    def matmul(a, b, p):
+        if inside:
+            macs.append(slice_macs(a, b))
+        return real_matmul(a, b, p)
+
+    monkeypatch.setattr(algrep, "_span_module", span)
+    monkeypatch.setattr(algrep, "_exact_matmul", matmul)
+    trace = gacohom.minimal_resolution_dims(7, 2, 8)
+    assert trace.ext_dims == list(range(1, 10))
+    assert len(macs) == 9 and max(macs) < fplinalg._THREADED_MACS
+
+
+def spin_digest(modules) -> str:
+    """One blake2b digest over the dimension and every field of the spin of
+    each module, in field order; arrays by dtype, shape and bytes."""
+    h = hashlib.blake2b(digest_size=16)
+
+    def feed(x):
+        if isinstance(x, tuple):
+            h.update(b"(%d" % len(x))
+            for y in x:
+                feed(y)
+        elif isinstance(x, str):
+            h.update(x.encode())
+        else:
+            h.update(f"{x.dtype.str}{x.shape}".encode())
+            h.update(np.ascontiguousarray(x).tobytes())
+
+    for M in modules:
+        h.update(f"{M.algebra.algebra_id};{M.dim};".encode())
+        spin = algrep.build_spin(M)
+        for f in dataclasses.fields(spin):
+            h.update(f.name.encode())
+            feed(getattr(spin, f.name))
+    return h.hexdigest()
+
+
+def nonzero_syzygies(M, n):
+    return [om for om in syzygies(M, n)[1:] if om.dim]
+
+
+SPIN_DIGESTS = {
+    "omega-1-8-of-k-p5-r2": (
+        lambda: nonzero_syzygies(gacohom.trivial_module(5, 2), 8),
+        "2030e1681b1515c698becf5a9c742183",
+    ),
+    "omega-1-4-of-simples-p5": (
+        lambda: [om for S in restricted_sl2(5).simples for om in nonzero_syzygies(S, 4)],
+        "cc1de8fcb1efa6284af2e8a0bbb87b82",
+    ),
+    "omega-1-2-of-graded-vermas-p5": (
+        lambda: [om for lam in range(5) for om in nonzero_syzygies(graded_verma_module(5, lam), 2)],
+        "b3d4fcaf520cb13a43ea1f348484a6a8",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(SPIN_DIGESTS))
+def test_spins_match_pinned_digest(family):
+    # pinned before spins reduced by leads and moved a vector by all
+    # generators in one product: a spin's basis, tree and coordinates are
+    # fixed by the order of the greedy pass, and every solve reads them
+    build, digest = SPIN_DIGESTS[family]
+    assert spin_digest(build()) == digest
 
 
 def test_heller_kills_projectives():

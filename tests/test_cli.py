@@ -10,6 +10,7 @@ import types
 import pytest
 
 import frobkern.cli as cli
+from frobkern import gacohom
 from frobkern.algrep import IsoResult, load_module
 from frobkern.fplinalg import zeros
 from frobkern.sl2dist import restricted_sl2
@@ -160,6 +161,19 @@ def test_user_errors_exit_one(capsys):
     assert code == 1 and out == ""
     assert err == "frobkern: verify runs at p <= 11, got 65537\n"
     assert cli.main(["verify", "blocks", "--p", "11"]) == 0
+
+
+@pytest.mark.parametrize("method", ["resolution", "all"])
+def test_cohom_past_the_largest_algebra_exits_one_before_building_it(capsys, monkeypatch, method):
+    # p^r = 1030301: the regular module's action matrices alone would take 8 TB
+    def refuse(alg):
+        raise AssertionError("the regular module was built")
+
+    monkeypatch.setattr(gacohom, "_regular", refuse)
+    code = cli.main(["cohom", "--p", "101", "--r", "3", "--n", "1", "--method", method])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "frobkern: the algebra has dimension 101^3, above 2000, the largest the oracle builds\n"
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from frobkern.fplinalg import (
     inverse,
     kernel_basis,
     kron,
+    rank,
     rref,
     solve,
     zeros,
@@ -160,6 +161,48 @@ def test_span_tracker():
     assert t.dim == 2
     assert t.contains(np.array([1, 1, 2]))
     assert not t.contains(np.array([1, 0, 0]))
+
+
+def span_tracker_candidates(held, pivots, n, p, rng):
+    """One vector of each kind a span reduction meets: sparse and new or
+    not, a combination of every vector held so far, and such a combination
+    plus a unit vector at a column past some pivot that no pivot is on,
+    which reduction reaches after jumping over the pivots before it."""
+    sparse = np.zeros(n, dtype=np.int64)
+    support = rng.choice(n, size=3, replace=False)
+    sparse[support] = rng.integers(-p, p, size=3)
+    yield sparse
+    if not held:
+        return
+    combination = rng.integers(0, p, size=len(held)) @ np.array(held) % p
+    yield combination
+    past = [c for c in range(pivots[0] + 1, n) if c not in pivots] if pivots else []
+    if past:
+        bumped = combination.copy()
+        bumped[rng.choice(past)] += rng.integers(1, p)
+        yield bumped
+
+
+@pytest.mark.parametrize("p", [3, 7, 65521])
+def test_span_tracker_verdicts_match_rank_growth(p):
+    # the leads of any echelon basis of a span are the pivots of its RREF,
+    # so the candidates know which columns lead a row without the tracker
+    rng = np.random.default_rng(p)
+    n = 48
+    tracker = SpanTracker(n, p)
+    held, verdicts = [], []
+    for _ in range(20):
+        pivots = list(rref(fpmat(np.array(held), p)).pivots) if held else []
+        for v in list(span_tracker_candidates(held, pivots, n, p, rng)):
+            grows = rank(fpmat(np.array(held + [v]), p)) > len(held)
+            assert tracker.contains(v) is (not grows)
+            assert tracker.insert(v) is grows
+            if grows:
+                held.append(v % p)
+            assert tracker.dim == len(held)
+            verdicts.append(grows)
+    assert True in verdicts and False in verdicts
+    assert 20 <= len(held) < n
 
 
 def test_entries_stay_reduced():
