@@ -42,7 +42,8 @@ graded module's action matrices must shift degrees exactly.  The Heller
 operator is exact linear algebra over these self-injective algebras: Omega(M)
 is the kernel of M's minimal projective cover, computed once per module,
 and the cover acts on it one summand at a time, with one product per
-distinct projective in the cover.  It takes no seed.  Nor does the
+distinct projective in the cover, formed only on the rows where the kernel
+basis is the identity.  It takes no seed.  Nor does the
 isomorphism test: for a module with a simple top or socle a Hom basis map
 decides, and otherwise every combination of the basis is tried up to a
 fixed count.  Only the MeatAxe draws at random, seeded (default 0xF0B).
@@ -402,14 +403,17 @@ def _span_module(
     M: GenAlgebraModule, basis: FpMat, unit_rows: Optional[np.ndarray]
 ) -> GenAlgebraModule:
     """`submodule`; `unit_rows`, when given, are rows on which `basis` is
-    the identity, so a vector of the span has its coordinates there.
+    the identity, so a vector of the span has its coordinates there, and
+    only those rows of g*basis are formed.
 
     The images g*basis are formed one summand of M at a time, as M's action
     is block-diagonal over `M.summands`: a summand's rows of g*basis are its
     own action times its rows of the basis.  Summands that share an action,
     as the shifted and ungraded copies of one projective in a cover do, are
     stacked into one product for all generators, each slice the size of one
-    summand's block.  A module that is no direct sum is its one summand.
+    summand's block, or, with `unit_rows`, as many rows of it as the summand
+    with the most unit rows holds.  A module that is no direct sum is its
+    one summand.
     """
     if basis.cols == 0:
         return zero_module(M.algebra, M.graded)
@@ -421,21 +425,38 @@ def _span_module(
     for S in M.summands:
         starts.setdefault(S._spin_source or S, []).append(offset)
         offset += S.dim
-    moved = np.empty((len(gens), M.dim, k), dtype=np.int64)
+    # the rows of g*basis formed: row i is row at_row[i] of `formed`
+    want = np.arange(M.dim) if unit_rows is None else unit_rows
+    at_row = np.full(M.dim, -1)
+    at_row[want] = np.arange(want.size)
+    formed = np.empty((len(gens), want.size, k), dtype=np.int64)
     for S, firsts in starts.items():
-        rows = (np.array(firsts)[:, None] + np.arange(S.dim)).ravel()
-        blocks = basis.a[rows].reshape(len(firsts), S.dim, k)
-        act = np.stack([S.mat(g).a for g in gens])[:, None]
-        moved[:, rows] = _exact_matmul(act, blocks, p).reshape(len(gens), rows.size, k)
-    # the images side by side, so that one elimination, or one read of the
-    # unit rows, gives all their coordinates; the columns of the basis are
-    # independent, so the coordinates are unique
-    moved = np.hstack(list(moved))
+        firsts = np.array(firsts)
+        if np.all(np.diff(firsts) == S.dim):
+            # one run of consecutive rows: a view of the basis, not a copy
+            rows = slice(firsts[0], firsts[0] + firsts.size * S.dim)
+        else:
+            rows = (firsts[:, None] + np.arange(S.dim)).ravel()
+        blocks = basis.a[rows].reshape(firsts.size, S.dim, k)
+        act = np.stack([S.mat(g).a for g in gens]).astype(np.float64)
+        # each summand's wanted rows in order, then its other rows: as many
+        # are multiplied as the summand with the most wanted rows holds, and
+        # the rows past a summand's own wanted rows are dropped
+        at = at_row[rows].reshape(firsts.size, S.dim)
+        held = (at >= 0).sum(axis=1)
+        pick = np.argsort(at < 0, axis=1, kind="stable")[:, : held.max()]
+        kept = np.arange(pick.shape[1]) < held[:, None]
+        out = _exact_matmul(act[:, pick], blocks, p)
+        formed[:, np.take_along_axis(at, pick, axis=1)[kept]] = out[:, kept]
     if unit_rows is None:
-        coords = _coords_in_basis(basis, FpMat(moved, p)).a
+        # the images side by side, so that one elimination gives all their
+        # coordinates; the columns of the basis are independent, so the
+        # coordinates are unique
+        moved = FpMat(np.hstack(list(formed)), p)
+        coords = _coords_in_basis(basis, moved).a.reshape(k, len(gens), k).transpose(1, 0, 2)
     else:
-        coords = moved[unit_rows]
-    action = {g: FpMat(coords[:, i * k : (i + 1) * k].copy(), p) for i, g in enumerate(gens)}
+        coords = formed
+    action = {g: FpMat(coords[i].copy(), p) for i, g in enumerate(gens)}
     grading = _degrees_of_columns(basis, M.grading) if M.graded else None
     return GenAlgebraModule(M.algebra, action, grading, check=False)
 
@@ -501,38 +522,50 @@ def build_spin(M: GenAlgebraModule) -> Spin:
 
     The generator vectors are the unit vectors e_c, in order, that lie
     outside the span so far; each is spun breadth-first, keeping every
-    g*b_t that enlarges the span as the next column of B.  The images of
-    b_t under all generators come from one stacked product.
+    g*b_t that enlarges the span as the next column of B.  A level of the
+    tree is moved by all generators in one product before its images are
+    tried in order, which keeps the first-in first-out order of the pass.
+    The images are kept, so the coordinates of the pairs off the tree take
+    one product per generator.
     """
     p, n, gens = M.algebra.p, M.dim, M.algebra.gens
-    act = np.stack([M.mat(g).a for g in gens]).astype(np.float64)
+    # g^T for each generator: a level's vectors as rows times it give their
+    # images as rows
+    act_t = np.stack([M.mat(g).a.T for g in gens]).astype(np.float64)
     tracker = SpanTracker(n, p)
-    cols: List[np.ndarray] = []
+    rows = np.empty((n, n), dtype=np.int64)  # b_t as row t
+    images = np.empty((len(gens), n, n))  # g*b_t as row t of slice g
+    size = 0  # the columns of B so far
     roots: List[int] = []
     # the spanning-tree edges b_kid = g*b_parent, grouped by the depth of
     # the kid and then by generator: every parent of a group lies one level up
     edges: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     tree = set()
     for c in range(n):
-        if tracker.dim == n:
+        if size == n:
             break
         v = np.zeros(n, dtype=np.int64)
         v[c] = 1
         if not tracker.insert(v):
             continue
-        roots.append(len(cols))
-        frontier = [(len(cols), 0)]  # (column, its depth in the tree)
-        cols.append(v)
-        while frontier:
-            t, depth = frontier.pop(0)
-            moved = _exact_matmul(act, cols[t], p).astype(np.int64)
-            for j, (g, w) in enumerate(zip(gens, moved)):
-                if w.any() and tracker.insert(w):
-                    tree.add((g, t))
-                    edges.setdefault((depth + 1, j), []).append((t, len(cols)))
-                    frontier.append((len(cols), depth + 1))
-                    cols.append(w)
-    B = np.column_stack(cols)
+        roots.append(size)
+        rows[size] = v
+        start, end, depth = size, size + 1, 0
+        size = end
+        # the kids of a level are the next columns, so each level is
+        # rows[start:end]
+        while start < end:
+            images[:, start:end] = _exact_matmul(rows[start:end], act_t, p)
+            moved = images[:, start:end].astype(np.int64)
+            for t in range(start, end):
+                for j, (g, w) in enumerate(zip(gens, moved[:, t - start])):
+                    if w.any() and tracker.insert(w):
+                        tree.add((g, t))
+                        edges.setdefault((depth + 1, j), []).append((t, size))
+                        rows[size] = w
+                        size += 1
+            start, end, depth = end, size, depth + 1
+    B = rows.T
     binv = inverse(FpMat(B, p)).a.astype(np.float64)
     levels = []
     for key in sorted(edges):
@@ -541,13 +574,13 @@ def build_spin(M: GenAlgebraModule) -> Spin:
     roots_arr = np.array(roots, dtype=np.int64)
     is_root = np.zeros(n, dtype=bool)
     is_root[roots_arr] = True
-    pairs, rows, local = [], [], []
-    for g in gens:
+    pairs, coord_rows, local = [], [], []
+    for j, g in enumerate(gens):
         ts = np.array([t for t in range(n) if (g, t) not in tree], dtype=np.int64)
         pairs.append((g, ts))
-        # column t of B^-1 g B holds the coordinates of g*b_t
-        coords = _exact_matmul(binv, _exact_matmul(M.mat(g).a, B[:, ts], p), p).T
-        rows.append(coords)
+        # B^-1 (g*b_t) holds the coordinates of g*b_t
+        coords = _exact_matmul(images[j, ts], binv.T, p)
+        coord_rows.append(coords)
         # a pair is local when b_t is a root and g*b_t lies in the span of
         # the roots: its equation then reads the generator images alone
         is_local = is_root[ts] & ~coords[:, ~is_root].any(axis=1)
@@ -557,7 +590,7 @@ def build_spin(M: GenAlgebraModule) -> Spin:
             local.append((g, js, coords[is_local][:, roots_arr].astype(np.int64)))
     gen_pos = B[:, roots].argmax(axis=0)  # the roots are unit vectors
     return Spin(
-        roots_arr, tuple(levels), gen_pos, binv, tuple(pairs), np.vstack(rows), tuple(local)
+        roots_arr, tuple(levels), gen_pos, binv, tuple(pairs), np.vstack(coord_rows), tuple(local)
     )
 
 

@@ -38,7 +38,13 @@ from .algrep import (
     socle,
 )
 from .fplinalg import rank
-from .gacohom import cohom_dim, cohom_dim_by_enumeration, minimal_resolution_dims
+from .gacohom import (
+    check_algebra_order,
+    check_enumeration_size,
+    cohom_dim,
+    cohom_dim_by_enumeration,
+    minimal_resolution_dims,
+)
 from .sl2dist import (
     graded_verma_module,
     heart_module,
@@ -201,6 +207,11 @@ _COMPONENT_HYPOTHESES = {
 def _cmd_cohom(args):
     # returns (result, verified_by_oracle, disagreement)
     p, r, n = args.p, args.r, args.n
+    # every requested route's bound is checked before any route runs
+    if args.method in ("enumeration", "all"):
+        check_enumeration_size(r, n)
+    if args.method in ("resolution", "all"):
+        check_algebra_order(p, r)
     routes = {}
     if args.method in ("closed-form", "all"):
         routes["closed-form"] = cohom_dim(p, r, n)

@@ -24,19 +24,26 @@ actions to the p-th power.
 Elimination has two routines.  The incremental echelon form `Echelon`
 takes rows a block at a time: each block is reduced against the rows held
 so far with `_exact_matmul`, its zero rows are dropped, the rest is
-eliminated pivot by pivot, and one more product clears the new pivots from
-the held rows.  `rref`, `kernel_basis`, `solve` and `inverse` feed it all
-rows at once; the Hom solver of `algrep` streams its equations in and stops
-once the rank reaches the number of unknowns.  `SpanTracker` grows a basis
-one vector at a time, for the one greedy pass of `algrep` that must know
-after each vector whether it enlarged the span: the spin of a module
-(`algrep.build_spin`), whose next vectors depend on which ones were kept.
+eliminated, and one more product clears the new pivots from the held rows.
+A block of more than `_ROUND_ENTRIES` entries is eliminated in rounds of
+exact products, each reduced once, as in the same paper: each round takes
+the first row at every distinct leading column, and a few products make
+those rows the identity on their leads and clear the leads from every
+other row.  A smaller block is eliminated pivot by pivot, as a round's
+fixed numpy calls cost more than its products save there.  The RREF is
+unique, so both give the same rows.  `rref`, `kernel_basis`, `solve` and
+`inverse` feed it all rows at once; the Hom solver of `algrep` streams its
+equations in and stops once the rank reaches the number of unknowns.
+`SpanTracker` grows a basis one vector at a time, for the one greedy pass
+of `algrep` that must know after each vector whether it enlarged the span:
+the spin of a module (`algrep.build_spin`), whose next vectors depend on
+which ones were kept.
 It reduces a vector by jumping from lead to lead, so it reads only the
 rows the vector meets.  It stays because `Echelon.add` pays a block's
 products for each single row: with the spin on `Echelon.add` the answers
-were the same, but the spins of `cohom --p 7 --r 2 --n 8` took 3.9 times
-as long (0.315 against 0.081 s, medians of seven in-process runs on a
-2-vCPU Xeon VM).
+were the same, but the spins of `cohom --p 7 --r 2 --n 8` took 5 to 7
+times as long (0.24-0.35 against 0.04-0.06 s, medians of seven in-process
+runs in each of three processes per side on a 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -85,6 +92,16 @@ _FLOAT_EXACT = 2**53
 # _SERIAL_MACS multiply-adds each, which costs little at that size.
 _SERIAL_MACS = 2**18
 _THREADED_MACS = 2**22
+
+# A block of more entries than this is eliminated in rounds, and a smaller one
+# pivot by pivot, where the fixed numpy calls of a round cost more than the
+# pivots they clear.  Replaying every `Echelon.add` of `verify ub1 --p 5`,
+# `verify heart --p 5`, `verify graded-orbit --p 7` and `cohom --p 7 --r 2
+# --n 8` on one BLAS thread (best of seven per call), the total with the
+# switch at 128 was within 1 % of the lowest on each of the four, and 30-56 %
+# below pivot by pivot throughout; with rounds for every block, graded-orbit
+# took twice as long.
+_ROUND_ENTRIES = 128
 
 
 def _check_prime(p: int) -> None:
@@ -237,6 +254,101 @@ class Rref:
         return len(self.pivots)
 
 
+def _rref_by_pivots(m: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """The nonzero RREF rows of m and their pivots, one pivot at a time."""
+    m = m.copy()
+    found: List[int] = []
+    r = 0
+    for c in range(m.shape[1]):
+        if r == len(m):
+            break
+        nz = m[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        m[r] = (m[r] * _inv_scalar(int(m[r, c]), p)) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        hit = col.nonzero()[0]
+        if hit.size:
+            m[hit] = (m[hit] - col[hit, None] * m[r]) % p
+        found.append(c)
+        r += 1
+    return m[:r], found
+
+
+def _rref_in_rounds(m: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """The nonzero RREF rows of m and their pivots, many pivots per round.
+
+    A round takes the first row at each distinct leading column and scales
+    it to a unit lead.  In the order of their leads those rows are unit
+    upper triangular on the lead columns, I + N with N nilpotent, so one
+    product with (I + N)^-1 = (I - N)(I + N^2)(I + N^4)... makes them the
+    identity there; one product each then clears the lead columns from the
+    rows still to reduce and from the rows of earlier rounds.  Rows are kept
+    on the columns that lead no found row, as a found row is the identity
+    on the leads and every other row is zero there.  The RREF is unique, so
+    the rows and pivots are those of the elimination pivot by pivot.
+    """
+    cols = np.arange(m.shape[1])  # the columns that lead no found row
+    done = np.zeros((0, cols.size), dtype=np.int64)  # found rows, on cols
+    found: List[int] = []
+    rest = m[m.any(axis=1)]
+    while len(rest):
+        # the first row at each distinct lead, leads increasing
+        lead = (rest != 0).argmax(axis=1)
+        order = lead.argsort(kind="stable")
+        lead = lead[order]
+        is_first = np.empty(lead.size, dtype=bool)
+        is_first[0] = True
+        np.not_equal(lead[1:], lead[:-1], out=is_first[1:])
+        leads, first = lead[is_first], order[is_first]
+        lead_rows = rest[first]
+        k = leads.size
+        scale = [_inv_scalar(x, p) for x in lead_rows[np.arange(k), leads].tolist()]
+        lead_rows = lead_rows * np.array(scale, dtype=np.int64)[:, None] % p
+        keep = np.ones(cols.size, dtype=bool)
+        keep[leads] = False
+        new = lead_rows[:, keep]
+        unit = lead_rows[:, leads]
+        if np.count_nonzero(unit) > k:
+            minus_n = (p - unit) % p
+            np.fill_diagonal(minus_n, 0)
+            inv, power = minus_n.copy(), minus_n
+            np.fill_diagonal(inv, 1)
+            while True:
+                power = _exact_matmul(power, power, p).astype(np.int64)
+                if not power.any():
+                    break
+                inv = (inv + _exact_matmul(inv, power, p).astype(np.int64)) % p
+            new = _exact_matmul(inv, new, p).astype(np.int64)
+        others = np.ones(len(rest), dtype=bool)
+        others[first] = False
+        rest = _clear_columns(rest[others], leads, keep, new, p)
+        rest = rest[rest.any(axis=1)]
+        if len(done):
+            new = np.concatenate([_clear_columns(done, leads, keep, new, p), new])
+        done = new
+        found += cols[leads].tolist()
+        cols = cols[keep]
+    rows = np.zeros((len(found), m.shape[1]), dtype=np.int64)
+    rows[np.arange(len(found)), found] = 1
+    rows[:, cols] = done
+    order = np.argsort(found)
+    return rows[order], sorted(found)
+
+
+def _clear_columns(a: np.ndarray, leads, keep, rows: np.ndarray, p: int) -> np.ndarray:
+    """a less a[..., leads] times `rows`, on the columns `keep`: with rows
+    that are the identity on the columns `leads` and zero on the other
+    columns a drops, this clears those columns from a."""
+    out = a[..., keep] - _exact_matmul(a[..., leads], rows, p).astype(np.int64)
+    np.add(out, p, out=out, where=out < 0)
+    return out
+
+
 class Echelon:
     """Reduced row echelon form of a growing row space of F_p^ncols.
 
@@ -269,56 +381,34 @@ class Echelon:
         A stacked block (..., rows, ncols) adds the rows of every slice.
         Once rows are held, a block is reduced against them with one
         product per slice and its zero rows are dropped; the rest is
-        eliminated pivot by pivot, and one more product clears the new
-        pivot columns from the held rows.
+        eliminated in rounds, or pivot by pivot when it has no more than
+        _ROUND_ENTRIES entries, and one more product clears the new pivot
+        columns from the held rows.
         """
         p, held = self.p, self.pivots
         if held:
             # the held rows are the identity on their pivot columns, so the
             # reduced block is zero there and only its free columns are formed
             free = self._is_free.nonzero()[0]
-            lead = block[..., held]
-            block = block[..., free] - _exact_matmul(lead, self.rows[:, free], p).astype(np.int64)
-            np.add(block, p, out=block, where=block < 0)
+            block = _clear_columns(block, held, free, self.rows[:, free], p)
         block = block.reshape(math.prod(block.shape[:-1]), block.shape[-1])
-        # the loop below writes to m, so m is a copy in either case
-        m = block[block.any(axis=1)] if held else block.copy()
-        found: List[int] = []  # pivots of m, as columns of m
-        r = 0
-        for c in range(m.shape[1]):
-            if r == len(m):
-                break
-            nz = m[r:, c].nonzero()[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                m[[r, i]] = m[[i, r]]
-            m[r] = (m[r] * _inv_scalar(int(m[r, c]), p)) % p
-            col = m[:, c].copy()
-            col[r] = 0
-            hit = col.nonzero()[0]
-            if hit.size:
-                m[hit] = (m[hit] - col[hit, None] * m[r]) % p
-            found.append(c)
-            r += 1
+        m = block[block.any(axis=1)] if held else block
+        eliminate = _rref_in_rounds if m.size > _ROUND_ENTRIES else _rref_by_pivots
+        m, found = eliminate(m, p)
         if not found:
             return
         if not held:
-            # nothing to clear, and the loop found the pivots in order
-            self.rows, self.pivots = m[:r], found
+            self.rows, self.pivots = m, found
             self._is_free[found] = False
             return
         pivots = free[found].tolist()
         self._is_free[pivots] = False
-        new = np.zeros((r, self.ncols), dtype=np.int64)
-        new[:, free] = m[:r]
+        new = np.zeros((len(found), self.ncols), dtype=np.int64)
+        new[:, free] = m
         # clear the new pivot columns from the held rows; their own pivot
         # columns stay the identity, as the new rows are zero there
         rows = self.rows.copy()
-        cleared = rows[:, free] - _exact_matmul(rows[:, pivots], m[:r], p).astype(np.int64)
-        np.add(cleared, p, out=cleared, where=cleared < 0)
-        rows[:, free] = cleared
+        rows[:, free] = _clear_columns(rows, pivots, free, m, p)
         order = np.argsort(held + pivots)
         self.rows = np.vstack([rows, new])[order]
         self.pivots = sorted(held + pivots)

@@ -36,6 +36,10 @@ from .fplinalg import fpmat
 # at 1.2 GB of peak memory on a 2-vCPU Xeon VM
 MAX_ORDER = 2000
 
+# the most tuples (a, e) that `cohom_dim_by_enumeration` walks; at 2^20, r = 20
+# and n = 1 took 0.46 s on a 2-vCPU Xeon VM
+MAX_TUPLES = 2**20
+
 
 def _truncated_checker(r: int):
     names = [f"u{i}" for i in range(r)]
@@ -75,6 +79,16 @@ def _regular(alg: GenAlgebra) -> GenAlgebraModule:
     return GenAlgebraModule(alg, action)
 
 
+def check_algebra_order(p: int, r: int) -> None:
+    """Raise ValueError when p^r exceeds `MAX_ORDER`, without forming p^r
+    for a huge r."""
+    # p >= 3, so a height past the bit length of the bound is past the bound
+    if r > MAX_ORDER.bit_length() or p**r > MAX_ORDER:
+        raise ValueError(
+            f"the algebra has dimension {p}^{r}, above {MAX_ORDER}, the largest the oracle builds"
+        )
+
+
 @lru_cache(maxsize=None)
 def truncated_poly_algebra(p: int, r: int) -> GenAlgebra:
     """F_p[u_0..u_{r-1}]/(u_i^p), with its one simple and one projective.
@@ -83,12 +97,7 @@ def truncated_poly_algebra(p: int, r: int) -> GenAlgebra:
     """
     if r < 1:
         raise ValueError("height r must be >= 1")
-    # p >= 3, so a height past the bit length of the bound is past the bound,
-    # and p^r is never formed for a huge r
-    if r > MAX_ORDER.bit_length() or p**r > MAX_ORDER:
-        raise ValueError(
-            f"the algebra has dimension {p}^{r}, above {MAX_ORDER}, the largest the oracle builds"
-        )
+    check_algebra_order(p, r)
     alg = GenAlgebra(
         f"ga-p{p}-r{r}",
         p,
@@ -124,11 +133,29 @@ def cohom_dim(p: int, r: int, n: int) -> int:
     return math.comb(n + r - 1, r - 1)
 
 
-def cohom_dim_by_enumeration(p: int, r: int, n: int) -> int:
-    """Count monomials x_1^{a_1}..x_r^{a_r} y_0^{e_0}..y_{r-1}^{e_{r-1}}
-    with 2*sum(a) + sum(e) = n directly, no binomials."""
+def check_enumeration_size(r: int, n: int) -> None:
+    """Raise ValueError when `cohom_dim_by_enumeration` would walk more than
+    `MAX_TUPLES` tuples, without forming their count for a huge r, or
+    when n is negative."""
     if n < 0:
         raise ValueError("cohomological degree must be >= 0")
+    base = 2 * (n // 2 + 1)  # (n//2 + 1)^r exponent tuples a, 2^r tuples e
+    # the base is at least 2, so a height past the bit length of
+    # the bound is past the bound
+    if r > MAX_TUPLES.bit_length() or base**r > MAX_TUPLES:
+        raise ValueError(
+            f"the enumeration walks {n // 2 + 1}^{r} * 2^{r} tuples, above {MAX_TUPLES}, "
+            "the most it walks"
+        )
+
+
+def cohom_dim_by_enumeration(p: int, r: int, n: int) -> int:
+    """Count monomials x_1^{a_1}..x_r^{a_r} y_0^{e_0}..y_{r-1}^{e_{r-1}}
+    with 2*sum(a) + sum(e) = n directly, no binomials.
+
+    Refused when it would walk more than `MAX_TUPLES` tuples.
+    """
+    check_enumeration_size(r, n)
     count = 0
     bound = n // 2 + 1
     for a in itertools.product(range(bound), repeat=r):

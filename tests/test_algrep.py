@@ -1345,20 +1345,26 @@ def slice_macs(a, b):
 
 def test_resolution_steps_form_no_threaded_product_in_span_module(monkeypatch):
     # each cover of `cohom --p 7 --r 2 --n 8` is copies of the regular module,
-    # so each step forms one stacked product of 49 x 49 actions per slice
-    inside, macs = [], []
+    # so each step forms one stacked product of 49 x 49 actions per slice, on
+    # as many rows of each copy as the copy with the most unit rows holds
+    inside, macs, shapes, unit_shapes = [], [], [], []
     real_span, real_matmul = algrep._span_module, algrep._exact_matmul
 
-    def span(*args):
+    def span(P, basis, unit_rows):
+        ends = np.cumsum([0] + [S.dim for S in P.summands])
+        in_copy = (ends[:-1, None] <= unit_rows) & (unit_rows < ends[1:, None])
+        held = in_copy.sum(axis=1).tolist()
+        unit_shapes.append((len(P.algebra.gens), len(held), max(held), 49))
         inside.append(True)
         try:
-            return real_span(*args)
+            return real_span(P, basis, unit_rows)
         finally:
             inside.pop()
 
     def matmul(a, b, p):
         if inside:
             macs.append(slice_macs(a, b))
+            shapes.append(a.shape)
         return real_matmul(a, b, p)
 
     monkeypatch.setattr(algrep, "_span_module", span)
@@ -1366,6 +1372,32 @@ def test_resolution_steps_form_no_threaded_product_in_span_module(monkeypatch):
     trace = gacohom.minimal_resolution_dims(7, 2, 8)
     assert trace.ext_dims == list(range(1, 10))
     assert len(macs) == 9 and max(macs) < fplinalg._THREADED_MACS
+    # only the unit rows are multiplied, padded to the most one copy holds
+    assert shapes == unit_shapes and all(rows < 49 for _, _, rows, _ in shapes)
+
+
+def test_spin_moves_a_level_per_product(monkeypatch):
+    # one product per level of the breadth-first pass, and one per generator
+    # for the coordinates of the pairs off the tree
+    M = heller_power(gacohom.trivial_module(7, 2), 8)
+    calls = []
+    real_matmul = algrep._exact_matmul
+
+    def matmul(a, b, p):
+        calls.append(a.shape)
+        return real_matmul(a, b, p)
+
+    monkeypatch.setattr(algrep, "_exact_matmul", matmul)
+    spin = algrep.build_spin(M)
+    # the level of a column is its root and its depth below that root
+    level = {int(t): (int(t), 0) for t in spin.roots}
+    for _, parents, kids in spin.levels:
+        for parent, kid in zip(parents.tolist(), kids.tolist()):
+            root, depth = level[parent]
+            level[kid] = (root, depth + 1)
+    levels = len(set(level.values()))
+    assert len(level) == M.dim == 197 and levels + 2 < M.dim
+    assert len(calls) <= levels + len(M.algebra.gens)
 
 
 def spin_digest(modules) -> str:

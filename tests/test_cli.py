@@ -414,16 +414,38 @@ def test_verify_dump_dir(capsys, tmp_path):
     assert reg.dim == 27
 
 
-def test_console_module_invocation():
+def run_cli_child(argv, timeout=None):
     # the child imports the same frobkern as this test, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    out = subprocess.run(
-        [sys.executable, "-m", "frobkern.cli", "block", "--p", "3", "--r", "2", "--lambda", "5"],
+    return subprocess.run(
+        [sys.executable, "-m", "frobkern.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
+
+
+def test_console_module_invocation():
+    out = run_cli_child(["block", "--p", "3", "--r", "2", "--lambda", "5"])
     assert out.returncode == 0
     assert json.loads(out.stdout)["result"] == {"block": {"i": 0, "s": 1}}
+
+
+@pytest.mark.parametrize("method", ["all", "enumeration"])
+def test_cohom_past_a_route_bound_exits_one_before_running_any_route(method):
+    # every requested route's bound is checked before any route runs, so the
+    # refusal comes before the enumeration walks its 4^16 * 2^16 tuples
+    out = run_cli_child(["cohom", "--p", "3", "--r", "16", "--n", "6", "--method", method], 20)
+    err = "frobkern: the enumeration walks 4^16 * 2^16 tuples, above 1048576, the most it walks\n"
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", err)
+
+
+def test_enumeration_past_its_bound_is_refused_without_forming_the_count():
+    assert gacohom.MAX_TUPLES == 2**20
+    gacohom.check_enumeration_size(20, 1)  # 1^20 * 2^20 tuples: at the bound
+    for r, n in [(21, 0), (7, 6), (10**12, 2)]:
+        with pytest.raises(ValueError, match="the most it walks"):
+            gacohom.check_enumeration_size(r, n)

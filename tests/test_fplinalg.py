@@ -342,31 +342,67 @@ def echelon_test_matrices(p, rng):
     rank_deficient = rng.integers(0, p, size=(25, 4)) @ rng.integers(0, p, size=(4, 18))
     mostly_zero = rng.integers(0, p, size=(30, 20)) * (rng.random((30, 20)) < 0.06)
     mostly_zero[7] = 0
+    # distinct leads on the diagonal and a dense strictly upper part: one
+    # round takes every row, and N on the lead columns is nilpotent of index 16
+    upper = np.triu(rng.integers(0, p, size=(16, 24)), 1)
+    upper[np.arange(16), np.arange(16)] = rng.integers(1, p, size=16)
+    # distinct leads with N = 0: the rows are already reduced on their leads
+    reduced = np.hstack([np.eye(16, dtype=np.int64), rng.integers(0, p, size=(16, 8))])
+    one_lead = rng.integers(0, p, size=(40, 16))
+    one_lead[:, 0] = rng.integers(1, p, size=40)
+    zero_rows = rng.integers(0, p, size=(40, 12))
+    zero_rows[::2] = 0
     return {
         "tall": rng.integers(0, p, size=(40, 12)),
         "wide": rng.integers(0, p, size=(9, 30)),
         "rank-deficient": rank_deficient % p,
         "mostly-zero": mostly_zero,
+        "unit-upper-leads": upper[rng.permutation(16)],
+        "reduced-leads": reduced[rng.permutation(16)],
+        "one-lead": one_lead,
+        "zero-rows": zero_rows,
     }
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 65521])
-def test_echelon_matches_big_integer_elimination(p):
+def test_echelon_matches_big_integer_elimination(p, monkeypatch):
+    rounds = []
+    real_rounds = fplinalg._rref_in_rounds
+
+    def spy(m, p):
+        rounds.append(m.size)
+        return real_rounds(m, p)
+
+    monkeypatch.setattr(fplinalg, "_rref_in_rounds", spy)
     rng = np.random.default_rng(p)
+    held_rounds = set()  # the inputs whose third uneven block ran in rounds
     for name, a in echelon_test_matrices(p, rng).items():
         want_rows, want_pivots = gauss_jordan(as_python_ints(a), p)
+        # each input is eliminated in rounds as one block
+        assert a.size > fplinalg._ROUND_ENTRIES, name
+        for eliminate in (fplinalg._rref_by_pivots, real_rounds):
+            rows, pivots = eliminate(a, p)
+            assert pivots == want_pivots and as_python_ints(rows) == want_rows, name
         red = rref(fpmat(a, p))
         assert list(red.pivots) == want_pivots, name
         assert as_python_ints(red.matrix.a[: red.rank]) == want_rows, name
         assert not red.matrix.a[red.rank :].any(), name
-        # one block, then uneven blocks (some empty on the wide matrix) and
-        # a last one stacked as two slices of four rows
+        # one block, one stacked block of two slices, then uneven blocks
+        # (some empty on the wide matrix) and a last one stacked as two
+        # slices of four rows; the third block meets rows already held
         rest = a[:-8]
         uneven = [rest[:1], rest[1:4], rest[4:], a[-8:].reshape(2, 4, -1)]
-        for blocks in ([a], uneven):
+        stacked = a[: len(a) // 2 * 2].reshape(2, len(a) // 2, -1)
+        for blocks in ([a], [stacked, a[len(a) // 2 * 2 :]], uneven):
+            del rounds[:]
             ech = Echelon(a.shape[1], p)
             for block in blocks:
                 ech.add(block)
+            if blocks is not uneven:
+                assert rounds, name
+            elif rounds:
+                held_rounds.add(name)
             assert ech.pivots == want_pivots, name
             assert as_python_ints(ech.rows) == want_rows, name
             assert kernel_basis(fpmat(a, p)) == ech.kernel(), name
+    assert {"tall", "one-lead", "zero-rows", "mostly-zero"} <= held_rounds
