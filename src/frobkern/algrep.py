@@ -27,13 +27,13 @@ solve first yields its kernel in generator-image coordinates.  A module map
 is fixed by where it sends the generators, so projective covers pick their
 lifts from those images, stable Homs count the maps through a projective
 from them, and the MeatAxe forms one endomorphism per try: only the maps a
-caller keeps become matrices.  A solve that forms equations forms the word
-operators of the spin, and its maps are read off them; any other solve
-spins the generator images of just the maps kept.  Each module keeps its
-Hom spaces to and from the simples, its radical, its socle, its cover and
-the first stage of every Hom solve into it; its shifts and its ungraded
-copy share its spin and those first stages.  An ungraded module has degree
-0 throughout, so each module map has one kernel, homogeneous, from one
+caller keeps become matrices, each spun from its generator images along
+the spanning tree of M.  The word operators of a solve that forms
+equations are dropped once it has them.  Each module keeps its Hom spaces
+to and from the simples, its radical, its socle, its cover and the first
+stage of every Hom solve into it; its shifts and its ungraded copy share
+its spin and those first stages.  An ungraded module has degree 0
+throughout, so each module map has one kernel, homogeneous, from one
 elimination of the whole map, and independent columns are the pivots of one
 RREF, stably ordered by degree.
 
@@ -300,13 +300,12 @@ class GenAlgebraModule:
     def _regraded(self, grading: Optional[Tuple[int, ...]]) -> "GenAlgebraModule":
         # the same action with another grading, or none: the grading needs
         # no new check and the spin is shared, while the structure that
-        # depends on the degrees starts empty
+        # depends on the degrees, every other cached property, starts empty
         out = copy.copy(self)
         out.grading = grading
         out._spin_source = self if self._spin_source is None else self._spin_source
         out._summands = None  # the summands keep their own degrees
-        names = ("maps_to_simples", "maps_from_simples", "radical_basis", "socle_basis", "cover")
-        for name in names:
+        for name in _DEGREE_DEPENDENT:
             vars(out).pop(name, None)
         return out
 
@@ -323,6 +322,14 @@ class GenAlgebraModule:
     def __repr__(self):
         tag = f", degrees {sorted(set(self.grading))}" if self.graded else ""
         return f"<module dim {self.dim} over {self.algebra.algebra_id}{tag}>"
+
+
+# the cached properties of a module that its regraded copies compute anew
+_DEGREE_DEPENDENT = tuple(
+    name
+    for name, attr in vars(GenAlgebraModule).items()
+    if isinstance(attr, cached_property) and name != "spin"
+)
 
 
 @dataclass(frozen=True)
@@ -507,8 +514,7 @@ def quotient(M: GenAlgebraModule, sub_basis: FpMat) -> Tuple[GenAlgebraModule, F
     """Quotient by the span of `sub_basis`; returns (module, projection matrix)."""
     p = M.algebra.p
     projm, comp = _complement_projection(sub_basis, M.dim)
-    embm = FpMat(np.eye(M.dim, dtype=np.int64)[:, comp], p)
-    action = {g: projm @ M.mat(g) @ embm for g in M.algebra.gens}
+    action = {g: FpMat(projm.a @ M.mat(g).a[:, comp] % p, p) for g in M.algebra.gens}
     grading = [M.grading[c] for c in comp] if M.graded else None
     return GenAlgebraModule(M.algebra, action, grading, check=False), projm
 
@@ -602,17 +608,13 @@ class HomKernel:
     `gen_images[j, :, c]` is the image of generator j under map c: the
     kernel in generator-image coordinates.  The local equations of the spin
     leave k free combinations of those images, and `ker` lives in those k
-    coordinates.  `W`, formed only by a solve that forms equations, holds
-    the images of the spun basis in them: `W[t] @ ker[:, c]` is the image of
-    b_t under map c.  `_hom_maps` turns maps into matrices, reading them off
-    W when it was formed and spinning their generator images through the
-    target N otherwise.
+    coordinates.  `_hom_maps` turns maps into matrices by spinning their
+    generator images through the target N.
     """
 
     N: GenAlgebraModule
     ker: np.ndarray
     gen_images: np.ndarray
-    W: Optional[np.ndarray]
 
     @property
     def dim(self) -> int:
@@ -706,8 +708,11 @@ def _pair_equations(spin: Spin, act: Dict[str, np.ndarray], W: np.ndarray, p: in
     # keep one flattened product coord_rows @ W on one BLAS thread as well,
     # but in blocks of a few wide rows, which made `verify heart --p 7` slower
     rhs = _exact_matmul(spin.coord_rows, W.transpose(1, 0, 2), p)
-    system = (lhs - rhs.transpose(1, 0, 2)).astype(np.int64)
-    del lhs, rhs  # freed before the sign fix forms its mask
+    # in place: a fourth array this size set the peak of meataxe-regular-p7
+    lhs -= rhs.transpose(1, 0, 2)
+    del rhs
+    system = lhs.astype(np.int64)
+    del lhs  # freed before the sign fix forms its mask
     np.add(system, p, out=system, where=system < 0)  # lhs - rhs lies in (-p, p)
     return system
 
@@ -768,11 +773,11 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
     # off-tree pairs (`_pair_equations`).  Each pair is a relation of M;
     # when M is free it is a relation of the algebra, which holds on every
     # module, so a free source forms no equation (Hom(A, N) is N).  Any
-    # other source forms every pair.  The local pairs hold for every y and
-    # give zero rows, dropped below.  With no equation formed every y solves
-    # the system, and the word operators W are not formed either
+    # other source forms every pair, on the word operators W of the spin,
+    # which live only as long as the equations are formed.  The local pairs
+    # hold for every y and give zero rows, dropped below.  With no equation
+    # formed every y solves the system
     ech = Echelon(k, p)
-    W = None
     if spin.coord_rows.shape[0] and not _is_free(M):
         act = _float_action(N)
         # W[t] @ y is the image of b_t when K @ y holds the unknowns
@@ -781,6 +786,7 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
         W[spin.roots[gen_of[piv]], row_of[piv]] = K_piv
         _spin_words(spin, act, W, p)
         system = _pair_equations(spin, act, W, p)
+        del W
         live = np.flatnonzero(system.any(axis=(1, 2)))  # pairs with a nonzero equation
         # most Hom spaces out of a simple, or into one, are zero: feed the
         # live pairs in blocks that double, the first just tall enough to
@@ -798,13 +804,7 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
     gen_images = np.zeros((n_gen, n, ker.shape[1]), dtype=np.int64)
     gen_images[gen_of[free], row_of[free]] = ker
     gen_images[gen_of[piv], row_of[piv]] = _exact_matmul(K_piv, ker, p).astype(np.int64)
-    return HomKernel(N, ker, gen_images, W)
-
-
-def _columns(a: np.ndarray, cols, p: int) -> np.ndarray:
-    """The maps `cols` of a kernel laid out with one map per last-axis
-    column: picked by index, or combined by a 2-d coefficient array."""
-    return _exact_matmul(a, cols, p) if np.ndim(cols) == 2 else a[..., cols]
+    return HomKernel(N, ker, gen_images)
 
 
 def _hom_maps(M: GenAlgebraModule, hom: HomKernel, cols=slice(None)) -> List[FpMat]:
@@ -812,21 +812,19 @@ def _hom_maps(M: GenAlgebraModule, hom: HomKernel, cols=slice(None)) -> List[FpM
 
     `cols` picks basis maps by index, or is a dim x c array of coefficient
     columns: map c is then sum_i cols[i, c] * (basis map i).  Only these
-    maps are formed.  A solve that formed equations kept the word operators
-    W and the maps are read off them; otherwise the generator images of
-    just these maps are spun along M's spanning tree.  The map is linear in
-    its generator images, so both give the same matrix.
+    maps are formed: their generator images are spun along M's spanning
+    tree, as the map is linear in them.
     """
     p, spin = M.algebra.p, M.spin
+    if np.ndim(cols) == 2:
+        gen_images = _exact_matmul(hom.gen_images, cols, p)
+    else:
+        gen_images = hom.gen_images[..., cols]
     # images[t, :, c] is the image of b_t under map c; map c is that n x m
     # matrix of images times B^-1
-    if hom.W is not None:
-        images = _exact_matmul(hom.W, _columns(hom.ker, cols, p), p)
-    else:
-        gen_images = _columns(hom.gen_images, cols, p)
-        images = np.zeros((M.dim,) + gen_images.shape[1:], dtype=np.float64)
-        images[spin.roots] = gen_images
-        _spin_words(spin, _float_action(hom.N), images, p)
+    images = np.zeros((M.dim,) + gen_images.shape[1:], dtype=np.float64)
+    images[spin.roots] = gen_images
+    _spin_words(spin, _float_action(hom.N), images, p)
     maps = _exact_matmul(np.ascontiguousarray(images.T), spin.binv, p).astype(np.int64)
     return [FpMat(phi, p) for phi in maps]
 

@@ -113,7 +113,9 @@ def _query_dict(args) -> dict:
     return out
 
 
-def _emit(args, result: dict, hypotheses: List[str], verified: bool) -> None:
+def _emit(args, result: dict, hypotheses: List[str], verified: bool, text=None) -> None:
+    """Print the JSON envelope, or the plain-text lines `text`: by default
+    one line per result field and one for the hypotheses."""
     payload = {
         "schema": 1,
         "query": _query_dict(args),
@@ -123,11 +125,13 @@ def _emit(args, result: dict, hypotheses: List[str], verified: bool) -> None:
     }
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
-    else:
-        for key in sorted(result):
-            print(f"{key}: {result[key]}")
+        return
+    if text is None:
+        text = [f"{key}: {result[key]}" for key in sorted(result)]
         if hypotheses:
-            print("hypotheses: " + ", ".join(hypotheses))
+            text.append("hypotheses: " + ", ".join(hypotheses))
+    for line in text:
+        print(line)
 
 
 def _block_json(block) -> object:
@@ -526,22 +530,17 @@ def _cmd_verify(args) -> int:
     report = run_verify(
         args.suite, args.p, seed, budget_ms=args.budget_ms, dump_dir=args.dump_dir
     )
-    payload = {
-        "schema": 1,
-        "query": _query_dict(args),
-        "result": report,
-        "paper_hypotheses": _STANDING,
-        "verified_by_oracle": True,
-    }
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for case in report["cases"]:
-            tag = case.get("suite", args.suite)
-            print(f"{case['status']:>6}  {tag}  {json.dumps(case['input'], sort_keys=True)}")
-        verdict = "PASS" if report["passed"] else "FAIL"
-        print(f"suite {args.suite}: {verdict} ({len(report['cases'])} cases, {report['wall_ms']} ms)")
+    _emit(args, report, _STANDING, True, _verify_text(args.suite, report))
     return 0 if report["passed"] else 2
+
+
+def _verify_text(suite: str, report: dict):
+    # a generator, so the JSON output never formats these lines
+    for case in report["cases"]:
+        tag = case.get("suite", suite)
+        yield f"{case['status']:>6}  {tag}  {json.dumps(case['input'], sort_keys=True)}"
+    verdict = "PASS" if report["passed"] else "FAIL"
+    yield f"suite {suite}: {verdict} ({len(report['cases'])} cases, {report['wall_ms']} ms)"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import hashlib
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -372,6 +373,20 @@ def test_graded_hom_matches_commutant_oracle_over_graded_restricted_sl2():
     assert 0 < dims.count(0) < len(dims)
 
 
+def test_hom_matches_commutant_oracle_over_distribution_sl2(monkeypatch):
+    # height two at p = 3: the simples, the covers of the Steinberg tail and
+    # their hearts, each pair in both directions.  Most of these solves form
+    # equations, and the commutant checks the maps they spin
+    calls = record_calls(monkeypatch, "_pair_equations")
+    alg = distribution_sl2(3, 2)
+    covers = list(alg.projectives[6:8])
+    hearts = [heart_module(3, 2, lam) for lam in (6, 7)]
+    mods = list(alg.simples) + covers + hearts
+    dims = [assert_hom_matches_commutant(M, N) for M in mods for N in mods]
+    assert 0 < dims.count(0) < len(dims)
+    assert calls
+
+
 def test_hom_between_regular_module_and_syzygy_matches_commutant_oracle():
     reg = gacohom.regular_module(5, 2)
     k = gacohom.trivial_module(5, 2)
@@ -629,21 +644,23 @@ def test_faithful_cover_solves_only_the_relations_nonzero_in_the_algebra(monkeyp
     # the lone cover of an algebra with one simple is free, so each off-tree
     # pair of its spin is a relation of the algebra and gives zero equations
     # into every module: its solves form no pair and no word operators, and
-    # the maps they spin from generator images alone must equal those that
-    # the solves forming every pair read off their word operators
+    # they must give the kernel and the maps of the solves forming every pair
     calls = record_calls(monkeypatch, "_pair_equations")
+    spins = record_calls(monkeypatch, "_spin_words")
     skipped = 0
     for P, N in faithful_cover_pairs():
         # freeness is read off the module: a copy built anew is free too
         assert algrep._is_free(P) and algrep._is_free(rebuilt(P))
         skipped += sum(ts.size for _, ts in P.spin.pairs)
         calls.clear()
+        spins.clear()
         hom = algrep._hom_kernel(P, N)
-        assert calls == []
+        assert calls == [] and spins == []
         forced = all_pairs_kernel(monkeypatch, P, N)
-        assert_same_kernel(P, hom, forced)
         if hom is not None:
-            assert hom.W is None and forced.W is not None and hom.N is N
+            # the forced solve spins the word operators it forms pairs on
+            assert len(spins) >= 1 and hom.N is N
+        assert_same_kernel(P, hom, forced)
     assert skipped > 0
 
 
@@ -670,7 +687,6 @@ def test_hom_out_of_the_regular_module_forms_no_equation(monkeypatch):
             spins = record_calls(m, "_spin_words")
             hom = algrep._hom_kernel(A, omega3)
         assert hom.dim == omega3.dim
-        assert (hom.W is None) == free
         counts[free] = (len(calls), len(adds), len(spins))
     assert counts[True] == (1, 0, 0)
     # forming W costs one product per tree level, and forming every pair
@@ -721,11 +737,11 @@ def test_hom_out_of_the_free_sl2_module_forms_no_equation(monkeypatch):
         adds = []
         with monkeypatch.context() as m:
             m.setattr(Echelon, "add", lambda self, b: adds.append(b) or real_add(self, b))
+            spins = record_calls(m, "_spin_words")
             hom = algrep._hom_kernel(A, N)
-        assert adds == []
+        assert adds == [] and spins == []
         # Hom(A, N) is N; Omega^2 of the projective simple L(2) is zero
         assert (0 if hom is None else hom.dim) == N.dim
-        assert hom is None or hom.W is None
         assert_same_kernel(A, hom, all_pairs_kernel(monkeypatch, A, N))
 
 
@@ -907,6 +923,25 @@ def test_forget_grading_shares_the_spin(monkeypatch):
     heller(M)
     spun = [id(A) for (A,) in calls]
     assert all(A.graded for (A,) in calls) and len(set(spun)) == len(spun)
+
+
+def test_regraded_copies_keep_the_spin_and_drop_every_other_cached_property():
+    # the spin reads the action alone; every other cached property depends
+    # on the degrees, so a shifted or ungraded copy computes it anew
+    P = graded_principal_indecomposable(3, 1)
+    P = GenAlgebraModule(P.algebra, P.action, P.grading, check=False)  # nothing cached
+    cached = {
+        name
+        for name, attr in vars(GenAlgebraModule).items()
+        if isinstance(attr, cached_property)
+    }
+    assert cached >= {"spin", "maps_to_simples", "maps_from_simples", "radical_basis", "cover"}
+    for name in cached:
+        getattr(P, name)
+    assert cached <= set(vars(P))
+    for Q in (P.shifted(2), P.forget_grading()):
+        assert cached & set(vars(Q)) == {"spin"}
+        assert Q.spin is P.spin
 
 
 def test_radical_cover_and_heller_eliminate_the_radical_once(monkeypatch):
