@@ -25,6 +25,18 @@ def check_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
 
 
+def check_height(r: int) -> None:
+    """Raise ValueError unless r is a kernel height, r >= 1."""
+    if r < 1:
+        raise ValueError("height r must be >= 1")
+
+
+def check_degree(n: int) -> None:
+    """Raise ValueError unless n is a cohomological degree, n >= 0."""
+    if n < 0:
+        raise ValueError("cohomological degree must be >= 0")
+
+
 def base_p_digits(lam: int, p: int, r: int) -> list[int]:
     """The r little-endian base-p digits of a weight 0 <= lam < p^r."""
     check_odd_prime(p)

@@ -514,7 +514,7 @@ def quotient(M: GenAlgebraModule, sub_basis: FpMat) -> Tuple[GenAlgebraModule, F
     """Quotient by the span of `sub_basis`; returns (module, projection matrix)."""
     p = M.algebra.p
     projm, comp = _complement_projection(sub_basis, M.dim)
-    action = {g: FpMat(projm.a @ M.mat(g).a[:, comp] % p, p) for g in M.algebra.gens}
+    action = {g: FpMat(_exact_matmul(projm.a, M.mat(g).a[:, comp], p), p) for g in M.algebra.gens}
     grading = [M.grading[c] for c in comp] if M.graded else None
     return GenAlgebraModule(M.algebra, action, grading, check=False), projm
 
@@ -561,8 +561,8 @@ def build_spin(M: GenAlgebraModule) -> Spin:
         # the kids of a level are the next columns, so each level is
         # rows[start:end]
         while start < end:
-            images[:, start:end] = _exact_matmul(rows[start:end], act_t, p)
-            moved = images[:, start:end].astype(np.int64)
+            moved = _exact_matmul(rows[start:end], act_t, p)
+            images[:, start:end] = moved
             for t in range(start, end):
                 for j, (g, w) in enumerate(zip(gens, moved[:, t - start])):
                     if w.any() and tracker.insert(w):
@@ -593,11 +593,10 @@ def build_spin(M: GenAlgebraModule) -> Spin:
         if is_local.any():
             # the roots increase, so generator j is the root of rank j
             js = np.searchsorted(roots_arr, ts[is_local])
-            local.append((g, js, coords[is_local][:, roots_arr].astype(np.int64)))
+            local.append((g, js, coords[is_local][:, roots_arr]))
     gen_pos = B[:, roots].argmax(axis=0)  # the roots are unit vectors
-    return Spin(
-        roots_arr, tuple(levels), gen_pos, binv, tuple(pairs), np.vstack(coord_rows), tuple(local)
-    )
+    coord_rows = np.vstack(coord_rows).astype(np.float64)
+    return Spin(roots_arr, tuple(levels), gen_pos, binv, tuple(pairs), coord_rows, tuple(local))
 
 
 @dataclass(frozen=True)
@@ -710,11 +709,9 @@ def _pair_equations(spin: Spin, act: Dict[str, np.ndarray], W: np.ndarray, p: in
     rhs = _exact_matmul(spin.coord_rows, W.transpose(1, 0, 2), p)
     # in place: a fourth array this size set the peak of meataxe-regular-p7
     lhs -= rhs.transpose(1, 0, 2)
-    del rhs
-    system = lhs.astype(np.int64)
-    del lhs  # freed before the sign fix forms its mask
-    np.add(system, p, out=system, where=system < 0)  # lhs - rhs lies in (-p, p)
-    return system
+    del rhs  # freed before the sign fix forms its mask
+    np.add(lhs, p, out=lhs, where=lhs < 0)  # lhs - rhs lies in (-p, p)
+    return lhs
 
 
 def _is_free(M: GenAlgebraModule) -> bool:
@@ -803,7 +800,7 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
     # generator j is b_roots[j], so its image is read off the unknowns K @ ker
     gen_images = np.zeros((n_gen, n, ker.shape[1]), dtype=np.int64)
     gen_images[gen_of[free], row_of[free]] = ker
-    gen_images[gen_of[piv], row_of[piv]] = _exact_matmul(K_piv, ker, p).astype(np.int64)
+    gen_images[gen_of[piv], row_of[piv]] = _exact_matmul(K_piv, ker, p)
     return HomKernel(N, ker, gen_images)
 
 
@@ -825,7 +822,7 @@ def _hom_maps(M: GenAlgebraModule, hom: HomKernel, cols=slice(None)) -> List[FpM
     images = np.zeros((M.dim,) + gen_images.shape[1:], dtype=np.float64)
     images[spin.roots] = gen_images
     _spin_words(spin, _float_action(hom.N), images, p)
-    maps = _exact_matmul(np.ascontiguousarray(images.T), spin.binv, p).astype(np.int64)
+    maps = _exact_matmul(np.ascontiguousarray(images.T), spin.binv, p)
     return [FpMat(phi, p) for phi in maps]
 
 
@@ -948,7 +945,7 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
             # the generators of P: proj times the generator images tells the
             # lifts apart exactly, so the pivots of their RREF are the maps
             # the whole products would pick, and only those are formed
-            induced = _exact_matmul(proj.a, hom.gen_images, p).astype(np.int64)
+            induced = _exact_matmul(proj.a, hom.gen_images, p)
             chosen = rref(FpMat(induced.reshape(-1, hom.dim), p)).pivots[:mult]
         if len(chosen) != mult:
             raise RuntimeError("projective cover lifting failed to reach the top")
@@ -1010,7 +1007,7 @@ def strip_projectives(M: GenAlgebraModule) -> GenAlgebraModule:
     vs = [M.algebra.projective_socle_vector(idx) for idx, _, _ in blocks]
     ends = np.cumsum([0] + [v.size for v in vs])
     parts = [C.a[:, a:b] for a, b in zip(ends, ends[1:])]
-    images = np.column_stack([part @ v % p for part, v in zip(parts, vs)])
+    images = np.column_stack([_exact_matmul(part, v, p) for part, v in zip(parts, vs)])
     # the blocks whose C v is independent of those before: one RREF's pivots
     keep = [parts[k] for k in rref(FpMat(images, p)).pivots]
     return quotient(M, FpMat(np.hstack(keep), p))[0] if keep else M
@@ -1103,11 +1100,7 @@ def dual_module(M: GenAlgebraModule) -> GenAlgebraModule:
 def _fitting_split(M: GenAlgebraModule, theta: FpMat) -> Optional[Tuple[FpMat, FpMat]]:
     """Kernel/image bases of theta^(2^k >= dim), or None when trivial."""
     p = M.algebra.p
-    power = theta
-    k = 1
-    while k < M.dim:
-        power = FpMat(_exact_matmul(power.a, power.a, p).astype(np.int64), p)
-        k *= 2
+    power = theta.power(1 << (M.dim - 1).bit_length())
     ker = _graded_kernel(power, M.degrees, M.degrees)
     if ker.cols == 0 or ker.cols == M.dim:
         return None
@@ -1123,7 +1116,8 @@ def _fitting_split(M: GenAlgebraModule, theta: FpMat) -> Optional[Tuple[FpMat, F
 
 def _combination(coeffs, stacked: np.ndarray, p: int) -> FpMat:
     """sum_i coeffs[i] * stacked[i] mod p, for matrices stacked along axis 0."""
-    return FpMat(np.tensordot(np.asarray(coeffs, dtype=np.int64), stacked, axes=1) % p, p)
+    flat = stacked.reshape(len(stacked), -1)
+    return FpMat(_exact_matmul(np.asarray(coeffs), flat, p).reshape(stacked.shape[1:]), p)
 
 
 def _all_combinations(stacked: np.ndarray, p: int):
@@ -1282,7 +1276,7 @@ def stable_hom_dim(M: GenAlgebraModule, N: GenAlgebraModule) -> int:
     through = _hom_kernel(M, P)
     if through is None:
         return hom.dim
-    images = _exact_matmul(C.a, through.gen_images, M.algebra.p).astype(np.int64)
+    images = _exact_matmul(C.a, through.gen_images, M.algebra.p)
     return hom.dim - rref(FpMat(images.reshape(-1, through.dim), M.algebra.p)).rank
 
 

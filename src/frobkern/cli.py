@@ -632,9 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--p", type=_odd_prime)
     sp.add_argument("--r", type=_height)
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--seed", type=_seed)
+    _add_common(sp, p=False, r=False, s=True)
 
     sp = sub.add_parser("cohom")
     _add_common(sp, n=True)
@@ -647,8 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify")
     sp.add_argument("suite", choices=tuple(_SUITES) + ("all",))
     sp.add_argument("--p", type=_odd_prime, default=3)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--seed", type=_seed)
+    _add_common(sp, p=False, r=False)
     sp.add_argument("--budget-ms", dest="budget_ms", type=_budget)
     sp.add_argument("--dump-dir", dest="dump_dir", help="write constructed modules as JSON")
     return parser

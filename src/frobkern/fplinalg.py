@@ -5,21 +5,19 @@ Matrices are dense int64 numpy arrays with entries kept fully reduced in
 error, never a silent coercion.  Everything here is pure and exact; there
 is no tolerance anywhere.
 
-Large products go through `_exact_matmul`, which multiplies reduced
-operands in float64 BLAS and reduces once at the end (delayed reduction, as
-in Dumas, Giorgi and Pernet, "Dense linear algebra over word-size prime
-fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).  With inner
-size k every entry is a sum of k integers below (p-1)^2, so it is computed
-exactly while k * (p-1)^2 < 2^53; the helper checks that bound and raises
-when it fails.  It is also the one place that decides whether BLAS may use
-threads: a product whose slices are mid-size is formed in blocks small
-enough for OpenBLAS to run each on the calling thread, because a helper
-thread it wakes spins after the product and costs more CPU than it saves;
-small products and large ones run whole (see `_SERIAL_MACS`).  Every block
-is exact, so the answer does not depend on the split.  `FpMat.__matmul__`
-stays on int64, where tiny products are cheaper; `FpMat.power` squares
-through `_exact_matmul`, since the relation checkers raise whole module
-actions to the p-th power.
+Every product, `FpMat.__matmul__` and `FpMat.power` included, goes through
+`_exact_matmul`, so no caller casts or reduces one.  It multiplies reduced
+operands in float64 BLAS and reduces once at the end, into int64 in [0, p)
+(delayed reduction, as in Dumas, Giorgi and Pernet, "Dense linear algebra
+over word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
+2008).  It checks the bound k * (p-1)^2 < 2^53 that keeps a product of inner
+size k exact and raises when it fails.  It is also the one place that
+decides whether BLAS may use threads: a product whose slices are mid-size
+is formed in blocks small enough for OpenBLAS to run each on the calling
+thread, because a helper thread it wakes spins after the product and costs
+more CPU than it saves; small products and large ones run whole (see
+`_SERIAL_MACS`).  Every block is exact, so the answer does not depend on
+the split.
 
 Elimination has two routines.  The incremental echelon form `Echelon`
 takes rows a block at a time: each block is reduced against the rows held
@@ -71,9 +69,8 @@ __all__ = [
 ]
 
 
-# every product multiplies reduced operands and reduces once, so an entry
-# sums k terms below (p-1)^2 < 2^32: exact in int64 for k < 2^31, and exact
-# in float64 (`_exact_matmul`) for k < 2^21
+# a product of reduced operands is exact in float64 while k * (p-1)^2 < 2^53
+# (`_exact_matmul` checks it), so below this modulus for every k < 2^21
 MAX_MODULUS = 2**16
 
 # float64 represents every integer below this exactly
@@ -93,6 +90,12 @@ _FLOAT_EXACT = 2**53
 _SERIAL_MACS = 2**18
 _THREADED_MACS = 2**22
 
+# `_exact_matmul` overwrites a product of more entries than this with its
+# residues, so that no int64 copy of it all sets a peak, this many at a time,
+# as numpy copies an input that overlaps its output; a smaller product takes
+# fewer numpy calls when cast into a new array
+_CAST_CHUNK = 2**16
+
 # A block of more entries than this is eliminated in rounds, and a smaller one
 # pivot by pivot, where the fixed numpy calls of a round cost more than the
 # pivots they clear.  Replaying every `Echelon.add` of `verify ub1 --p 5`,
@@ -111,14 +114,16 @@ def _check_prime(p: int) -> None:
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for operands with entries in [0, p), as float64 in [0, p).
+    """a @ b mod p for operands with entries in [0, p), as int64 in [0, p).
 
     Stacked operands multiply slice by slice, as in `np.matmul`.  The
-    product runs in float64 BLAS and is exact while k * (p-1)^2 < 2^53 for
-    inner size k; a larger product raises ValueError.  A product whose slices
-    are mid-size is formed in blocks small enough for BLAS to stay on one
-    thread (see _SERIAL_MACS): rows of a, and columns of b once a single row
-    is over the bound.
+    product runs in float64 BLAS, where an entry, an integer below
+    k * (p-1)^2 for inner size k, is exact while that is below 2^53; a
+    larger product raises ValueError.  Such an integer casts to int64
+    exactly and int64 % is exact.  A product whose slices are mid-size is
+    formed in blocks small enough for BLAS to stay on one thread (see
+    _SERIAL_MACS): rows of a, and columns of b once a single row is over
+    the bound.
     """
     k = a.shape[-1]
     if k * (p - 1) ** 2 >= _FLOAT_EXACT:
@@ -130,21 +135,28 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     m = a.shape[-2] if a.ndim > 1 else 1
     n = b.shape[-1] if b.ndim > 1 else 1
     if not _SERIAL_MACS <= m * k * n < _THREADED_MACS:
-        return np.fmod(np.matmul(a, b), p)
-    a2, b2 = (a[None] if a.ndim == 1 else a), (b[:, None] if b.ndim == 1 else b)
-    out = np.empty(np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2]) + (m, n))
-    per_block = (_SERIAL_MACS - 1) // k  # rows * cols of one block
-    rows, cols = (per_block // n, n) if per_block >= n else (1, max(per_block, 1))
-    for r in range(0, m, rows):
-        for c in range(0, n, cols):
-            rs, cs = slice(r, r + rows), slice(c, c + cols)
-            np.matmul(a2[..., rs, :], b2[..., cs], out=out[..., rs, cs])
-    # not in place: that held 12 MB more resident memory at the same traced
-    # peak on `verify meataxe-regular --p 5`, from where the allocator put it
-    out = np.fmod(out, p)
-    if a.ndim == 1:
-        out = out[..., 0, :]
-    return out[..., 0] if b.ndim == 1 else out
+        out = np.matmul(a, b)
+    else:
+        a2, b2 = (a[None] if a.ndim == 1 else a), (b[:, None] if b.ndim == 1 else b)
+        out = np.empty(np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2]) + (m, n))
+        per_block = (_SERIAL_MACS - 1) // k  # rows * cols of one block
+        rows, cols = (per_block // n, n) if per_block >= n else (1, max(per_block, 1))
+        for r in range(0, m, rows):
+            for c in range(0, n, cols):
+                rs, cs = slice(r, r + rows), slice(c, c + cols)
+                np.matmul(a2[..., rs, :], b2[..., cs], out=out[..., rs, cs])
+        out = out[..., 0, :] if a.ndim == 1 else out
+        out = out[..., 0] if b.ndim == 1 else out
+    if np.size(out) <= _CAST_CHUNK:
+        out = out.astype(np.int64)
+        out %= p
+        return out
+    flat = out.reshape(-1)
+    res = flat.view(np.int64)
+    for s in range(0, flat.size, _CAST_CHUNK):
+        chunk = slice(s, s + _CAST_CHUNK)
+        np.remainder(flat[chunk], p, out=res[chunk], dtype=np.int64, casting="unsafe")
+    return res.reshape(out.shape)
 
 
 def _inv_scalar(a: int, p: int) -> int:
@@ -188,7 +200,7 @@ class FpMat:
 
     def __matmul__(self, other: "FpMat") -> "FpMat":
         self._same_modulus(other)
-        return FpMat((self.a @ other.a) % self.p, self.p)
+        return FpMat(_exact_matmul(self.a, other.a, self.p), self.p)
 
     def scale(self, c: int) -> "FpMat":
         return FpMat((self.a * (c % self.p)) % self.p, self.p)
@@ -197,17 +209,15 @@ class FpMat:
         return FpMat(self.a.T.copy(), self.p)
 
     def power(self, n: int) -> "FpMat":
-        """self^n by square and multiply, each product in float64 BLAS."""
+        """self^n for n >= 0, by repeated squaring."""
         if self.rows != self.cols:
             raise ValueError("power needs a square matrix")
-        p = self.p
-        result, base = identity(self.rows, p).a, self.a
-        while n:
-            if n & 1:
-                result = _exact_matmul(result, base, p).astype(np.int64)
-            base = _exact_matmul(base, base, p).astype(np.int64)
-            n >>= 1
-        return FpMat(result, p)
+        if n < 0:
+            raise ValueError(f"power needs an exponent n >= 0, got {n}")
+        if n <= 1:
+            return self if n else identity(self.rows, self.p)
+        half = self.power(n // 2)
+        return half @ half @ self if n & 1 else half @ half
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -319,11 +329,11 @@ def _rref_in_rounds(m: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
             inv, power = minus_n.copy(), minus_n
             np.fill_diagonal(inv, 1)
             while True:
-                power = _exact_matmul(power, power, p).astype(np.int64)
+                power = _exact_matmul(power, power, p)
                 if not power.any():
                     break
-                inv = (inv + _exact_matmul(inv, power, p).astype(np.int64)) % p
-            new = _exact_matmul(inv, new, p).astype(np.int64)
+                inv = (inv + _exact_matmul(inv, power, p)) % p
+            new = _exact_matmul(inv, new, p)
         others = np.ones(len(rest), dtype=bool)
         others[first] = False
         rest = _clear_columns(rest[others], leads, keep, new, p)
@@ -344,7 +354,7 @@ def _clear_columns(a: np.ndarray, leads, keep, rows: np.ndarray, p: int) -> np.n
     """a less a[..., leads] times `rows`, on the columns `keep`: with rows
     that are the identity on the columns `leads` and zero on the other
     columns a drops, this clears those columns from a."""
-    out = a[..., keep] - _exact_matmul(a[..., leads], rows, p).astype(np.int64)
+    out = a[..., keep] - _exact_matmul(a[..., leads], rows, p)
     np.add(out, p, out=out, where=out < 0)
     return out
 

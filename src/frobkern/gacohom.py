@@ -25,6 +25,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import check_degree, check_height
 from .algrep import GenAlgebra, GenAlgebraModule, ResolutionTrace, ext_dims
 from .fplinalg import fpmat
 
@@ -95,8 +96,7 @@ def truncated_poly_algebra(p: int, r: int) -> GenAlgebra:
 
     Refused, before anything is built, when p^r exceeds `MAX_ORDER`.
     """
-    if r < 1:
-        raise ValueError("height r must be >= 1")
+    check_height(r)
     check_algebra_order(p, r)
     alg = GenAlgebra(
         f"ga-p{p}-r{r}",
@@ -128,8 +128,7 @@ def cohom_dim(p: int, r: int, n: int) -> int:
     polynomial generators and r degree-1 exterior ones collapses to
     (1-t)^{-r}.  Independent of p; the ring structure is not.
     """
-    if n < 0:
-        raise ValueError("cohomological degree must be >= 0")
+    check_degree(n)
     return math.comb(n + r - 1, r - 1)
 
 
@@ -137,8 +136,7 @@ def check_enumeration_size(r: int, n: int) -> None:
     """Raise ValueError when `cohom_dim_by_enumeration` would walk more than
     `MAX_TUPLES` tuples, without forming their count for a huge r, or
     when n is negative."""
-    if n < 0:
-        raise ValueError("cohomological degree must be >= 0")
+    check_degree(n)
     base = 2 * (n // 2 + 1)  # (n//2 + 1)^r exponent tuples a, 2^r tuples e
     # the base is at least 2, so a height past the bit length of
     # the bound is past the bound
@@ -177,8 +175,7 @@ def minimal_resolution_dims(p: int, r: int, length: int) -> ResolutionTrace:
     Omega^{n+1} because the algebra is local, so each term is a direct
     sum of copies of the regular module.
     """
-    if length < 0:
-        raise ValueError("cohomological degree must be >= 0")
+    check_degree(length)
     alg = truncated_poly_algebra(p, r)
     trace = ext_dims(alg.simples[0], length + 1, with_ext=False)
     order = p**r

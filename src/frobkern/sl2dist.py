@@ -46,7 +46,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import base_p_digits
+from . import base_p_digits, check_height
 from .algrep import (
     GenAlgebra,
     GenAlgebraModule,
@@ -58,7 +58,7 @@ from .algrep import (
     submodule,
     top,
 )
-from .fplinalg import FpMat, _exact_matmul, fpmat, identity, kron, solve, zeros
+from .fplinalg import FpMat, fpmat, identity, kron, solve, zeros
 
 
 def gbinom(x: int, k: int, p: int) -> int:
@@ -100,47 +100,38 @@ def _dist_checker(r: int):
     # with f^(p^j - 1) rewritten as (-1)^j f0^(p-1) ... f_{j-1}^(p-1).
     # Commutators between two higher divided powers involve binom(h, p^i),
     # which is not a polynomial in the generators, and are not checked.
-    # Every product, powers included, runs through _exact_matmul, exact in
-    # float64 BLAS and on one thread unless it is large enough to pay for more.
     def checker(action: Dict[str, FpMat], p: int) -> List[str]:
-        def mul(a: FpMat, b: FpMat) -> FpMat:
-            return FpMat(_exact_matmul(a.a, b.a, p).astype(np.int64), p)
-
         probs = []
         e = [action[f"e{i}"] for i in range(r)]
         f = [action[f"f{i}"] for i in range(r)]
-        h = mul(e[0], f[0]) - mul(f[0], e[0])
-        n = e[0].rows
-        eye = identity(n, p)
+        h = e[0] @ f[0] - f[0] @ e[0]
+        eye = identity(e[0].rows, p)
         for i in range(r):
             if not e[i].power(p).is_zero():
                 probs.append(f"e{i}^p != 0")
             if not f[i].power(p).is_zero():
                 probs.append(f"f{i}^p != 0")
-        if mul(h, e[0]) - mul(e[0], h) != e[0].scale(2):
+        if h @ e[0] - e[0] @ h != e[0].scale(2):
             probs.append("[h,e0] != 2 e0")
-        if mul(h, f[0]) - mul(f[0], h) != f[0].scale(-2):
+        if h @ f[0] - f[0] @ h != f[0].scale(-2):
             probs.append("[h,f0] != -2 f0")
         if h.power(p) != h:
             probs.append("h^p != h")
         for i in range(1, r):
-            if mul(h, e[i]) != mul(e[i], h) or mul(h, f[i]) != mul(f[i], h):
+            if h @ e[i] != e[i] @ h or h @ f[i] != f[i] @ h:
                 probs.append(f"h does not commute with level {i}")
             for j in range(i):
-                if mul(e[j], e[i]) != mul(e[i], e[j]):
+                if e[j] @ e[i] != e[i] @ e[j]:
                     probs.append(f"[e{j},e{i}] != 0")
-                if mul(f[j], f[i]) != mul(f[i], f[j]):
+                if f[j] @ f[i] != f[i] @ f[j]:
                     probs.append(f"[f{j},f{i}] != 0")
         for j in range(1, r):
             sign = 1 if j % 2 == 0 else -1
-            prod_f = eye
-            prod_e = eye
-            for i in range(j):
-                prod_f = mul(prod_f, f[i].power(p - 1))
-                prod_e = mul(prod_e, e[i].power(p - 1))
-            if mul(e[0], f[j]) - mul(f[j], e[0]) != mul(prod_f, h + eye).scale(sign):
+            prod_f = reduce(FpMat.__matmul__, [x.power(p - 1) for x in f[:j]])
+            prod_e = reduce(FpMat.__matmul__, [x.power(p - 1) for x in e[:j]])
+            if e[0] @ f[j] - f[j] @ e[0] != (prod_f @ (h + eye)).scale(sign):
                 probs.append(f"[e0, f{j}] != (-1)^{j} f^(p^{j}-1) (h+1)")
-            if mul(e[j], f[0]) - mul(f[0], e[j]) != mul(h + eye, prod_e).scale(sign):
+            if e[j] @ f[0] - f[0] @ e[j] != ((h + eye) @ prod_e).scale(sign):
                 probs.append(f"[e{j}, f0] != (-1)^{j} (h+1) e^(p^{j}-1)")
         return probs
 
@@ -353,8 +344,7 @@ def _twisted_tensor(alg: GenAlgebra, ladders: Sequence[_Ladder]) -> GenAlgebraMo
 
 def _kernel_algebra(p: int, r: int, lam: int) -> GenAlgebra:
     """The algebra of the r-th kernel, once r and lam are checked."""
-    if r < 1:
-        raise ValueError("height r must be >= 1")
+    check_height(r)
     base_p_digits(lam, p, r)
     return restricted_sl2(p) if r == 1 else distribution_sl2(p, r)
 

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import base_p_digits, check_odd_prime
+from . import base_p_digits, check_height, check_odd_prime
 from .algrep import InconclusiveError, ResolutionTrace, estimate_complexity
 
 Weight = Union[int, Sequence[int]]
@@ -178,8 +178,7 @@ def verma_projective_height(rd: RootDatum, lam: Weight, r: int):
     lam: equals depth(lam) when that is <= r, otherwise the module is
     projective and the string "projective" is returned."""
     _require_flags(rd)
-    if r < 1:
-        raise ValueError("height r must be >= 1")
+    check_height(r)
     dep = depth(rd, lam)
     if dep > r:
         return "projective"

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -153,6 +156,11 @@ def test_power():
     assert m.power(5) == fpmat([[1, 5 % 5], [0, 1]], 5)
 
 
+def test_power_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="n >= 0"):
+        fpmat([[1, 1], [0, 1]], 3).power(-1)
+
+
 def test_span_tracker():
     t = SpanTracker(3, 3)
     assert t.insert(np.array([1, 1, 0]))
@@ -234,23 +242,66 @@ def as_python_ints(a):
     return [[int(x) for x in row] for row in a]
 
 
-def test_float_products_are_exact_against_python_integers():
-    p = 65521
+def python_product(a, b, p):
+    """a @ b mod p in Python integers, for 2-d arrays or nested lists."""
+    cols = list(zip(*as_python_ints(b)))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in as_python_ints(a)]
+
+
+def largest_exact_inner_size(p):
+    return (2**53 - 1) // (p - 1) ** 2
+
+
+def assert_residues(got, p):
+    assert got.dtype == np.int64
+    assert ((0 <= got) & (got < p)).all()
+
+
+@pytest.mark.parametrize("p", [3, 7, 65521])
+def test_float_products_are_exact_against_python_integers(p):
     k = 4096
-    rng = np.random.default_rng(0xF0B)
+    rng = np.random.default_rng(0xF0B + p)
     a = rng.integers(0, p, size=(5, k))
     b = rng.integers(0, p, size=(k, 4))
     a[0] = p - 1
     b[:, 0] = p - 1
     got = _exact_matmul(a, b, p)
-    A, B = as_python_ints(a), as_python_ints(b.T)
-    want = [[sum(x * y for x, y in zip(row, col)) % p for col in B] for row in A]
-    assert got.dtype == np.float64
+    want = python_product(a, b, p)
+    assert_residues(got, p)
     assert as_python_ints(got) == want
     # stacked operands multiply slice by slice
     stacked = np.stack([a, a[::-1]])
     got = _exact_matmul(stacked, b, p)
+    assert_residues(got, p)
     assert as_python_ints(got[0]) == want and as_python_ints(got[1]) == want[::-1]
+    # k at the exactness bound, where the largest entry k * (p-1)^2 is just
+    # below 2^53; at p = 3 and 7 that k is far beyond memory, so there k is
+    # the bound at the largest modulus, about 2^21
+    k = min(largest_exact_inner_size(p), largest_exact_inner_size(65521))
+    row = np.broadcast_to(np.int64(p - 1), (1, k))
+    col = rng.integers(0, p, size=k)
+    got = np.concatenate([_exact_matmul(row, row.T, p)[0], _exact_matmul(row, col, p)])
+    assert_residues(got, p)
+    assert got.tolist() == [k * (p - 1) ** 2 % p, (p - 1) * sum(col.tolist()) % p]
+
+
+def test_fpmat_products_and_powers_are_exact_above_the_serial_bound():
+    p = 65521
+    n = 66  # 66^3 multiply-adds lie between _SERIAL_MACS and _THREADED_MACS
+    assert fplinalg._SERIAL_MACS <= n**3 < fplinalg._THREADED_MACS
+    rng = np.random.default_rng(0xF0B)
+    m = fpmat(rng.integers(0, p, size=(n, n)), p)
+    other = fpmat(rng.integers(0, p, size=(n, n)), p)
+    assert_residues((m @ other).a, p)
+    assert as_python_ints((m @ other).a) == python_product(m.a, other.a, p)
+    assert m.power(0) == identity(n, p)
+    assert m.power(1) == m
+    square = python_product(m.a, m.a, p)
+    fourth = python_product(square, square, p)
+    assert as_python_ints(m.power(2).a) == square
+    assert as_python_ints(m.power(4).a) == fourth
+    for n in (5, 8):
+        assert m.power(n) == functools.reduce(operator.matmul, [m] * n)
 
 
 def test_float_products_refuse_inner_sizes_past_the_exact_bound():
@@ -289,6 +340,8 @@ PRODUCT_SHAPES = [
     ((2, 600, 500), (500,)),
     ((5,), (5,)),
     ((5,), (5, 3)),
+    ((300, 2), (2, 300)),  # more entries than _CAST_CHUNK: reduced in place
+    ((2, 300, 20), (20, 300)),
 ]
 
 
@@ -309,7 +362,7 @@ def test_exact_products_stay_below_the_thread_bound_or_run_whole(monkeypatch, a_
     got = _exact_matmul(a, b, p)
     monkeypatch.undo()
     want = np.matmul(a, b) % p
-    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.dtype == np.int64 and got.shape == want.shape
     assert (got == want).all()
     macs = slice_macs(a, b)
     if fplinalg._SERIAL_MACS <= macs < fplinalg._THREADED_MACS:
