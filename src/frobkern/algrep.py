@@ -40,10 +40,12 @@ RREF, stably ordered by degree.
 Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  The Heller
 operator is exact linear algebra over these self-injective algebras: Omega(M)
-is the kernel of M's minimal projective cover, computed once per module,
-and the cover acts on it one summand at a time, with one product per
-distinct projective in the cover, formed only on the rows where the kernel
-basis is the identity.  It takes no seed.  Nor does the
+is the kernel of M's minimal projective cover, computed once per module.
+`_span_module` puts Omega(M), every submodule and every quotient on its
+subspace, with one product per distinct action among M's summands, and
+reads the action off rows where the basis is the identity (Omega, with no
+elimination) or invertible (a submodule), or off a complement's unit
+vectors (a quotient).  Omega takes no seed.  Nor does the
 isomorphism test: for a module with a simple top or socle a Hom basis map
 decides, and otherwise every combination of the basis is tried up to a
 fixed count.  Only the MeatAxe draws at random, seeded (default 0xF0B).
@@ -73,7 +75,6 @@ from .fplinalg import (
     identity,
     inverse,
     rref,
-    solve,
     vstack,
     zeros,
 )
@@ -394,33 +395,36 @@ def direct_sum(mods: Sequence[GenAlgebraModule]) -> GenAlgebraModule:
 # Sub/quotient structures
 
 
-def _coords_in_basis(basis: FpMat, vectors: FpMat) -> FpMat:
-    x = solve(basis, vectors)
-    if x is None:
-        raise ValueError("vectors do not lie in the span of the basis")
-    return x
-
-
 def submodule(M: GenAlgebraModule, basis: FpMat) -> GenAlgebraModule:
-    """Module structure on the span of `basis` columns (must be action-stable)."""
-    return _span_module(M, basis, None)
+    """Module structure on the span of `basis` columns, which must be
+    independent and action-stable; ValueError otherwise.  The basis is
+    invertible on the pivot rows of rref(basis^T), which give the action,
+    and the other rows of g*basis check it."""
+    p, gens = M.algebra.p, M.algebra.gens
+    rows = np.asarray(rref(FpMat(basis.a.T.copy(), p)).pivots, dtype=np.int64)
+    # basis[rows] is square exactly when the columns are independent
+    N = _span_module(M, basis, rows, inverse(FpMat(basis.a[rows], p)))
+    other = np.ones(M.dim, dtype=bool)
+    other[rows] = False
+    on_basis = _exact_matmul(basis.a[other], np.stack([N.mat(g).a for g in gens]), p)
+    moved = _exact_matmul(np.stack([M.mat(g).a[other] for g in gens]), basis.a, p)
+    if not np.array_equal(on_basis, moved):
+        raise ValueError("the span of the basis is not stable under the action")
+    return N
 
 
 def _span_module(
-    M: GenAlgebraModule, basis: FpMat, unit_rows: Optional[np.ndarray]
+    M: GenAlgebraModule, basis: FpMat, rows: np.ndarray, left: Optional[FpMat] = None
 ) -> GenAlgebraModule:
-    """`submodule`; `unit_rows`, when given, are rows on which `basis` is
-    the identity, so a vector of the span has its coordinates there, and
-    only those rows of g*basis are formed.
+    """Module structure on the span of `basis` columns, on which g acts by
+    left @ (g*basis)[rows], or by (g*basis)[rows] when `left` is None: the
+    caller picks them to give the coordinates of g*basis in `basis`.
 
-    The images g*basis are formed one summand of M at a time, as M's action
-    is block-diagonal over `M.summands`: a summand's rows of g*basis are its
-    own action times its rows of the basis.  Summands that share an action,
-    as the shifted and ungraded copies of one projective in a cover do, are
-    stacked into one product for all generators, each slice the size of one
-    summand's block, or, with `unit_rows`, as many rows of it as the summand
-    with the most unit rows holds.  A module that is no direct sum is its
-    one summand.
+    M's action is block-diagonal over `M.summands`, so g*basis is formed one
+    distinct action at a time: the summands that share it, as the shifted
+    and ungraded copies of one projective in a cover do, are stacked into
+    one product for all generators, each slice the size of one summand's
+    block, and only the rows in `rows` are kept.
     """
     if basis.cols == 0:
         return zero_module(M.algebra, M.graded)
@@ -432,52 +436,37 @@ def _span_module(
     for S in M.summands:
         starts.setdefault(S._spin_source or S, []).append(offset)
         offset += S.dim
-    # the rows of g*basis formed: row i is row at_row[i] of `formed`
-    want = np.arange(M.dim) if unit_rows is None else unit_rows
+    # row i of g*basis is row at_row[i] of `moved`, or not kept when negative
     at_row = np.full(M.dim, -1)
-    at_row[want] = np.arange(want.size)
-    formed = np.empty((len(gens), want.size, k), dtype=np.int64)
+    at_row[rows] = np.arange(len(rows))
+    moved = np.empty((len(gens), len(rows), k), dtype=np.int64)
     for S, firsts in starts.items():
-        firsts = np.array(firsts)
-        if np.all(np.diff(firsts) == S.dim):
-            # one run of consecutive rows: a view of the basis, not a copy
-            rows = slice(firsts[0], firsts[0] + firsts.size * S.dim)
-        else:
-            rows = (firsts[:, None] + np.arange(S.dim)).ravel()
-        blocks = basis.a[rows].reshape(firsts.size, S.dim, k)
-        act = np.stack([S.mat(g).a for g in gens]).astype(np.float64)
-        # each summand's wanted rows in order, then its other rows: as many
-        # are multiplied as the summand with the most wanted rows holds, and
-        # the rows past a summand's own wanted rows are dropped
-        at = at_row[rows].reshape(firsts.size, S.dim)
-        held = (at >= 0).sum(axis=1)
-        pick = np.argsort(at < 0, axis=1, kind="stable")[:, : held.max()]
-        kept = np.arange(pick.shape[1]) < held[:, None]
-        out = _exact_matmul(act[:, pick], blocks, p)
-        formed[:, np.take_along_axis(at, pick, axis=1)[kept]] = out[:, kept]
-    if unit_rows is None:
-        # the images side by side, so that one elimination gives all their
-        # coordinates; the columns of the basis are independent, so the
-        # coordinates are unique
-        moved = FpMat(np.hstack(list(formed)), p)
-        coords = _coords_in_basis(basis, moved).a.reshape(k, len(gens), k).transpose(1, 0, 2)
-    else:
-        coords = formed
-    action = {g: FpMat(coords[i].copy(), p) for i, g in enumerate(gens)}
+        held = (np.array(firsts)[:, None] + np.arange(S.dim)).ravel()
+        act = np.stack([S.mat(g).a for g in gens])
+        out = _exact_matmul(act[:, None], basis.a[held].reshape(len(firsts), S.dim, k), p)
+        at = at_row[held]
+        kept = at >= 0
+        moved[:, at[kept]] = out.reshape(len(gens), held.size, k)[:, kept]
+    if left is not None:
+        moved = _exact_matmul(left.a, moved, p)
+    # one array per generator, not views of the stacked product: with views,
+    # `verify meataxe-regular --p 7` peaked 1-3 MB higher
+    action = {g: FpMat(moved[i].copy(), p) for i, g in enumerate(gens)}
     grading = _degrees_of_columns(basis, M.grading) if M.graded else None
     return GenAlgebraModule(M.algebra, action, grading, check=False)
 
 
 def _degrees_of_columns(basis: FpMat, grading: Sequence[int]) -> List[int]:
+    # each column's degree is that of its first nonzero row, and every other
+    # nonzero row must have it
+    nonzero = basis.a != 0
+    if not nonzero.any(axis=0).all():
+        raise ValueError("basis column is not homogeneous")
     deg = np.asarray(grading)
-    out = []
-    for k in range(basis.cols):
-        support = np.nonzero(basis.a[:, k])[0]
-        degs = set(deg[support].tolist())
-        if len(degs) != 1:
-            raise ValueError("basis column is not homogeneous")
-        out.append(degs.pop())
-    return out
+    degs = deg[nonzero.argmax(axis=0)]
+    if (nonzero & (deg[:, None] != degs)).any():
+        raise ValueError("basis column is not homogeneous")
+    return degs.tolist()
 
 
 def _independent_columns(C: FpMat, col_deg: Sequence[int]) -> np.ndarray:
@@ -511,12 +500,15 @@ def _complement_projection(sub_basis: FpMat, n: int) -> Tuple[FpMat, List[int]]:
 
 
 def quotient(M: GenAlgebraModule, sub_basis: FpMat) -> Tuple[GenAlgebraModule, FpMat]:
-    """Quotient by the span of `sub_basis`; returns (module, projection matrix)."""
-    p = M.algebra.p
+    """Quotient by the span of `sub_basis`; returns (module, projection matrix).
+
+    The unit vectors of the complement columns span a complement of the
+    subspace, so g acts on the quotient by the projection of g times them.
+    """
     projm, comp = _complement_projection(sub_basis, M.dim)
-    action = {g: FpMat(_exact_matmul(projm.a, M.mat(g).a[:, comp], p), p) for g in M.algebra.gens}
-    grading = [M.grading[c] for c in comp] if M.graded else None
-    return GenAlgebraModule(M.algebra, action, grading, check=False), projm
+    units = np.zeros((M.dim, len(comp)), dtype=np.int64)
+    units[comp, np.arange(len(comp))] = 1
+    return _span_module(M, FpMat(units, M.algebra.p), np.arange(M.dim), projm), projm
 
 
 # ---------------------------------------------------------------------------
@@ -1023,10 +1015,11 @@ def heller(M: GenAlgebraModule) -> GenAlgebraModule:
     Omega(M' + Q) = Omega(M') for a projective Q, and over a self-injective
     algebra the kernel of a minimal cover has no projective summand, so
     nothing is split off first.  The kernel basis of the cover map is the
-    identity on the rows of the map's free columns, so Omega(M)'s action is
-    read off those rows of the moved basis with no elimination.  The cover
-    is a direct sum of a few projectives, shifted or repeated, and
-    `_span_module` moves the basis one summand at a time.
+    identity on the rows of the map's free columns, so `_span_module` reads
+    Omega(M)'s action off those rows of the moved basis, with no
+    elimination and no matrix to apply after.  The cover is a direct sum of
+    a few projectives, shifted or repeated, and the basis is moved one
+    distinct projective at a time.
     """
     P, C, _ = M.cover
     return _span_module(P, *_graded_kernel_and_unit_rows(C, M.degrees, P.degrees))

@@ -26,7 +26,7 @@ import sys
 import time
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from . import DEFAULT_SEED, check_odd_prime
+from . import DEFAULT_SEED, check_height, check_odd_prime
 from .algrep import (
     composition_factors,
     dump_module,
@@ -569,8 +569,10 @@ def _check_verify_prime(p: int) -> None:
 
 def _height(text: str) -> int:
     r = int(text)
-    if r < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a height >= 1")
+    try:
+        check_height(r)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return r
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import base_p_digits, check_height, check_odd_prime
 from .algrep import InconclusiveError, ResolutionTrace, estimate_complexity
+from .gacohom import MAX_TUPLES
 
 Weight = Union[int, Sequence[int]]
 
@@ -279,14 +280,23 @@ def block_of(p: int, r: int, lam: int) -> BlockId:
 
 def block_members(p: int, r: int, block: BlockId) -> List[int]:
     """All weights in the block: digits below s are pinned at p-1, digit
-    s is i or p-2-i, digits above s are free."""
+    s is i or p-2-i, digits above s are free.
+
+    Refused when the block has more than `MAX_TUPLES` members.
+    """
     if (block.p, block.r) != (p, r):
         raise ValueError("block id belongs to a different (p, r)")
     if block.kind == "steinberg":
         return [p**r - 1]
+    free = r - 1 - block.s
+    # p >= 3, so a free digit count past the bit length of the bound is past it
+    if free > MAX_TUPLES.bit_length() or 2 * p**free > MAX_TUPLES:
+        raise ValueError(
+            f"the block has 2 * {p}^{free} members, above {MAX_TUPLES}, the most it lists"
+        )
     members = []
     for ds in (block.i, p - 2 - block.i):
-        for rest in itertools.product(range(p), repeat=r - 1 - block.s):
+        for rest in itertools.product(range(p), repeat=free):
             digits = [p - 1] * block.s + [ds] + list(rest)
             members.append(sum(d * p**j for j, d in enumerate(digits)))
     return sorted(members)
@@ -440,8 +450,9 @@ def ub1_bound_check(trace: ResolutionTrace, r: int, n: int) -> dict:
     """Check the self-extension upper bound on complexity from a
     resolution trace: the growth estimate must not exceed the dimension
     of Ext in degree 2 n p^(r-1)."""
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    check_height(r)
+    if n < 1:
+        raise ValueError("need n >= 1")
     p = trace.module.algebra.p
     degree = 2 * n * p ** (r - 1)
     if trace.ext_dims is None or len(trace.ext_dims) <= degree:

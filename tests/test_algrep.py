@@ -1036,6 +1036,96 @@ def test_quotient_and_submodule_of_jordan():
     assert is_isomorphic(R, jordan(alg, 2, graded=False)).status == "iso"
 
 
+def solved_action(M, basis, vectors):
+    """The coordinates of g * vectors in `basis`, for each generator g, as
+    fplinalg.solve finds them."""
+    out = {}
+    for g in M.algebra.gens:
+        x = fplinalg.solve(basis, M.mat(g) @ vectors)
+        assert x is not None
+        out[g] = x.a
+    return out
+
+
+def support_degrees(basis, grading):
+    """The degree of each column's support, which must be one degree."""
+    degrees = []
+    for col in basis.a.T:
+        (d,) = {grading[i] for i in np.nonzero(col)[0]}
+        degrees.append(d)
+    return degrees
+
+
+def fitting_image_without_unit_rows():
+    """A module in a scrambled basis and the image basis of a Fitting split
+    of one of its endomorphisms, with two or more nonzero entries in every
+    row, so that it is the identity on no rows."""
+    M = conjugate(direct_sum([verma_module(5, 1, 0), simple_module(5, 1, 2)]), np.random.default_rng(1))
+    img = next(split[1] for theta in end_space(M) if (split := algrep._fitting_split(M, theta)))
+    assert ((img.a != 0).sum(axis=1) >= 2).all()
+    return M, img
+
+
+def span_cases():
+    """(module, basis of a submodule): plain, graded and direct-sum modules
+    with their radical and socle bases, and a Fitting image basis."""
+    alg = line_algebra(5)
+    graded = direct_sum([jordan(alg, 3), jordan(alg, 5, 1), jordan(alg, 2, -2)])
+    modules = [
+        jordan(alg, 4, graded=False),
+        jordan(alg, 4, 2),
+        graded,
+        graded.forget_grading(),
+        principal_indecomposable(5, 1, 1),
+        graded_principal_indecomposable(5, 2),
+        direct_sum([simple_module(5, 1, 1), verma_module(5, 1, 3), principal_indecomposable(5, 1, 0)]),
+        direct_sum([graded_verma_module(5, 2), graded_verma_module(5, 7), graded_simple_module(5, 3)]),
+    ]
+    for M in modules:
+        yield M, radical(M)
+        yield M, socle(M)[1]
+    yield fitting_image_without_unit_rows()
+
+
+def test_submodule_and_quotient_match_coordinates_solved_for():
+    for M, basis in span_cases():
+        p = M.algebra.p
+        N = submodule(M, basis)
+        for g, x in solved_action(M, basis, basis).items():
+            assert N.mat(g).a.dtype == np.int64 and np.array_equal(N.mat(g).a, x)
+        assert N.grading == (tuple(support_degrees(basis, M.grading)) if M.graded else None)
+        # the complement columns are the non-pivots of the subspace's RREF;
+        # with the basis they make an invertible matrix, whose inverse's
+        # last rows are the projection
+        pivots = rref(FpMat(basis.a.T.copy(), p)).pivots
+        comp = [c for c in range(M.dim) if c not in pivots]
+        units = identity(M.dim, p).a[:, comp]
+        whole = FpMat(np.hstack([basis.a, units]), p)
+        Q, proj = quotient(M, basis)
+        k = basis.cols
+        assert np.array_equal(proj.a, fplinalg.solve(whole, identity(M.dim, p)).a[k:])
+        for g, x in solved_action(M, whole, FpMat(units, p)).items():
+            assert Q.mat(g).a.dtype == np.int64 and np.array_equal(Q.mat(g).a, x[k:])
+        assert Q.grading == (tuple(M.grading[c] for c in comp) if M.graded else None)
+
+
+def test_submodule_refuses_a_span_that_is_not_stable():
+    M = principal_indecomposable(5, 1, 1)
+    rad = radical(M)
+    for basis in (FpMat(rad.a[:, :1], 5), FpMat(rad.a[:, [0]] + identity(M.dim, 5).a[:, [0]], 5)):
+        with pytest.raises(ValueError, match="not stable"):
+            submodule(M, basis)
+
+
+def test_degrees_of_columns_refuses_a_zero_or_inhomogeneous_column():
+    grading = [0, 0, 1, 2]
+    basis = fpmat([[1, 0], [2, 0], [0, 1], [0, 0]], 5)
+    assert algrep._degrees_of_columns(basis, grading) == [0, 1]
+    for bad in ([[1, 0], [0, 0], [0, 0], [0, 0]], [[1, 0], [0, 0], [0, 1], [0, 3]]):
+        with pytest.raises(ValueError, match="basis column is not homogeneous"):
+            algrep._degrees_of_columns(fpmat(bad, 5), grading)
+
+
 def graded_kernel_per_degree(C, row_deg, col_deg):
     """The homogeneous kernel of a degree-0 map, one kernel_basis per degree."""
     cols = []
@@ -1316,15 +1406,18 @@ def heller_cases():
 
 def test_heller_reads_the_action_of_omega_off_the_kernel_rows(monkeypatch):
     # the kernel basis of the cover map is the identity on its free rows, so
-    # Omega's action is those rows of the moved basis: no elimination, and
-    # the module submodule builds on the same basis, byte for byte
-    calls = record_calls(monkeypatch, "_coords_in_basis")
+    # Omega's action is those rows of the moved basis: no rref or inverse
+    # once the cover is known, and the module submodule builds on the same
+    # basis, byte for byte
+    rrefs = record_calls(monkeypatch, "rref")
+    inverses = record_calls(monkeypatch, "inverse")
     for M in heller_cases():
         P, C, _ = M.cover
+        rrefs.clear()
+        inverses.clear()
         omega = heller(M)
-        assert calls == []
+        assert rrefs == [] and inverses == []
         expected = submodule(P, _graded_kernel(C, M.degrees, P.degrees))
-        calls.clear()
         assert omega.grading == expected.grading and omega.dim == expected.dim
         for g in M.algebra.gens:
             assert omega.mat(g).a.dtype == expected.mat(g).a.dtype
@@ -1380,19 +1473,17 @@ def slice_macs(a, b):
 
 def test_resolution_steps_form_no_threaded_product_in_span_module(monkeypatch):
     # each cover of `cohom --p 7 --r 2 --n 8` is copies of the regular module,
-    # so each step forms one stacked product of 49 x 49 actions per slice, on
-    # as many rows of each copy as the copy with the most unit rows holds
-    inside, macs, shapes, unit_shapes = [], [], [], []
+    # so each step forms one stacked product of 49 x 49 actions per slice:
+    # one product per distinct action of the cover
+    inside, macs, shapes, expected = [], [], [], []
     real_span, real_matmul = algrep._span_module, algrep._exact_matmul
 
-    def span(P, basis, unit_rows):
-        ends = np.cumsum([0] + [S.dim for S in P.summands])
-        in_copy = (ends[:-1, None] <= unit_rows) & (unit_rows < ends[1:, None])
-        held = in_copy.sum(axis=1).tolist()
-        unit_shapes.append((len(P.algebra.gens), len(held), max(held), 49))
+    def span(P, *args):
+        for S in {S._spin_source or S for S in P.summands}:
+            expected.append((len(P.algebra.gens), 1, S.dim, S.dim))
         inside.append(True)
         try:
-            return real_span(P, basis, unit_rows)
+            return real_span(P, *args)
         finally:
             inside.pop()
 
@@ -1407,8 +1498,7 @@ def test_resolution_steps_form_no_threaded_product_in_span_module(monkeypatch):
     trace = gacohom.minimal_resolution_dims(7, 2, 8)
     assert trace.ext_dims == list(range(1, 10))
     assert len(macs) == 9 and max(macs) < fplinalg._THREADED_MACS
-    # only the unit rows are multiplied, padded to the most one copy holds
-    assert shapes == unit_shapes and all(rows < 49 for _, _, rows, _ in shapes)
+    assert shapes == expected == [(2, 1, 49, 49)] * 9
 
 
 def test_spin_moves_a_level_per_product(monkeypatch):

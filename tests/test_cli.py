@@ -182,6 +182,8 @@ def test_cohom_past_the_largest_algebra_exits_one_before_building_it(capsys, mon
         ["block", "--p", "9", "--r", "1", "--lambda", "0"],
         ["complexity", "--p", "1", "--r", "1", "--lambda", "0"],
         ["block", "--p", "3", "--r", "-1", "--lambda", "0"],
+        ["block", "--p", "3", "--r", "0", "--lambda", "0"],
+        ["block", "--p", "3", "--r", "x", "--lambda", "0"],
         ["verify", "blocks", "--p", "4"],
         ["verify", "heart", "--p", "3", "--budget-ms", "-5"],
     ],
@@ -440,6 +442,13 @@ def test_cohom_past_a_route_bound_exits_one_before_running_any_route(method):
     # refusal comes before the enumeration walks its 4^16 * 2^16 tuples
     out = run_cli_child(["cohom", "--p", "3", "--r", "16", "--n", "6", "--method", method], 20)
     err = "frobkern: the enumeration walks 4^16 * 2^16 tuples, above 1048576, the most it walks\n"
+    assert (out.returncode, out.stdout, out.stderr) == (1, "", err)
+
+
+def test_block_members_past_the_bound_exits_one_before_listing_any():
+    # the block of weight 0 at p = 3, r = 25 has 2 * 3^24 members
+    out = run_cli_child(["block-members", "--p", "3", "--r", "25", "--lambda", "0"], 20)
+    err = "frobkern: the block has 2 * 3^24 members, above 1048576, the most it lists\n"
     assert (out.returncode, out.stdout, out.stderr) == (1, "", err)
 
 

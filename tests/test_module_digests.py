@@ -27,6 +27,7 @@ from frobkern.sl2dist import (
     distribution_sl2,
     graded_restricted_sl2,
     graded_verma_module,
+    heart_module,
     restricted_sl2,
     verma_module,
 )
@@ -71,6 +72,9 @@ FAMILIES = {
         )
         for p in (3, 5)
     },
+    # rad P / soc P of the four height-two covers at p = 5: a submodule,
+    # then a quotient of it, at a size the p = 3 dumps do not reach
+    "heart-p5-r2": lambda: [heart_module(5, 2, lam) for lam in range(20, 24)],
 }
 
 PINNED = {
@@ -82,6 +86,7 @@ PINNED = {
     "graded-restricted-p7": "6b120b731190f87fab27e7591a9f1e13",
     "graded-verma-p3": "08b856854328c7f00379d6bbf5947cdf",
     "graded-verma-p5": "4f2b914f1037d89e6bedd02fefc1827a",
+    "heart-p5-r2": "305a3ccf6759e64c120fe0ade25f5d5b",
     "restricted-p3": "5fa46b967858acfe6161f9715a4140ca",
     "restricted-p5": "711693211ceb32b61439ae44da9ac047",
     "restricted-p7": "c3fc8d2292c498251286af55b9aed164",

@@ -135,6 +135,14 @@ def test_block_membership_examples():
     assert block_of(3, 2, 8).kind == "steinberg"
 
 
+def test_block_members_past_the_bound_are_refused_without_forming_the_count():
+    # 2 * 1021 members at s = 1, and 2 * 1021^2 > 2^20 at s = 0
+    assert len(block_members(1021, 3, BlockId(1021, 3, "regular", i=5, s=1))) == 2042
+    for p, r in [(1021, 3), (3, 13), (3, 10**12)]:
+        with pytest.raises(ValueError, match="the most it lists"):
+            block_members(p, r, BlockId(p, r, "regular", i=0, s=0))
+
+
 def test_blocks_partition():
     for p, r in ((3, 1), (3, 2), (5, 1), (5, 2)):
         seen = []
