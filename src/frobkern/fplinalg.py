@@ -16,8 +16,9 @@ decides whether BLAS may use threads: a product whose slices are mid-size
 is formed in blocks small enough for OpenBLAS to run each on the calling
 thread, because a helper thread it wakes spins after the product and costs
 more CPU than it saves; small products and large ones run whole (see
-`_SERIAL_MACS`).  Every block is exact, so the answer does not depend on
-the split.
+`_SERIAL_MACS`).  Each block spans the short side of the product, all rows
+of a skinny left operand or whole rows of b, so the larger operand is read
+once.  Every block is exact, so the answer does not depend on the split.
 
 Elimination has two routines.  The incremental echelon form `Echelon`
 takes rows a block at a time: each block is reduced against the rows held
@@ -83,12 +84,24 @@ _FLOAT_EXACT = 2**53
 # does).  A woken helper spins for 0.1-0.25 s of CPU after the product, and
 # waking it takes milliseconds.  So a product of fewer multiply-adds per slice
 # than _SERIAL_MACS runs whole, on one thread, and so does one of at least
-# _THREADED_MACS, whose slices use the second core well: formed in blocks, the
-# slices of 2^22 to 2^24 of `verify meataxe-regular --p 7` took 3.9 s instead
-# of 1.3 s.  A product in between is formed in blocks of fewer than
-# _SERIAL_MACS multiply-adds each, which costs little at that size.
+# _THREADED_MACS, whose slices use the second core well: formed in blocks of
+# whole rows, the slices of 2^22 to 2^24 of `verify meataxe-regular --p 7`
+# took 3.9 s instead of 1.3 s.  A product in between is formed in blocks of
+# fewer than _SERIAL_MACS multiply-adds each, which costs little at that size.
+# The bound is 2^23, not 2^22, because a product just above 2^22 that comes
+# alone pays for waking the helper: the two spin products of about 2^22.4 in
+# `cohom --p 7 --r 2 --n 8`, (148 x 195)(195 x 195) and (149 x 197)
+# (197 x 197), took 13.7-20.5 ms each whole on two threads and 0.46-0.98 ms in
+# blocks on one, timed inside the command, which took 0.18-0.20 s against
+# 0.10-0.11 s.  Where such products come in bursts, blocks that span the
+# short side keep that bound from costing: with blocks of whole rows instead,
+# `verify cohom --p 11` took 18.3-19.1 s against 13.8-15.3 s (three pairs).
+# Two other rules lost on `verify meataxe-regular --p 7`: a bound of 2^24
+# (9.97-13.02 s against 9.19-9.66 s in one set of three pairs, about even
+# in another), and threading only calls of 2^27 multiply-adds or more in all
+# slices (9.7-10.1 s against 8.6-9.6 s in three pairs).
 _SERIAL_MACS = 2**18
-_THREADED_MACS = 2**22
+_THREADED_MACS = 2**23
 
 # `_exact_matmul` overwrites a product of more entries than this with its
 # residues, so that no int64 copy of it all sets a peak, this many at a time,
@@ -122,8 +135,10 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     larger product raises ValueError.  Such an integer casts to int64
     exactly and int64 % is exact.  A product whose slices are mid-size is
     formed in blocks small enough for BLAS to stay on one thread (see
-    _SERIAL_MACS): rows of a, and columns of b once a single row is over
-    the bound.
+    _SERIAL_MACS).  A block spans the short side, so the larger operand is
+    read once: all m rows of a and some columns of b when b has at least m
+    columns, else whole rows of a.  Once one row or one column is over the
+    bound, a block is one row of a and some columns of b.
     """
     k = a.shape[-1]
     if k * (p - 1) ** 2 >= _FLOAT_EXACT:
@@ -140,7 +155,12 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         a2, b2 = (a[None] if a.ndim == 1 else a), (b[:, None] if b.ndim == 1 else b)
         out = np.empty(np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2]) + (m, n))
         per_block = (_SERIAL_MACS - 1) // k  # rows * cols of one block
-        rows, cols = (per_block // n, n) if per_block >= n else (1, max(per_block, 1))
+        if m <= min(n, per_block):
+            rows, cols = m, per_block // m
+        elif n <= per_block:
+            rows, cols = per_block // n, n
+        else:
+            rows, cols = 1, max(per_block, 1)
         for r in range(0, m, rows):
             for c in range(0, n, cols):
                 rs, cs = slice(r, r + rows), slice(c, c + cols)

@@ -51,7 +51,7 @@ from .algrep import (
     GenAlgebra,
     GenAlgebraModule,
     _degrees_of_columns,
-    _graded_kernel,
+    _graded_kernel_and_unit_rows,
     quotient,
     radical,
     socle,
@@ -223,11 +223,16 @@ def _pim_ladders(p: int) -> Tuple[_Ladder, ...]:
         # c - (lam0+1)^2, with (h+1)^2 read off the integer weights
         c = fpmat(np.diag([(w + 1) ** 2 - (lam0 + 1) ** 2 for w in tens.weights]), p)
         c = c + (tens.f_pows[1] @ tens.e_pows[1]).scale(4)
-        pick = _graded_kernel(c.power(tens.dim), tens.weights, tens.weights)
+        pick, unit_rows = _graded_kernel_and_unit_rows(
+            c.power(tens.dim), tens.weights, tens.weights
+        )
 
         def compress(mat: FpMat) -> FpMat:
-            coords = solve(pick, mat @ pick)
-            if coords is None:
+            # pick is the identity on its unit rows, so those rows of the
+            # image are its coordinates when the image lies in the span
+            image = mat @ pick
+            coords = FpMat(image.a[unit_rows], p)
+            if pick @ coords != image:
                 raise RuntimeError("summand basis is not stable under the ladder")
             return coords
 

@@ -1497,8 +1497,25 @@ def test_resolution_steps_form_no_threaded_product_in_span_module(monkeypatch):
     monkeypatch.setattr(algrep, "_exact_matmul", matmul)
     trace = gacohom.minimal_resolution_dims(7, 2, 8)
     assert trace.ext_dims == list(range(1, 10))
-    assert len(macs) == 9 and max(macs) < fplinalg._THREADED_MACS
+    assert len(macs) == 9 and max(macs) < 2**22
     assert shapes == expected == [(2, 1, 49, 49)] * 9
+
+
+def test_cohom_p7_resolution_forms_every_product_on_the_calling_thread(monkeypatch):
+    # its two spin products of about 2^22.4 multiply-adds are formed in
+    # blocks, so no np.matmul call is large enough to wake a BLAS helper
+    calls = []
+    matmul = np.matmul
+
+    def counted(x, y, **kwargs):
+        calls.append(slice_macs(x, y))
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(fplinalg.np, "matmul", counted)
+    trace = gacohom.minimal_resolution_dims(7, 2, 8)
+    monkeypatch.undo()
+    assert trace.ext_dims == list(range(1, 10))
+    assert calls and max(calls) < fplinalg._SERIAL_MACS
 
 
 def test_spin_moves_a_level_per_product(monkeypatch):

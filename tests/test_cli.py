@@ -416,13 +416,13 @@ def test_verify_dump_dir(capsys, tmp_path):
     assert reg.dim == 27
 
 
-def run_cli_child(argv, timeout=None):
+def run_cli_child(argv, timeout=None, module="frobkern.cli"):
     # the child imports the same frobkern as this test, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     return subprocess.run(
-        [sys.executable, "-m", "frobkern.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -434,6 +434,14 @@ def test_console_module_invocation():
     out = run_cli_child(["block", "--p", "3", "--r", "2", "--lambda", "5"])
     assert out.returncode == 0
     assert json.loads(out.stdout)["result"] == {"block": {"i": 0, "s": 1}}
+
+
+def test_package_module_invocation_runs_the_cli():
+    argv = ["period", "--p", "5", "--r", "2", "--lambda", "3"]
+    package, cli_module = run_cli_child(argv, module="frobkern"), run_cli_child(argv)
+    assert package.returncode == cli_module.returncode == 0
+    assert json.loads(package.stdout) == json.loads(cli_module.stdout)
+    assert package.stderr == cli_module.stderr == ""
 
 
 @pytest.mark.parametrize("method", ["all", "enumeration"])

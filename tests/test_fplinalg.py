@@ -342,6 +342,7 @@ PRODUCT_SHAPES = [
     ((5,), (5, 3)),
     ((300, 2), (2, 300)),  # more entries than _CAST_CHUNK: reduced in place
     ((2, 300, 20), (20, 300)),
+    ((148, 195), (195, 195)),  # a spin product of cohom-p7, between 2^22 and 2^23
 ]
 
 
@@ -369,6 +370,27 @@ def test_exact_products_stay_below_the_thread_bound_or_run_whole(monkeypatch, a_
         assert len(calls) > 1 and max(calls) < fplinalg._SERIAL_MACS
     else:
         assert calls == [macs]
+
+
+def test_blocked_products_of_a_skinny_operand_carry_all_its_rows(monkeypatch):
+    # every block spans all 12 rows of a, so each slice of b is read once
+    p = 65521
+    rng = np.random.default_rng(12)
+    a = rng.integers(0, p, size=(12, 600))
+    b = rng.integers(0, p, size=(2, 600, 600))
+    assert fplinalg._SERIAL_MACS <= slice_macs(a, b) < fplinalg._THREADED_MACS
+    rows = []
+    matmul = np.matmul
+
+    def counted(x, y, **kwargs):
+        rows.append(x.shape[-2])
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(fplinalg.np, "matmul", counted)
+    got = _exact_matmul(a, b, p)
+    monkeypatch.undo()
+    assert (got == np.matmul(a, b) % p).all()
+    assert len(rows) > 1 and set(rows) == {12}
 
 
 def gauss_jordan(rows, p):
