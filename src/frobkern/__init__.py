@@ -31,6 +31,15 @@ def check_height(r: int) -> None:
         raise ValueError("height r must be >= 1")
 
 
+def power_exceeds(base: int, exp: int, bound: int) -> bool:
+    """True when base**exp > bound, for base >= 2 and exp >= 0, without
+    forming base**exp for a huge exp."""
+    # base >= 2, so base**exp >= 2**exp > bound once exp is past the bit
+    # length of bound: the shortcut is exact, and the power is formed only
+    # for a small exp
+    return exp > bound.bit_length() or base**exp > bound
+
+
 def check_degree(n: int) -> None:
     """Raise ValueError unless n is a cohomological degree, n >= 0."""
     if n < 0:
@@ -40,6 +49,7 @@ def check_degree(n: int) -> None:
 def base_p_digits(lam: int, p: int, r: int) -> list[int]:
     """The r little-endian base-p digits of a weight 0 <= lam < p^r."""
     check_odd_prime(p)
+    check_height(r)
     if not 0 <= lam < p**r:
         raise ValueError(f"weight {lam} outside [0, p^{r})")
     return [(lam // p**i) % p for i in range(r)]

@@ -25,17 +25,17 @@ is N.  Every other source forms every pair.  The equations stream into an
 incremental echelon form, which stops as soon as no image is left free.  A
 solve first yields its kernel in generator-image coordinates.  A module map
 is fixed by where it sends the generators, so projective covers pick their
-lifts from those images, stable Homs count the maps through a projective
-from them, and the MeatAxe forms one endomorphism per try: only the maps a
-caller keeps become matrices, each spun from its generator images along
-the spanning tree of M.  The word operators of a solve that forms
-equations are dropped once it has them.  Each module keeps its Hom spaces
-to and from the simples, its radical, its socle, its cover and the first
-stage of every Hom solve into it; its shifts and its ungraded copy share
-its spin and those first stages.  An ungraded module has degree 0
-throughout, so each module map has one kernel, homogeneous, from one
-elimination of the whole map, and independent columns are the pivots of one
-RREF, stably ordered by degree.
+lifts from those images under the maps onto each simple, stable Homs count
+the maps through a projective from them, and the MeatAxe forms one
+endomorphism per try: only the maps a caller keeps become matrices, each
+spun from its generator images along the spanning tree of M.  The word
+operators of a solve that forms equations are dropped once it has them.
+Each module keeps its Hom spaces to and from the simples, its socle, its
+cover, its radical once asked for, and the first stage of every Hom solve
+into it; its shifts and its ungraded copy share its spin and those first
+stages.  An ungraded module has degree 0 throughout, so each module map
+has one kernel, homogeneous, from one elimination of the whole map, and
+independent columns are the pivots of one RREF, stably ordered by degree.
 
 Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  The Heller
@@ -272,8 +272,8 @@ class GenAlgebraModule:
     @cached_property
     def radical_basis(self) -> FpMat:
         """Basis of rad(M), M being this module: the homogeneous common
-        kernel of its maps onto the simples.  Computed once; radical and
-        projective_cover read it."""
+        kernel of its maps onto the simples.  Computed once, when radical
+        asks for it."""
         # for a graded M an ungraded map onto a simple splits into degree-0
         # maps onto shifted simples, so the degree-0 maps cut out rad(M)
         maps = [(S, phi) for _, _, S, phis in self.maps_to_simples for phi in phis]
@@ -908,14 +908,16 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
     of P are laid out.  For each simple S in the top, with multiplicity
     mult, the lifts P(S) -> M are the first mult maps of the kernel of
     Hom(P(S), M) whose generator images modulo rad(M) are independent of
-    those before them, and only those maps are formed.
+    those before them, and only those maps are formed.  rad(M) is the common
+    kernel of the maps onto the simples, so the maps onto S, which the top
+    solve already holds, tell the images apart: a cover forms neither rad(M)
+    nor a complement of it.
     """
     alg = M.algebra
     p = alg.p
     if M.dim == 0:
         return zero_module(alg, M.graded), zeros(0, 0, p), []
     targets = M.maps_to_simples
-    proj, _ = _complement_projection(M.radical_basis, M.dim)
     blocks: List[GenAlgebraModule] = []
     block_info: List[tuple] = []
     columns: List[FpMat] = []
@@ -933,11 +935,9 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
         hom = _hom_kernel(Pblock, M)
         chosen: Sequence[int] = ()
         if hom is not None:
-            # proj . phi is a module map P -> top(M), fixed by where it sends
-            # the generators of P: proj times the generator images tells the
-            # lifts apart exactly, so the pivots of their RREF are the maps
-            # the whole products would pick, and only those are formed
-            induced = _exact_matmul(proj.a, hom.gen_images, p)
+            # P(S) maps to no simple but S, so a combination of lifts lies in
+            # rad(M) exactly when the maps onto S kill its generator images
+            induced = _exact_matmul(vstack(maps).a, hom.gen_images, p)
             chosen = rref(FpMat(induced.reshape(-1, hom.dim), p)).pivots[:mult]
         if len(chosen) != mult:
             raise RuntimeError("projective cover lifting failed to reach the top")

@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import check_degree, check_height
+from . import check_degree, check_height, power_exceeds
 from .algrep import GenAlgebra, GenAlgebraModule, ResolutionTrace, ext_dims
 from .fplinalg import fpmat
 
@@ -84,8 +84,7 @@ def _regular(alg: GenAlgebra) -> GenAlgebraModule:
 def check_algebra_order(p: int, r: int) -> None:
     """Raise ValueError when p^r exceeds `MAX_ORDER`, without forming p^r
     for a huge r."""
-    # p >= 3, so a height past the bit length of the bound is past the bound
-    if r > MAX_ORDER.bit_length() or p**r > MAX_ORDER:
+    if power_exceeds(p, r, MAX_ORDER):
         raise ValueError(
             f"the algebra has dimension {p}^{r}, above {MAX_ORDER}, the largest the oracle builds"
         )
@@ -129,6 +128,7 @@ def cohom_dim(p: int, r: int, n: int) -> int:
     polynomial generators and r degree-1 exterior ones collapses to
     (1-t)^{-r}.  Independent of p; the ring structure is not.
     """
+    check_height(r)
     check_degree(n)
     return math.comb(n + r - 1, r - 1)
 
@@ -139,9 +139,7 @@ def check_enumeration_size(r: int, n: int) -> None:
     when n is negative."""
     check_degree(n)
     base = 2 * (n // 2 + 1)  # (n//2 + 1)^r exponent tuples a, 2^r tuples e
-    # the base is at least 2, so a height past the bit length of
-    # the bound is past the bound
-    if r > MAX_TUPLES.bit_length() or base**r > MAX_TUPLES:
+    if power_exceeds(base, r, MAX_TUPLES):
         raise ValueError(
             f"the enumeration walks {n // 2 + 1}^{r} * 2^{r} tuples, above {MAX_TUPLES}, "
             "the most it walks"
@@ -154,6 +152,7 @@ def cohom_dim_by_enumeration(p: int, r: int, n: int) -> int:
 
     Refused when it would walk more than `MAX_TUPLES` tuples.
     """
+    check_height(r)
     check_enumeration_size(r, n)
     count = 0
     bound = n // 2 + 1

@@ -46,7 +46,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import base_p_digits, check_height
+from . import base_p_digits
 from .algrep import (
     GenAlgebra,
     GenAlgebraModule,
@@ -349,7 +349,6 @@ def _twisted_tensor(alg: GenAlgebra, ladders: Sequence[_Ladder]) -> GenAlgebraMo
 
 def _kernel_algebra(p: int, r: int, lam: int) -> GenAlgebra:
     """The algebra of the r-th kernel, once r and lam are checked."""
-    check_height(r)
     base_p_digits(lam, p, r)
     return restricted_sl2(p) if r == 1 else distribution_sl2(p, r)
 

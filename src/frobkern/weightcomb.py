@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import base_p_digits, check_height, check_odd_prime
+from . import base_p_digits, check_height, check_odd_prime, power_exceeds
 from .algrep import InconclusiveError, ResolutionTrace, estimate_complexity
 from .gacohom import MAX_TUPLES
 
@@ -253,6 +253,7 @@ class BlockId:
 
     def __post_init__(self):
         check_odd_prime(self.p)
+        check_height(self.r)
         if self.kind not in ("regular", "steinberg"):
             raise ValueError("kind must be 'regular' or 'steinberg'")
         if self.kind == "steinberg":
@@ -289,8 +290,8 @@ def block_members(p: int, r: int, block: BlockId) -> List[int]:
     if block.kind == "steinberg":
         return [p**r - 1]
     free = r - 1 - block.s
-    # p >= 3, so a free digit count past the bit length of the bound is past it
-    if free > MAX_TUPLES.bit_length() or 2 * p**free > MAX_TUPLES:
+    # 2 * p^free > MAX_TUPLES exactly when p^free > MAX_TUPLES // 2
+    if power_exceeds(p, free, MAX_TUPLES // 2):
         raise ValueError(
             f"the block has 2 * {p}^{free} members, above {MAX_TUPLES}, the most it lists"
         )

@@ -184,6 +184,11 @@ def record_calls(monkeypatch, name):
     return calls
 
 
+def fresh(M):
+    """A copy of M with nothing cached."""
+    return GenAlgebraModule(M.algebra, M.action, M.grading, check=False)
+
+
 def conjugate(M, rng):
     """Same module in a scrambled basis; a graded one is scrambled within
     each degree."""
@@ -896,7 +901,7 @@ def test_shifts_of_a_simple_share_its_spin(monkeypatch):
     assert [id(A) for (A,) in calls] == [id(S), id(P)]
 
     P = graded_principal_indecomposable(3, 0)
-    P = GenAlgebraModule(P.algebra, P.action, P.grading, check=False)  # nothing cached
+    P = fresh(P)
     simples = [id(S) for S in P.algebra.simples]
     calls.clear()
     top(P)
@@ -908,7 +913,7 @@ def test_shifts_of_a_simple_share_its_spin(monkeypatch):
 
 def test_forget_grading_shares_the_spin(monkeypatch):
     P = graded_principal_indecomposable(3, 1)
-    P = GenAlgebraModule(P.algebra, P.action, P.grading, check=False)  # nothing cached
+    P = fresh(P)
     calls = record_calls(monkeypatch, "build_spin")
     Pu = P.forget_grading()
     assert Pu.spin is P.spin
@@ -929,7 +934,7 @@ def test_regraded_copies_keep_the_spin_and_drop_every_other_cached_property():
     # the spin reads the action alone; every other cached property depends
     # on the degrees, so a shifted or ungraded copy computes it anew
     P = graded_principal_indecomposable(3, 1)
-    P = GenAlgebraModule(P.algebra, P.action, P.grading, check=False)  # nothing cached
+    P = fresh(P)
     cached = {
         name
         for name, attr in vars(GenAlgebraModule).items()
@@ -949,7 +954,7 @@ def test_radical_cover_and_heller_eliminate_the_radical_once(monkeypatch):
     # heller reads its action from
     calls = record_calls(monkeypatch, "_graded_kernel_and_unit_rows")
     for M in [verma_module(3, 1, 0), graded_verma_module(3, 0)]:
-        M = GenAlgebraModule(M.algebra, M.action, M.grading, check=False)  # nothing cached
+        M = fresh(M)
         calls.clear()
         rad = radical(M)
         projective_cover(M)
@@ -1285,6 +1290,13 @@ COVER_CASES = {
     "vermas": lambda: [verma_module(3, 1, lam) for lam in range(3)],
     "pims": lambda: [principal_indecomposable(3, 1, lam) for lam in range(3)],
     "graded": graded_cover_cases,
+    # decomposable, with several distinct simples in the top: (0, 2), (1, 1), (2, 1)
+    "sum": lambda: [
+        direct_sum([verma_module(3, 1, 0)] * 2 + [verma_module(3, 1, 1), simple_module(3, 1, 2)])
+    ],
+    "graded-sum": lambda: [
+        direct_sum([graded_verma_module(3, lam).shifted(d) for lam, d in ((0, 0), (0, 6), (1, 0))])
+    ],
 }
 
 
@@ -1307,6 +1319,21 @@ def test_cover_picks_the_lifts_of_the_reference_selection(monkeypatch, case):
         assert blocks == blocks_ref
         assert np.array_equal(C.a, C_ref)
         assert P.dim == C.cols
+
+
+def test_heller_forms_no_radical(monkeypatch):
+    # the cover tells its lifts apart with the maps onto each simple, whose
+    # common kernel is rad(M): neither rad(M) nor a complement of it is formed
+    calls = record_calls(monkeypatch, "_complement_projection")
+    mods = [
+        verma_module(3, 1, 0),
+        graded_verma_module(3, 0),
+        gacohom.truncated_poly_algebra(3, 2).simples[0],
+    ]
+    for M in map(fresh, mods):
+        assert heller(M).dim
+        assert "radical_basis" not in vars(M)
+    assert calls == []
 
 
 def reference_stable_hom_dim(M, N):

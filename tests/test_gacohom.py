@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from frobkern import power_exceeds
 from frobkern.algrep import GenAlgebraModule, is_projective, socle, top
 from frobkern.fplinalg import fpmat
 from frobkern.gacohom import (
@@ -52,6 +53,21 @@ def test_closed_form_spot_values():
     assert [cohom_dim(3, 1, n) for n in range(8)] == [1] * 8
     with pytest.raises(ValueError):
         cohom_dim(3, 2, -1)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_both_cohomology_routes_refuse_a_height_below_one(r):
+    for route in (cohom_dim, cohom_dim_by_enumeration):
+        with pytest.raises(ValueError, match="height r must be >= 1"):
+            route(3, r, 0)
+
+
+def test_power_bound_guard_is_the_power_compared():
+    for base in (2, 3, 4, 7):
+        for exp in range(40):
+            for bound in (0, 1, 2**20 - 1, 2**20, 2**20 + 1, 2**19):
+                assert power_exceeds(base, exp, bound) == (base**exp > bound)
+    assert power_exceeds(3, 10**12, 2**20)
 
 
 def test_dimension_is_p_free():

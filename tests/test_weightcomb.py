@@ -143,6 +143,22 @@ def test_block_members_past_the_bound_are_refused_without_forming_the_count():
             block_members(p, r, BlockId(p, r, "regular", i=0, s=0))
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_block_and_simple_formulas_refuse_a_height_below_one(r):
+    # weight 0 lies in [0, p^r) for r = 0 and r = -1 too, and read as the
+    # empty digit string it gave a Steinberg block with complexity 0
+    calls = [
+        lambda: simple_complexity(3, r, 0),
+        lambda: block_of(3, r, 0),
+        lambda: simple_dim(3, r, 0),
+        lambda: all_blocks(3, r),
+        lambda: BlockId(3, r, "steinberg"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="height r must be >= 1"):
+            call()
+
+
 def test_blocks_partition():
     for p, r in ((3, 1), (3, 2), (5, 1), (5, 2)):
         seen = []
