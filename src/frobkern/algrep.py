@@ -1064,17 +1064,16 @@ def opposite_algebra(alg: GenAlgebra) -> GenAlgebra:
     # dual_module finds op through alg.meta["op"], set just above
     op_simples = [dual_module(S) for S in alg.simples]
     op.designate(op_simples)
-    # duals of projectives are projective again (self-injective scope); their
-    # tops permute, so match each dualized cover to the simple it covers
+    # duals of projectives are projective (self-injective scope) and top(P*)
+    # = (soc P)*: read P's socle ungraded, one solve out of each simple
     op_projectives: List[Optional[GenAlgebraModule]] = [None] * len(op_simples)
     for P in alg.projectives:
         if P is None:
             continue
-        Q = dual_module(P)
-        tops = top(Q.forget_grading() if Q.graded else Q)
-        if len(tops) != 1 or tops[0][-1] != 1:
-            raise RuntimeError("dualized projective lost its simple top")
-        op_projectives[tops[0][0]] = Q
+        soc, _ = socle(P.forget_grading() if P.graded else P)
+        if len(soc) != 1 or soc[0][-1] != 1:
+            raise RuntimeError("designated projective has no simple socle")
+        op_projectives[soc[0][0]] = dual_module(P)
     op.projectives = op_projectives
     return op
 

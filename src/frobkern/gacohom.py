@@ -196,6 +196,7 @@ _GEN_RE = re.compile(r"^([xy])_?(\d+)$")
 
 def cohom_ring_generators(p: int, r: int) -> List[Tuple[str, int, int]]:
     """(name, cohomological degree, weight as a multiple of alpha)."""
+    check_height(r)
     gens = [(f"x_{i}", 2, -(p**i)) for i in range(1, r + 1)]
     gens += [(f"y_{i}", 1, -(p**i)) for i in range(r)]
     return gens
@@ -208,6 +209,7 @@ def weight_of_generator(p: int, r: int, gen: str, alpha: Union[int, Sequence[int
     both kinds of index feed the same exponent.  alpha may be an integer
     (rank-one weight coordinate) or an integer vector.
     """
+    check_height(r)
     m = _GEN_RE.match(gen)
     if not m:
         raise ValueError(f"unknown cohomology generator {gen!r}")

@@ -32,7 +32,8 @@ is the Casimir block of St tensor L(p-1-lam0).  The construction serves
 every weight; only the covers listed above are built at set-up.
 
 The other constructors: baby Verma modules by one divided-power formula at
-every height, hearts rad P / soc P, and the left regular module of the
+every height, hearts rad P / soc P read as Omega L / soc Omega L (rad P is
+the kernel of the cover P -> L), and the left regular module of the
 restricted algebra in the PBW basis.  Every algebra and module is built
 exactly: no constructor runs the MeatAxe or draws at random.
 """
@@ -52,13 +53,12 @@ from .algrep import (
     GenAlgebraModule,
     _degrees_of_columns,
     _graded_kernel_and_unit_rows,
+    heller,
     quotient,
-    radical,
     socle,
-    submodule,
     top,
 )
-from .fplinalg import FpMat, fpmat, identity, kron, solve, zeros
+from .fplinalg import FpMat, fpmat, identity, kron, zeros
 
 
 def gbinom(x: int, k: int, p: int) -> int:
@@ -414,17 +414,13 @@ def graded_principal_indecomposable(p: int, lam0: int) -> GenAlgebraModule:
 
 
 def heart_module(p: int, r: int, lam: int) -> GenAlgebraModule:
-    """rad P / soc P of the projective cover of the weight-lam simple."""
-    P = principal_indecomposable(p, r, lam)
-    rad = radical(P)
-    if rad.cols == 0:
+    """rad P / soc P of the cover P of the weight-lam simple L: rad P is
+    Omega L, and soc Omega L = soc P, as P's socle is simple and lies in
+    rad P unless P = L.  One Hom is solved out of P, the rest out of simples."""
+    R = heller(simple_module(p, r, lam))
+    if R.dim == 0:
         raise ValueError(f"weight {lam} gives a simple projective: no heart")
-    R = submodule(P, rad)
-    _, soc_basis = socle(P)
-    coords = solve(rad, soc_basis)
-    if coords is None:
-        raise RuntimeError("socle does not sit inside the radical")
-    heart, _ = quotient(R, coords)
+    heart, _ = quotient(R, socle(R)[1])
     return heart
 
 

@@ -204,6 +204,7 @@ def heller_orbit_verma(rd: RootDatum, lam: Weight, r: int, n: int) -> Weight:
     the unique simple root whose pairing with lam + rho escapes p^r Z.
     """
     _require_flags(rd)
+    check_height(r)
     dep = depth(rd, lam)
     if dep != r:
         raise HypothesisError(

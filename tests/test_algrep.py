@@ -565,13 +565,17 @@ def test_shared_local_kernel_is_the_uncached_one():
 
 
 def test_local_kernel_is_solved_once_per_target_and_system(monkeypatch):
+    # the heart and the algebras are built before the count starts: their
+    # own solves are not the ones counted below, and an earlier test may
+    # already have built the algebras
+    heart, alg = heart_module(5, 2, 21), graded_restricted_sl2(5)
     calls = record_calls(monkeypatch, "_local_echelon")
     # two simples of Dist(G_2) at p = 5 whose generators both satisfy
     # e0*v = e1*v = 0 and nothing more: one local system into a heart
     S, S2 = distribution_sl2(5, 2).simples[6:8]
     key = [[(g, js.tolist(), c.tolist()) for g, js, c in T.spin.local] for T in (S, S2)]
     assert key[0] == key[1] and S.dim != S2.dim
-    H = rebuilt(heart_module(5, 2, 21))
+    H = rebuilt(heart)
     assert algrep._hom_kernel(S, H) is None
     assert len(calls) == 1
     assert algrep._hom_kernel(S2, H) is None
@@ -580,7 +584,6 @@ def test_local_kernel_is_solved_once_per_target_and_system(monkeypatch):
     algrep._hom_kernel(S2, rebuilt(H))
     assert len(calls) == 2
     # shifted and ungraded copies read the entries of the module they copy
-    alg = graded_restricted_sl2(5)
     T, N = alg.simples[2], rebuilt(alg.projectives[2])
     assert algrep._hom_kernel(T, N) is not None
     assert len(calls) == 3
@@ -771,7 +774,10 @@ def test_meataxe_forms_one_map_per_try_before_the_exhaustive_proof(monkeypatch):
     # the regular module of u(sl2) at p = 3 splits into P(0), two copies of
     # P(1) and three of the Steinberg module; End(P(i)) is two-dimensional,
     # so each P(i) ends in an exhaustive proof that its End is local.  Each
-    # try before it forms its one map, and the proof forms the basis once
+    # try before it forms its one map, and the proof forms the basis once.
+    # The module, and with it the algebra, is built first: designating the
+    # simples forms maps too, when no earlier test has built the algebra
+    M = regular_module(3)
     events = []
     real_maps, real_split = algrep._hom_maps, algrep._fitting_split
 
@@ -786,7 +792,7 @@ def test_meataxe_forms_one_map_per_try_before_the_exhaustive_proof(monkeypatch):
 
     monkeypatch.setattr(algrep, "_hom_maps", hom_maps)
     monkeypatch.setattr(algrep, "_fitting_split", fitting_split)
-    factors = meataxe_split(regular_module(3), rng=5)
+    factors = meataxe_split(M, rng=5)
     assert sorted(F.dim for F in factors) == [3, 3, 3, 6, 6, 6]
     proofs = [i for i, e in enumerate(events) if e[0] == "maps" and e[1] > 1]
     assert len(proofs) == 3
@@ -1334,6 +1340,21 @@ def test_heller_forms_no_radical(monkeypatch):
         assert heller(M).dim
         assert "radical_basis" not in vars(M)
     assert calls == []
+
+
+def test_heart_solves_one_hom_out_of_its_cover(monkeypatch):
+    # rad P(lam) is Omega L(lam), so the heart solves Hom(P, L) once, out of
+    # the cover, and every other Hom out of a simple
+    calls = record_calls(monkeypatch, "_hom_kernel")
+    for p, r, lam in ((3, 1, 0), (3, 2, 6), (3, 2, 7), (5, 2, 21)):
+        alg = restricted_sl2(p) if r == 1 else distribution_sl2(p, r)
+        P, L = alg.projectives[lam], alg.simples[lam]
+        vars(L).pop("cover", None)  # an earlier heart or Omega L leaves it
+        calls.clear()
+        heart_module(p, r, lam)
+        sources = [M._spin_source or M for M, _ in calls]
+        assert sum(M is P for M in sources) == 1
+        assert all(M is P or any(M is S for S in alg.simples) for M in sources)
 
 
 def reference_stable_hom_dim(M, N):
@@ -1950,6 +1971,31 @@ def test_dual_of_projective_is_projective():
     D = dual_module(jordan(alg, 3))
     assert D.algebra is opposite_algebra(alg)
     assert is_projective(D)
+
+
+def test_opposite_algebra_matches_covers_by_their_socle(monkeypatch):
+    # top(P*) = (soc P)*, so each dualized cover is designated at the index
+    # of P's socle, which is solved out of the simples: no Hom is solved out
+    # of a dualized cover, and the top of each, computed after, agrees
+    algs = [
+        restricted_sl2.__wrapped__(3),
+        graded_restricted_sl2.__wrapped__(3),
+        distribution_sl2.__wrapped__(3, 2),
+    ]
+    calls = record_calls(monkeypatch, "_hom_kernel")
+    ops = [opposite_algebra(alg) for alg in algs]
+    sources = [M._spin_source or M for M, _ in calls]
+    for alg, op in zip(algs, ops):
+        covers = [(idx, Q) for idx, Q in enumerate(op.projectives) if Q is not None]
+        assert len(covers) == sum(P is not None for P in alg.projectives)
+        assert not any(M is Q for M in sources for _, Q in covers)
+        for idx, Q in covers:
+            assert [(entry[0], entry[-1]) for entry in top(Q)] == [(idx, 1)]
+    # a designated projective whose socle is not simple is refused
+    alg = line_algebra(3)
+    alg.projectives = [direct_sum([jordan(alg, 3), jordan(alg, 3)])]
+    with pytest.raises(RuntimeError, match="no simple socle"):
+        opposite_algebra(alg)
 
 
 def test_module_json_roundtrip():

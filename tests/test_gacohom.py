@@ -60,6 +60,12 @@ def test_both_cohomology_routes_refuse_a_height_below_one(r):
     for route in (cohom_dim, cohom_dim_by_enumeration):
         with pytest.raises(ValueError, match="height r must be >= 1"):
             route(3, r, 0)
+    # the ring's generators too: at r = 0 they were [] and an index error
+    with pytest.raises(ValueError, match="height r must be >= 1"):
+        cohom_ring_generators(3, r)
+    for gen in ("x_1", "y_0"):
+        with pytest.raises(ValueError, match="height r must be >= 1"):
+            weight_of_generator(3, r, gen, 1)
 
 
 def test_power_bound_guard_is_the_power_compared():

@@ -153,6 +153,8 @@ def test_block_and_simple_formulas_refuse_a_height_below_one(r):
         lambda: simple_dim(3, r, 0),
         lambda: all_blocks(3, r),
         lambda: BlockId(3, r, "steinberg"),
+        # a depth HypothesisError at r = 0, where a bad height is meant
+        lambda: heller_orbit_verma(sl2_root_datum(3), 0, r, 1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="height r must be >= 1"):
