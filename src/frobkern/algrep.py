@@ -63,7 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import DEFAULT_SEED
+from . import DEFAULT_SEED, check_degree
 from .fplinalg import (
     Echelon,
     FpMat,
@@ -1288,17 +1288,47 @@ class ResolutionTrace:
         }
 
 
+def _module_key(M: GenAlgebraModule) -> tuple:
+    # the dimension, the grading and the bytes of every generator's action,
+    # each entry in the smallest unsigned type that holds p - 1: a dict
+    # compares keys in full, so equal keys mean equal modules
+    dtype = np.min_scalar_type(M.algebra.p - 1)
+    return (M.dim, M.grading, *(M.mat(g).a.astype(dtype).tobytes() for g in M.algebra.gens))
+
+
 def ext_dims(M: GenAlgebraModule, length: int, with_ext: bool = True) -> ResolutionTrace:
-    """Trace of Omega^n dims and dim Ext^n(M, M) = stable Hom(Omega^n M, M)."""
+    """Trace of Omega^n dims and dim Ext^n(M, M) = stable Hom(Omega^n M, M).
+
+    M0 = M with its projectives split off, and each syzygy after it, is
+    keyed by `_module_key`: its dimension, grading and action matrices.
+    Once Omega^n has the key of an earlier Omega^m, the rest of the trace
+    repeats with period n - m, and no further Heller step or stable Hom is
+    formed.  The stop is exact: over a fixed algebra `heller` and
+    `stable_hom_dim(., M0)` read only a module's action and grading (the
+    designated covers, canonical Hom kernels, no random draw), so equal
+    modules have equal syzygies and equal stable Homs.  A syzygy larger
+    than every one before it equals none of them, and its key is not kept.
+    """
+    check_degree(length)
     M0 = strip_projectives(M)
-    omega = [M0.dim]
-    exts = [stable_hom_dim(M0, M0)] if with_ext else None
-    current = M0
-    for _ in range(length):
-        current = heller(current)
+    omega: List[int] = []
+    exts: Optional[List[int]] = [] if with_ext else None
+    keys: Dict[tuple, int] = {}
+    current, period = M0, 0
+    for n in range(length + 1):
+        if n:
+            current = heller(current)
+        if n == 0 or current.dim <= max(omega):
+            period = n - keys.setdefault(_module_key(current), n)
+            if period:
+                break
         omega.append(current.dim)
         if with_ext:
             exts.append(stable_hom_dim(current, M0))
+    # Omega^n is Omega^(n - period), and so is every step after it
+    for seq in (omega, exts) if with_ext else (omega,):
+        while len(seq) <= length:
+            seq.append(seq[-period])
     return ResolutionTrace(M, length, omega, exts)
 
 

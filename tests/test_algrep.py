@@ -1916,6 +1916,8 @@ def test_periodic_trace_over_line_algebra():
     assert all(d == 1 for d in tr.ext_dims)
     assert estimate_complexity(tr) == 1
     assert tr.report()["complexity_estimate"] == 1
+    with pytest.raises(ValueError, match="cohomological degree must be >= 0"):
+        ext_dims(jordan(alg, 1, graded=False), -2)
 
 
 def test_ext_dims_builds_the_cover_of_its_module_once(monkeypatch):
@@ -1926,7 +1928,69 @@ def test_ext_dims_builds_the_cover_of_its_module_once(monkeypatch):
     tr = ext_dims(M, 6)
     assert tr.ext_dims == [1] * 7
     assert sum(A is M for (A,) in calls) == 1
-    assert len(calls) == 6  # one cover per resolution step
+    # Omega^2 J_1 = J_1 ends the resolution: the covers of J_1 and Omega J_1
+    assert len(calls) == 2
+    # dimensions that only grow never repeat: one cover per resolution step
+    calls.clear()
+    ext_dims(plane_algebra(3).simples[0], 12, with_ext=False)
+    assert len(calls) == 12
+
+
+def full_trace(M, length, with_ext=True):
+    """omega_dims and ext_dims of ext_dims(M, length, with_ext), with every
+    Heller step and stable Hom formed."""
+    M0 = strip_projectives(M)
+    mods = [M0]
+    for _ in range(length):
+        mods.append(heller(mods[-1]))
+    exts = [stable_hom_dim(X, M0) for X in mods] if with_ext else None
+    return [X.dim for X in mods], exts
+
+
+def test_stopped_trace_is_the_full_trace():
+    cases = [(jordan(line_algebra(3), 1, graded=False), 12, True)]
+    for p in (3, 5):
+        for lam in range(p):
+            cases += [(simple_module(p, 1, lam), 13, True), (verma_module(p, 1, lam), 13, True)]
+    cases.append((gacohom.truncated_poly_algebra(3, 2).simples[0], 8, False))
+    for M, length, with_ext in cases:
+        tr = ext_dims(M, length, with_ext)
+        assert (tr.omega_dims, tr.ext_dims) == full_trace(M, length, with_ext), M
+        assert tr.length == length and tr.module is M
+
+
+def test_ext_dims_stops_at_the_first_syzygy_that_repeats(monkeypatch):
+    calls = record_calls(monkeypatch, "heller")
+    # Omega^3 Z(lam) has the action of Omega Z(lam)
+    for lam in range(4):
+        calls.clear()
+        tr = ext_dims(verma_module(5, 1, lam), 13)
+        assert len(calls) == 3, lam
+        assert tr.omega_dims == [5] * 14 and tr.ext_dims == [1] * 14
+    # graded, Omega^3 has the matrices of Omega in a grading moved by 2p:
+    # a different module, so no step is skipped
+    for lam in range(2):
+        Z = graded_verma_module(3, lam)
+        om1 = heller(Z)
+        om3 = heller_power(om1, 2)
+        assert all(om3.mat(g) == om1.mat(g) for g in Z.algebra.gens)
+        assert om3.grading == tuple(d + 6 for d in om1.grading)
+        calls.clear()
+        tr = ext_dims(Z, 8)
+        assert len(calls) == 8, lam
+        assert tr.omega_dims == [3] * 9 and tr.ext_dims == [1] + [0] * 8
+
+
+def test_module_key_tells_apart_a_shift_and_one_generator():
+    Z = graded_verma_module(3, 0)
+    assert algrep._module_key(fresh(Z)) == algrep._module_key(Z)
+    assert algrep._module_key(Z.shifted(6)) != algrep._module_key(Z)
+    assert algrep._module_key(Z.forget_grading()) != algrep._module_key(Z)
+    alg = plane_algebra(3)
+    n2 = fpmat([[0, 0], [1, 0]], 3)
+    M = GenAlgebraModule(alg, {"u0": n2, "u1": zeros(2, 2, 3)})
+    N = GenAlgebraModule(alg, {"u0": n2, "u1": n2})
+    assert algrep._module_key(M) != algrep._module_key(N)
 
 
 def test_linear_growth_trace_over_plane_algebra():
