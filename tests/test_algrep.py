@@ -10,13 +10,14 @@ spaces and the per-module spin are also checked on graded u(sl2) modules.
 import contextlib
 import dataclasses
 import hashlib
+import io
 import math
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from frobkern import algrep, fplinalg, gacohom
+from frobkern import algrep, cli, fplinalg, gacohom
 from frobkern.algrep import (
     GenAlgebra,
     GenAlgebraModule,
@@ -854,29 +855,138 @@ def test_restricted_regular_module_is_free(p):
 
 
 def test_top_radical_and_cover_spin_the_module_once(monkeypatch):
-    M = regular_module(3)
+    # an ungraded module that is not spun reads its top through its dual and
+    # is never spun; one already spun reads it on that spin, and a graded
+    # one is spun once for it
+    unspun = regular_module(3)
+    spun = regular_module(3)
+    spun.spin
+    graded = fresh(graded_verma_module(3, 0))
     calls = record_calls(monkeypatch, "build_spin")
-    top(M)
-    radical(M)
-    projective_cover(M)
-    assert sum(A is M for (A,) in calls) == 1
-
-
-def test_simple_homs_are_solved_once_per_module(monkeypatch):
-    M = regular_module(3)
-    simples = [id(S) for S in M.algebra.simples]
-    calls = record_calls(monkeypatch, "hom_space")
-    # composition_factors starts from socle(M)
-    composition_factors(M)
-    struct, basis = socle(M)
-    struct.append(None)  # the caller's list: the module keeps its own
-    assert socle(M) == (struct[:-1], basis)
-    assert [id(A) for A, N in calls if N is M] == simples
-    for _ in range(2):
+    for M, spins in ((unspun, 0), (spun, 0), (graded, 1)):
         top(M)
         radical(M)
         projective_cover(M)
-    assert [id(N) for A, N in calls if A is M] == simples
+        assert sum(A is M for (A,) in calls) == spins
+    assert "spin" not in vars(unspun)
+
+
+def test_simple_homs_are_solved_once_per_module(monkeypatch):
+    alg = restricted_sl2(3)
+    op = opposite_algebra(alg)  # built before the count
+    simples = [id(S) for S in alg.simples]
+    calls = record_calls(monkeypatch, "hom_space")
+    duals = record_calls(monkeypatch, "dual_module")
+    for spun in (False, True):
+        M = regular_module(3)
+        if spun:
+            M.spin
+        calls.clear()
+        duals.clear()
+        # composition_factors starts from socle(M)
+        composition_factors(M)
+        struct, basis = socle(M)
+        struct.append(None)  # the caller's list: the module keeps its own
+        assert socle(M) == (struct[:-1], basis)
+        assert [id(A) for A, N in calls if N is M] == simples
+        for _ in range(2):
+            top(M)
+            radical(M)
+            projective_cover(M)
+        forward = [id(N) for A, N in calls if A is M]
+        # the dual route solves Hom(S*, M*) once per op simple, into one M*
+        through_dual = [(id(A), id(N)) for A, N in calls if N.algebra is op]
+        if spun:
+            assert forward == simples and through_dual == [] and duals == []
+        else:
+            assert forward == [] and [A for (A,) in duals] == [M]
+            assert [a for a, _ in through_dual] == [id(S) for S in op.simples]
+            assert len({n for _, n in through_dual}) == 1
+
+
+def forward_maps_to_simples(M):
+    """(simple index, Hom(M, S)) for each simple S with Hom(M, S) nonzero,
+    every one solved out of M."""
+    targets = ((idx, hom_space(M, S)) for idx, _, S in _simple_targets(M))
+    return [(idx, maps) for idx, maps in targets if maps]
+
+
+def span_of_maps(maps):
+    """The RREF of the flattened maps: equal exactly when the spans are."""
+    return rref(FpMat(np.stack([phi.a.ravel() for phi in maps]), maps[0].p)).matrix
+
+
+def dual_route_inputs():
+    for p in (3, 5):
+        alg = restricted_sl2(p)
+        for lam in range(p):
+            for M in (alg.simples[lam], verma_module(p, 1, lam)):
+                yield from syzygies(M, 3)
+    yield from syzygies(gacohom.truncated_poly_algebra(3, 2).simples[0], 4)[1:]
+    yield heart_module(3, 2, 6)
+    yield from syzygies(fresh(graded_verma_module(3, 1)).forget_grading(), 1)
+
+
+def test_top_through_the_dual_is_the_forward_top():
+    # an unspun ungraded module solves Hom(S*, M*) over the opposite algebra
+    # and transposes; the maps must be module maps spanning what a forward
+    # solve of Hom(M, S) spans, and top, radical and cover must not change
+    for X in dual_route_inputs():
+        if X.dim == 0:
+            continue
+        dual, forward = fresh(X), fresh(X)
+        forward.spin
+        got, want = dual.maps_to_simples, forward_maps_to_simples(fresh(X))
+        assert [idx for idx, *_ in got] == [idx for idx, _ in want]
+        for (_, _, S, maps), (_, solved) in zip(got, want):
+            assert span_of_maps(maps) == span_of_maps(solved)
+            for phi in maps:
+                assert all(phi @ X.mat(g) == S.mat(g) @ phi for g in X.algebra.gens)
+        assert top(dual) == top(forward)
+        assert radical(dual) == radical(forward)
+        # the heart's top holds simples with no designated cover
+        if all(X.algebra.projectives[idx] is not None for idx, *_ in got):
+            (P, C, blocks), (Pf, Cf, blocks_f) = projective_cover(dual), projective_cover(forward)
+            assert C == Cf and blocks == blocks_f
+            assert algrep._module_key(P) == algrep._module_key(Pf)
+        assert "spin" not in vars(dual)
+
+
+def test_top_is_read_through_the_dual_only_for_unspun_ungraded_modules(monkeypatch):
+    # a resolution spins only designated modules and op simples: each
+    # syzygy's top is read through its dual, and no syzygy is spun
+    alg = gacohom.truncated_poly_algebra(5, 2)
+    op = opposite_algebra(alg)  # built before the count
+    allowed = {id(M) for A in (alg, op) for M in A.simples}
+    allowed |= {id(P) for P in alg.projectives}
+    spins = record_calls(monkeypatch, "build_spin")
+    duals = record_calls(monkeypatch, "dual_module")
+    trace = gacohom.minimal_resolution_dims(5, 2, 6)
+    assert {id(A) for (A,) in spins} <= allowed
+    assert [A.dim for (A,) in duals] == trace.omega_dims[1:7]
+
+    # a graded module, and an ungraded one already spun, read it forward
+    graded = fresh(graded_verma_module(3, 1))
+    spun = fresh(graded).forget_grading()
+    spun.spin
+    unspun = fresh(graded).forget_grading()
+    opposite_algebra(graded.algebra)
+    duals.clear()
+    for M in (graded, spun, unspun):
+        top(M)
+    assert [A for (A,) in duals] == [unspun]
+    # a trace with Ext spins M for its first stable Hom before reading its top
+    Z = fresh(verma_module(5, 1, 0))
+    duals.clear()
+    ext_dims(Z, 4)
+    assert duals == []
+
+    # hearts are read forward once their algebra is built
+    distribution_sl2(3, 2)
+    ops = record_calls(monkeypatch, "opposite_algebra")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "heart", "--p", "3"]) == 0
+    assert ops == []
 
 
 def test_graded_cover_solves_the_top_of_its_projective_once(monkeypatch):
@@ -1220,17 +1330,30 @@ def test_degree_ordered_pivots_are_the_per_degree_span_pass(p):
 def test_projective_cover_solves_each_hom_to_a_simple_once(monkeypatch):
     alg = line_algebra(3)
     pair = split_pair_algebra(3)
+    spun = jordan(alg, 2, graded=False)
+    spun.spin
+    # (module, whether it solves Hom(M, S) forward)
     mods = [
-        jordan(alg, 2, graded=False),
-        jordan(alg, 2),
-        GenAlgebraModule(pair, {"e": fpmat(np.diag([0, 1, 1]), 3)}),
+        (jordan(alg, 2, graded=False), False),
+        (spun, True),
+        (jordan(alg, 2), True),
+        (GenAlgebraModule(pair, {"e": fpmat(np.diag([0, 1, 1]), 3)}), False),
     ]
+    ops = [opposite_algebra(M.algebra) for M, _ in mods]  # built before the count
     calls = record_calls(monkeypatch, "hom_space")
-    for M in mods:
+    for (M, forward), op in zip(mods, ops):
         calls.clear()
         projective_cover(M)
         solved = [N.grading for A, N in calls if A is M]
-        assert solved == [S.grading for _, _, S in _simple_targets(M)]
+        # an op simple that is an ungraded copy reads its designated one
+        through_dual = [(A._spin_source or A, N) for A, N in calls if N.algebra is op]
+        if forward:
+            assert solved == [S.grading for _, _, S in _simple_targets(M)]
+            assert through_dual == []
+        else:
+            assert solved == []
+            assert [id(S) for S, _ in through_dual] == [id(S) for S in op.simples]
+            assert len({id(N) for _, N in through_dual}) == 1
 
 
 def reference_cover(M):
