@@ -33,11 +33,13 @@ operators of a solve that forms equations are dropped once it has them.
 Each module keeps its Hom spaces to and from the simples, its socle, its
 cover, its radical once asked for, and the first stage of every Hom solve
 into it; its shifts and its ungraded copy share its spin and those first
-stages.  The maps onto the simples take one of two routes.  A graded
-module, or one whose spin exists already, solves Hom(M, S) out of itself.
-An ungraded module not yet spun solves Hom(S*, M*) over the opposite
-algebra, out of the small op simple, and transposes: a resolution asks
-each syzygy for its top alone, so it spins no syzygy.  An ungraded module
+stages.  The maps onto the simples and the stable Homs out of M take one
+of two routes.  A graded module, or one whose spin exists already, solves
+them out of itself.  An ungraded module not yet spun solves them through
+its dual over the opposite algebra, out of small modules that stay the
+same (the op simples, N*, the op covers), so no resolution or trace spins
+a syzygy.  A direct sum, as a cover is, forms its action only when it is
+read.  An ungraded module
 has degree 0 throughout, so each module map has one kernel, homogeneous,
 from one elimination of the whole map, and independent columns are the
 pivots of one RREF, stably ordered by degree.
@@ -189,6 +191,7 @@ class GenAlgebraModule:
         grading: Optional[Sequence[int]] = None,
         check: bool = True,
     ):
+        # `direct_sum` sets the fields below itself, all but the action
         self.algebra = algebra
         # read-only, so that the spin and the structure cached below cannot go stale
         self.action = MappingProxyType(dict(action))
@@ -228,6 +231,18 @@ class GenAlgebraModule:
             if i.size and not np.array_equal(deg[i], deg[j] + s):
                 raise ValueError(f"generator {g} does not shift degrees by {s}")
 
+    @cached_property
+    def action(self) -> MappingProxyType:
+        """One read-only matrix per generator.  A direct sum forms its
+        block-diagonal action when it is first read, as a Heller step reads
+        only the summands of its cover; a regraded copy reads its source's."""
+        if self._spin_source is not None:
+            return self._spin_source.action
+        p = self.algebra.p
+        return MappingProxyType(
+            {g: block_diag([S.mat(g) for S in self.summands], p) for g in self.algebra.gens}
+        )
+
     @property
     def graded(self) -> bool:
         return self.grading is not None
@@ -262,25 +277,38 @@ class GenAlgebraModule:
         Solved once per module, by one of two routes; top, radical_basis and
         projective_cover read only the span of the maps onto each S (a
         count, a common kernel, the pivots of a row space), so both give the
-        same answers.  An ungraded M that is not spun yet reads Hom(M, S) as
-        the transpose of Hom(S*, M*) over the opposite algebra: a solve out
-        of the small op simple S*, cheaper than spinning a large M, so a
-        syzygy whose top alone is asked for is never spun.  Every other M
-        solves Hom(M, S) out of itself.  Where M's spin exists (the
+        same answers.  An ungraded M that is not spun yet
+        (`_reads_through_dual`) reads Hom(M, S) as the transpose of
+        Hom(S*, M*) over the opposite algebra: a solve out of the small op
+        simple S*, cheaper than spinning a large M, so a syzygy whose top
+        alone is asked for is never spun.  It reads the dual M keeps for a
+        stable Hom (`dual`), if any, so that both solve into one M*.  Every
+        other M solves Hom(M, S) out of itself.  Where M's spin exists (the
         designated simples and covers, any module a Hom was solved out of)
         that is the cheap solve.  A graded M stays forward because in the
         dual direction the stage one of a solve into M* is not shared across
         the shifts of S*, which made a graded workload 30-50 % slower.
         """
-        if self.graded or "spin" in vars(self._spin_source or self):
+        if not _reads_through_dual(self):
             targets = ((idx, d, S, hom_space(self, S)) for idx, d, S in _simple_targets(self))
         else:
-            dual = dual_module(self)
+            # the dual a stable Hom keeps on this module, else one not kept
+            dual = vars(self).get("dual") or dual_module(self)
             targets = (
                 (idx, None, S, [phi.transpose() for phi in hom_space(S_op, dual)])
                 for (idx, _, S), (_, _, S_op) in zip(_simple_targets(self), _simple_targets(dual))
             )
         return tuple(t for t in targets if t[3])
+
+    @cached_property
+    def dual(self) -> "GenAlgebraModule":
+        """`dual_module` of this module, for a module whose dual two solves
+        read: a syzygy of a trace with Ext, and its M0 (`ext_dims`).
+        `maps_to_simples` reads it only when kept.  A designated simple or
+        cover holds the dual that its opposite algebra designates."""
+        # building the opposite algebra sets it on a designated module
+        opposite_algebra(self.algebra)
+        return vars(self).get("dual") or dual_module(self)
 
     @cached_property
     def maps_from_simples(self) -> Tuple[tuple, ...]:
@@ -348,11 +376,17 @@ class GenAlgebraModule:
         return f"<module dim {self.dim} over {self.algebra.algebra_id}{tag}>"
 
 
+def _reads_through_dual(M: GenAlgebraModule) -> bool:
+    """Whether the Homs out of M are read through its dual, by
+    `maps_to_simples` and `stable_hom_dim`: M is ungraded and not spun yet."""
+    return not M.graded and "spin" not in vars(M._spin_source or M)
+
+
 # the cached properties of a module that its regraded copies compute anew
 _DEGREE_DEPENDENT = tuple(
     name
     for name, attr in vars(GenAlgebraModule).items()
-    if isinstance(attr, cached_property) and name != "spin"
+    if isinstance(attr, cached_property) and name not in ("action", "spin")
 )
 
 
@@ -399,17 +433,19 @@ def zero_module(algebra: GenAlgebra, graded: bool = False) -> GenAlgebraModule:
 
 def direct_sum(mods: Sequence[GenAlgebraModule]) -> GenAlgebraModule:
     """The direct sum of `mods`, laid out in their order, with block-diagonal
-    action.  It keeps them as its `summands`, flattened, so that
-    `_span_module` can act one summand block at a time."""
+    action, formed when it is read.  It keeps them as its `summands`,
+    flattened, so that `_span_module` can act one summand block at a time."""
     if not mods:
         raise ValueError("direct_sum of nothing; pass zero_module explicitly")
     alg = mods[0].algebra
     for m in mods[1:]:
         if m.algebra is not alg:
             raise ValueError("summands live over different algebras")
-    action = {g: block_diag([m.mat(g) for m in mods], alg.p) for g in alg.gens}
-    grading = [d for m in mods for d in m.grading] if all(m.graded for m in mods) else None
-    out = GenAlgebraModule(alg, action, grading, check=False)
+    out = GenAlgebraModule.__new__(GenAlgebraModule)
+    out.algebra, out.dim = alg, sum(m.dim for m in mods)
+    graded = all(m.graded for m in mods)
+    out.grading = tuple(d for m in mods for d in m.grading) if graded else None
+    out._spin_source, out._local_kernels = None, {}
     out._summands = tuple(S for m in mods for S in m.summands)
     return out
 
@@ -819,8 +855,10 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
     return HomKernel(N, ker, gen_images)
 
 
-def _hom_maps(M: GenAlgebraModule, hom: HomKernel, cols=slice(None)) -> List[FpMat]:
-    """The matrices of the maps `cols` of `hom`, a kernel of Hom(M, N).
+def _map_values(M: GenAlgebraModule, hom: HomKernel, cols=slice(None), at=None) -> np.ndarray:
+    """The maps `cols` of `hom`, a kernel of Hom(M, N), as int64 matrices
+    stacked on the first axis: n x m each, or n x a when `at` is an m x a
+    matrix, whose columns each map is then read at.
 
     `cols` picks basis maps by index, or is a dim x c array of coefficient
     columns: map c is then sum_i cols[i, c] * (basis map i).  Only these
@@ -833,12 +871,18 @@ def _hom_maps(M: GenAlgebraModule, hom: HomKernel, cols=slice(None)) -> List[FpM
     else:
         gen_images = hom.gen_images[..., cols]
     # images[t, :, c] is the image of b_t under map c; map c is that n x m
-    # matrix of images times B^-1
+    # matrix of images times B^-1, read at `at` as images times B^-1 at
     images = np.zeros((M.dim,) + gen_images.shape[1:], dtype=np.float64)
     images[spin.roots] = gen_images
     _spin_words(spin, _float_action(hom.N), images, p)
-    maps = _exact_matmul(np.ascontiguousarray(images.T), spin.binv, p)
-    return [FpMat(phi, p) for phi in maps]
+    right = spin.binv if at is None else _exact_matmul(spin.binv, at, p)
+    return _exact_matmul(np.ascontiguousarray(images.T), right, p)
+
+
+def _hom_maps(M: GenAlgebraModule, hom: HomKernel, cols=slice(None)) -> List[FpMat]:
+    """The matrices of the maps `cols` of `hom`, a kernel of Hom(M, N)
+    (`_map_values`)."""
+    return [FpMat(phi, M.algebra.p) for phi in _map_values(M, hom, cols)]
 
 
 def hom_space(M: GenAlgebraModule, N: GenAlgebraModule) -> List[FpMat]:
@@ -1084,8 +1128,11 @@ def opposite_algebra(alg: GenAlgebra) -> GenAlgebra:
     )
     alg.meta["op"] = op
 
-    # dual_module finds op through alg.meta["op"], set just above
+    # dual_module finds op through alg.meta["op"], set just above; the
+    # designated modules keep their duals, which stable Homs read
     op_simples = [dual_module(S) for S in alg.simples]
+    for S, S_op in zip(alg.simples, op_simples):
+        vars(S)["dual"] = S_op
     op.designate(op_simples)
     # duals of projectives are projective (self-injective scope) and top(P*)
     # = (soc P)*: read P's socle ungraded, one solve out of each simple
@@ -1096,7 +1143,7 @@ def opposite_algebra(alg: GenAlgebra) -> GenAlgebra:
         soc, _ = socle(P.forget_grading() if P.graded else P)
         if len(soc) != 1 or soc[0][-1] != 1:
             raise RuntimeError("designated projective has no simple socle")
-        op_projectives[soc[0][0]] = dual_module(P)
+        op_projectives[soc[0][0]] = vars(P)["dual"] = dual_module(P)
     op.projectives = op_projectives
     return op
 
@@ -1279,20 +1326,50 @@ def is_isomorphic(M: GenAlgebraModule, N: GenAlgebraModule) -> IsoResult:
 def stable_hom_dim(M: GenAlgebraModule, N: GenAlgebraModule) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective.
 
-    No map is formed.  The maps factoring through a projective are the
-    C . psi for N's cover C: P -> N and psi in Hom(M, P), and a map out of M
-    is fixed by its generator images, so they count as the rank of C times
-    the generator images of the kernel of Hom(M, P).
+    Those maps are the C . psi for N's cover C: P -> N and psi in Hom(M, P),
+    and no map is formed in full.  A spun or graded M counts forward: a map
+    out of M is fixed by its generator images, so the C . psi count as the
+    rank of C times the generator images of Hom(M, P).  Any other M
+    (`_reads_through_dual`) counts through the duals: transposing is a
+    linear isomorphism of Hom(M, N) onto Hom(N*, M*) that sends C . psi to
+    psi* . C^T, psi* in Hom(P*, M*), so dimension and rank agree.  The
+    psi* . C^T are read at the generator vectors of N*, with one Hom solve
+    per distinct op cover in P*.  N* and the op covers are kept, so a trace
+    spins each once; M*, kept on M, is the dual that M's top reads next.
     """
-    hom = _hom_kernel(M, N)
+    p = M.algebra.p
+    if not _reads_through_dual(M):
+        hom = _hom_kernel(M, N)
+        if hom is None:
+            return 0
+        P, C, _ = N.cover
+        through = _hom_kernel(M, P)
+        if through is None:
+            return hom.dim
+        images = _exact_matmul(C.a, through.gen_images, p)
+        return hom.dim - rref(FpMat(images.reshape(-1, through.dim), p)).rank
+    M_dual, N_dual = M.dual, N.dual
+    hom = _hom_kernel(N_dual, M_dual)
     if hom is None:
         return 0
-    P, C, _ = N.cover
-    through = _hom_kernel(M, P)
-    if through is None:
-        return hom.dim
-    images = _exact_matmul(C.a, through.gen_images, M.algebra.p)
-    return hom.dim - rref(FpMat(images.reshape(-1, through.dim), M.algebra.p)).rank
+    _, C, blocks = N.cover
+    # C^T at the generator vectors e_c of N*, one slice of rows per summand
+    # of P; the summands of P* are the designated op covers, in that order
+    at = C.a[N_dual.spin.gen_pos].T
+    covers = [M.algebra.projective_of(idx).dual for idx, _, _ in blocks]
+    starts = np.cumsum([0] + [Q.dim for Q in covers])
+    rows = []
+    for Q in {id(Q): Q for Q in covers}.values():
+        through = _hom_kernel(Q, M_dual)
+        if through is None:
+            continue
+        # every summand that is a copy of Q, read in one pass: the values of
+        # the basis map c of Hom(Q, M*) through summand b are one row
+        mine = [s for s, R in zip(starts, covers) if R is Q]
+        values = _map_values(Q, through, at=np.hstack([at[s : s + Q.dim] for s in mine]))
+        values = values.reshape(through.dim, M.dim, len(mine), -1).transpose(2, 0, 1, 3)
+        rows.append(values.reshape(len(mine) * through.dim, -1))
+    return hom.dim - (rref(FpMat(np.vstack(rows), p)).rank if rows else 0)
 
 
 @dataclass
@@ -1328,16 +1405,22 @@ def ext_dims(M: GenAlgebraModule, length: int, with_ext: bool = True) -> Resolut
     repeats with period n - m, and no further Heller step or stable Hom is
     formed.  The stop is exact: over a fixed algebra `heller` and
     `stable_hom_dim(., M0)` read only a module's action and grading (the
-    designated covers, canonical Hom kernels, no random draw), so equal
-    modules have equal syzygies and equal stable Homs.  A syzygy larger
-    than every one before it equals none of them, and its key is not kept.
+    designated covers, canonical Hom kernels, no random draw; both routes
+    count alike), so equal modules have equal syzygies and equal stable
+    Homs.  A syzygy larger than every one before it equals none of them,
+    and its key is not kept.  With Ext, a syzygy's stable Hom and its top,
+    read at the next Heller step, share its dual; so do M's top and the
+    stable Homs into M0 = M.
     """
     check_degree(length)
-    if with_ext:
-        # the first stable Hom spins M0, which is M unless M has a projective
-        # summand: spun first, M reads its top on that spin, not its dual
-        M.spin
+    # M's top, which strip_projectives reads, and the stable Homs into M0
+    # read one dual of M, as M0 is M unless M has a projective summand
+    shared = with_ext and _reads_through_dual(M) and "dual" not in vars(M)
+    if shared:
+        M.dual
     M0 = strip_projectives(M)
+    if shared and M0 is not M:
+        del M.dual  # M's top was its only reader
     omega: List[int] = []
     exts: Optional[List[int]] = [] if with_ext else None
     keys: Dict[tuple, int] = {}

@@ -975,11 +975,28 @@ def test_top_is_read_through_the_dual_only_for_unspun_ungraded_modules(monkeypat
     for M in (graded, spun, unspun):
         top(M)
     assert [A for (A,) in duals] == [unspun]
-    # a trace with Ext spins M for its first stable Hom before reading its top
+    # a trace with Ext forms one dual of M0 = Z, which its top and every
+    # stable Hom read, and one of each syzygy whose stable Hom and top it
+    # reads: those are the modules it forms a Heller step of.  Only Z* and
+    # designated modules are spun, no syzygy and not Z
     Z = fresh(verma_module(5, 1, 0))
+    algebras = (Z.algebra, opposite_algebra(Z.algebra))
+    designated = {id(M) for A in algebras for M in [*A.simples, *A.projectives]}
+    steps = record_calls(monkeypatch, "heller")
     duals.clear()
+    spins.clear()
     ext_dims(Z, 4)
-    assert duals == []
+    assert [A for (A,) in duals] == [A for (A,) in steps]
+    assert steps[0] == (Z,) and len(steps) == 3
+    assert {id(A) for (A,) in spins} <= designated | {id(Z.dual)}
+    # with no stable Hom each syzygy's top is its dual's only reader, and
+    # a module with a projective summand is not M0: neither keeps a dual
+    steps.clear()
+    ext_dims(fresh(gacohom.truncated_poly_algebra(5, 2).simples[0]), 4, with_ext=False)
+    assert len(steps) == 4 and not any("dual" in vars(A) for (A,) in steps)
+    M = direct_sum([fresh(verma_module(5, 1, 0)), principal_indecomposable(5, 1, 1)])
+    ext_dims(M, 2)
+    assert "dual" not in vars(M)
 
     # hearts are read forward once their algebra is built
     distribution_sl2(3, 2)
@@ -1046,9 +1063,27 @@ def test_forget_grading_shares_the_spin(monkeypatch):
     assert all(A.graded for (A,) in calls) and len(set(spun)) == len(spun)
 
 
+def test_direct_sum_forms_its_action_only_when_read():
+    # a Heller step reads the summands of its cover, never the cover's
+    # block-diagonal action; read, the action is that of the summands, and a
+    # copy regraded before it was read reads its source's
+    for M in (fresh(verma_module(3, 1, 0)), fresh(gacohom.truncated_poly_algebra(3, 2).simples[0])):
+        heller(heller(M))
+        P, _, blocks = M.cover
+        assert len(blocks) and "action" not in vars(P)
+    alg = line_algebra(5)
+    parts = [jordan(alg, 3), jordan(alg, 5, 1), jordan(alg, 2, -2)]
+    D = direct_sum(parts)
+    shifted, ungraded = D.shifted(2), D.forget_grading()
+    assert "action" not in vars(D) and D.dim == 10 and D.grading == sum((J.grading for J in parts), ())
+    block = fplinalg.block_diag([J.mat("u") for J in parts], 5)
+    assert D.mat("u") == block and shifted.action is D.action and ungraded.action is D.action
+    assert D.summands == tuple(parts) and not D.algebra.relation_checker(D.action, 5)
+
+
 def test_regraded_copies_keep_the_spin_and_drop_every_other_cached_property():
-    # the spin reads the action alone; every other cached property depends
-    # on the degrees, so a shifted or ungraded copy computes it anew
+    # the spin and the action do not depend on the degrees; every other
+    # cached property does, so a shifted or ungraded copy computes it anew
     P = graded_principal_indecomposable(3, 1)
     P = fresh(P)
     cached = {
@@ -1056,13 +1091,13 @@ def test_regraded_copies_keep_the_spin_and_drop_every_other_cached_property():
         for name, attr in vars(GenAlgebraModule).items()
         if isinstance(attr, cached_property)
     }
-    assert cached >= {"spin", "maps_to_simples", "maps_from_simples", "radical_basis", "cover"}
+    assert cached >= {"action", "spin", "maps_to_simples", "maps_from_simples", "radical_basis", "cover"}
     for name in cached:
         getattr(P, name)
     assert cached <= set(vars(P))
     for Q in (P.shifted(2), P.forget_grading()):
-        assert cached & set(vars(Q)) == {"spin"}
-        assert Q.spin is P.spin
+        assert cached & set(vars(Q)) == {"action", "spin"}
+        assert Q.spin is P.spin and Q.action is P.action
 
 
 def test_radical_cover_and_heller_eliminate_the_radical_once(monkeypatch):
@@ -1489,8 +1524,46 @@ def reference_stable_hom_dim(M, N):
     return len(hom_space(M, N)) - factoring
 
 
+def forward_stable_hom_dim(M, N):
+    """`reference_stable_hom_dim` out of a copy of M, which its Hom spaces
+    spin: every Hom is solved forward, whichever route M itself takes."""
+    return reference_stable_hom_dim(fresh(M), N)
+
+
 def refuse_hom_space(M, N):
     raise AssertionError("a Hom space was formed as matrices")
+
+
+def dual_stable_hom_inputs():
+    """(M, Omega^1..Omega^4 of M) for unspun modules M that read their stable
+    Homs through the duals."""
+    for p in (3, 5):
+        for lam in range(p):
+            for M in (fresh(simple_module(p, 1, lam)), verma_module(p, 1, lam)):
+                yield syzygies(M, 4)
+    # a projective summand twice: the cover repeats it, and maps through
+    # either copy count
+    Z, Q = verma_module(3, 1, 1), principal_indecomposable(3, 1, 0)
+    yield syzygies(direct_sum([Q, Z, Q]), 4)
+    yield [zero_module(Z.algebra), Z]
+    yield syzygies(fresh(gacohom.truncated_poly_algebra(3, 2).simples[0]), 4)
+
+
+def test_stable_hom_through_the_duals_is_the_forward_count(monkeypatch):
+    # an unspun ungraded source counts Hom(N*, M*) less the rank of the
+    # psi* . C^T; it must equal the count of matrices out of a spun copy,
+    # into M itself and into its syzygies, whose covers repeat a summand
+    for mods in dual_stable_hom_inputs():
+        M = mods[0]
+        pairs = [(om, M) for om in mods] + [(M, om) for om in mods[1:]]
+        expected = [forward_stable_hom_dim(A, B) for A, B in pairs]
+        # the covers are cached; the dual route forms no Hom space as matrices
+        with monkeypatch.context() as m:
+            m.setattr(algrep, "hom_space", refuse_hom_space)
+            for (A, B), want in zip(pairs, expected):
+                assert "spin" not in vars(A)
+                assert stable_hom_dim(A, B) == want, (A, B)
+                assert "spin" not in vars(A) and "dual" in vars(A)
 
 
 def test_stable_hom_dim_matches_the_maps_and_rank_formula_on_the_ub1_modules(monkeypatch):
@@ -2061,12 +2134,12 @@ def test_ext_dims_builds_the_cover_of_its_module_once(monkeypatch):
 
 def full_trace(M, length, with_ext=True):
     """omega_dims and ext_dims of ext_dims(M, length, with_ext), with every
-    Heller step and stable Hom formed."""
+    Heller step and stable Hom formed, each stable Hom counted forward."""
     M0 = strip_projectives(M)
     mods = [M0]
     for _ in range(length):
         mods.append(heller(mods[-1]))
-    exts = [stable_hom_dim(X, M0) for X in mods] if with_ext else None
+    exts = [forward_stable_hom_dim(X, M0) for X in mods] if with_ext else None
     return [X.dim for X in mods], exts
 
 
@@ -2080,6 +2153,31 @@ def test_stopped_trace_is_the_full_trace():
         tr = ext_dims(M, length, with_ext)
         assert (tr.omega_dims, tr.ext_dims) == full_trace(M, length, with_ext), M
         assert tr.length == length and tr.module is M
+
+
+def test_ungraded_trace_spins_no_syzygy_and_adds_no_stage_one_to_the_simples(monkeypatch):
+    # a fresh copy of u(sl2) at p = 5, so that no earlier trace has left
+    # stage ones on its simples; each syzygy reads its stable Hom and its top
+    # through its dual, and both solve into that dual, not into a simple.
+    # Only designated modules are spun: S, the covers and their duals
+    alg = restricted_sl2.__wrapped__(5)
+    designated = {id(M) for A in (alg, opposite_algebra(alg)) for M in [*A.simples, *A.projectives]}
+    spins = record_calls(monkeypatch, "build_spin")
+    steps = record_calls(monkeypatch, "heller")
+    for S in alg.simples[:-1]:  # the last, the Steinberg module, is projective
+        strip_projectives(S)  # the top of M0 = S is solved forward, as S is spun
+        kept = [len(T._local_kernels) for T in alg.simples]
+        spins.clear()
+        steps.clear()
+        ext_dims(S, 13)
+        assert len(steps) == 13
+        assert {id(A) for (A,) in spins} <= designated
+        assert [len(T._local_kernels) for T in alg.simples] == kept
+    # the Heller steps of the ub1 suite are those of the forward route
+    steps.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "ub1", "--p", "5"]) == 0
+    assert len(steps) == 66
 
 
 def test_ext_dims_stops_at_the_first_syzygy_that_repeats(monkeypatch):
