@@ -26,23 +26,24 @@ incremental echelon form, which stops as soon as no image is left free.  A
 solve first yields its kernel in generator-image coordinates.  A module map
 is fixed by where it sends the generators, so projective covers pick their
 lifts from those images under the maps onto each simple, stable Homs count
-the maps through a projective from them, and the MeatAxe forms one
-endomorphism per try: only the maps a caller keeps become matrices, each
-spun from its generator images along the spanning tree of M.  The word
-operators of a solve that forms equations are dropped once it has them.
-Each module keeps its Hom spaces to and from the simples, its socle, its
-cover, its radical once asked for, and the first stage of every Hom solve
-into it; its shifts and its ungraded copy share its spin and those first
-stages.  The maps onto the simples and the stable Homs out of M take one
-of two routes.  A graded module, or one whose spin exists already, solves
-them out of itself.  An ungraded module not yet spun solves them through
-its dual over the opposite algebra, out of small modules that stay the
-same (the op simples, N*, the op covers), so no resolution or trace spins
+the maps through a projective at the generator vectors of a dual, and the
+MeatAxe forms one endomorphism per try: only the maps a caller keeps
+become matrices, each spun from its generator images along the spanning
+tree of M.  The word operators of a solve that forms equations are dropped
+once it has them.  Each module keeps its Hom spaces to and from the
+simples, its socle, its cover, its radical once asked for, and the first
+stage of every Hom solve into it; its shifts and its ungraded copy share
+its spin and those first stages.  The maps onto the simples take one of two
+routes.  A graded module, or one whose spin exists already, solves them
+out of itself; an ungraded module not yet spun solves them through its
+dual over the opposite algebra, out of the op simples.  A stable Hom
+Hom(M, N) mod projectives takes one route, whatever M is: it is read as
+Hom(N*, M*) over the opposite algebra, out of N* and the duals of N's
+cover, which stay the same along a trace.  So no resolution or trace spins
 a syzygy.  A direct sum, as a cover is, forms its action only when it is
-read.  An ungraded module
-has degree 0 throughout, so each module map has one kernel, homogeneous,
-from one elimination of the whole map, and independent columns are the
-pivots of one RREF, stably ordered by degree.
+read.  An ungraded module has degree 0 throughout, so each module map has
+one kernel, homogeneous, from one elimination of the whole map, and
+independent columns are the pivots of one RREF, stably ordered by degree.
 
 Gradings are plain integers; a generator may carry a degree shift, and a
 graded module's action matrices must shift degrees exactly.  The Heller
@@ -142,8 +143,6 @@ class GenAlgebra:
         self.simples: List["GenAlgebraModule"] = []
         self.projectives: List[Optional["GenAlgebraModule"]] = []
         self.meta = meta or {}
-        # simple index -> (designated projective, a socle vector of it)
-        self._socle_vectors: Dict[int, Tuple["GenAlgebraModule", np.ndarray]] = {}
 
     def designate(self, simples, projectives=None) -> None:
         self.simples = list(simples)
@@ -161,21 +160,6 @@ class GenAlgebra:
                 f"{self.algebra_id}: no projective cover designated for simple #{idx}"
             )
         return cover
-
-    def projective_socle_vector(self, idx: int) -> np.ndarray:
-        """A nonzero vector of the socle of `projective_of(idx)`, found once.
-
-        The projective has a simple socle, so any nonzero vector of it will
-        do: Hom(S, P) is solved for the simples S in turn, P's own simple
-        first (its socle, over a symmetric algebra), until one is nonzero.
-        """
-        P = self.projective_of(idx)
-        known = self._socle_vectors.get(idx)
-        if known is None or known[0] is not P:
-            targets = sorted(_simple_targets(P), key=lambda t: t[0] != idx)
-            phi = next(m for m in (hom_space(S, P) for _, _, S in targets) if m)[0].a
-            known = self._socle_vectors[idx] = (P, phi[:, phi.any(axis=0).argmax()])
-        return known[1]
 
     def __repr__(self):
         return f"GenAlgebra({self.algebra_id})"
@@ -277,19 +261,19 @@ class GenAlgebraModule:
         Solved once per module, by one of two routes; top, radical_basis and
         projective_cover read only the span of the maps onto each S (a
         count, a common kernel, the pivots of a row space), so both give the
-        same answers.  An ungraded M that is not spun yet
-        (`_reads_through_dual`) reads Hom(M, S) as the transpose of
-        Hom(S*, M*) over the opposite algebra: a solve out of the small op
-        simple S*, cheaper than spinning a large M, so a syzygy whose top
-        alone is asked for is never spun.  It reads the dual M keeps for a
-        stable Hom (`dual`), if any, so that both solve into one M*.  Every
-        other M solves Hom(M, S) out of itself.  Where M's spin exists (the
+        same answers.  An ungraded M that is not spun yet reads Hom(M, S) as
+        the transpose of Hom(S*, M*) over the opposite algebra: a solve out
+        of the small op simple S*, cheaper than spinning a large M, so a
+        syzygy whose top alone is asked for is never spun.  It reads the
+        dual M keeps for a stable Hom (`dual`), if any, so that both solve
+        into one M*, and otherwise forms one it does not keep.  Every other
+        M solves Hom(M, S) out of itself.  Where M's spin exists (the
         designated simples and covers, any module a Hom was solved out of)
         that is the cheap solve.  A graded M stays forward because in the
         dual direction the stage one of a solve into M* is not shared across
         the shifts of S*, which made a graded workload 30-50 % slower.
         """
-        if not _reads_through_dual(self):
+        if self.graded or "spin" in vars(self._spin_source or self):
             targets = ((idx, d, S, hom_space(self, S)) for idx, d, S in _simple_targets(self))
         else:
             # the dual a stable Hom keeps on this module, else one not kept
@@ -302,10 +286,10 @@ class GenAlgebraModule:
 
     @cached_property
     def dual(self) -> "GenAlgebraModule":
-        """`dual_module` of this module, for a module whose dual two solves
-        read: a syzygy of a trace with Ext, and its M0 (`ext_dims`).
-        `maps_to_simples` reads it only when kept.  A designated simple or
-        cover holds the dual that its opposite algebra designates."""
+        """`dual_module` of this module, kept: every stable Hom out of it or
+        into it reads it, and so does its top once it is kept
+        (`maps_to_simples`).  A designated simple or cover holds the dual
+        that its opposite algebra designates."""
         # building the opposite algebra sets it on a designated module
         opposite_algebra(self.algebra)
         return vars(self).get("dual") or dual_module(self)
@@ -374,12 +358,6 @@ class GenAlgebraModule:
     def __repr__(self):
         tag = f", degrees {sorted(set(self.grading))}" if self.graded else ""
         return f"<module dim {self.dim} over {self.algebra.algebra_id}{tag}>"
-
-
-def _reads_through_dual(M: GenAlgebraModule) -> bool:
-    """Whether the Homs out of M are read through its dual, by
-    `maps_to_simples` and `stable_hom_dim`: M is ungraded and not spun yet."""
-    return not M.graded and "spin" not in vars(M._spin_source or M)
 
 
 # the cached properties of a module that its regraded copies compute anew
@@ -1062,8 +1040,8 @@ def strip_projectives(M: GenAlgebraModule) -> GenAlgebraModule:
         return M
     p = M.algebra.p
     # a shifted or ungraded copy of the designated projective has its
-    # coordinates, so v is read from the designated one, once per algebra
-    vs = [M.algebra.projective_socle_vector(idx) for idx, _, _ in blocks]
+    # coordinates, so v is read off the designated one's socle, kept on it
+    vs = [M.algebra.projective_of(idx).socle_basis.a[:, 0] for idx, _, _ in blocks]
     ends = np.cumsum([0] + [v.size for v in vs])
     parts = [C.a[:, a:b] for a, b in zip(ends, ends[1:])]
     images = np.column_stack([_exact_matmul(part, v, p) for part, v in zip(parts, vs)])
@@ -1327,36 +1305,25 @@ def stable_hom_dim(M: GenAlgebraModule, N: GenAlgebraModule) -> int:
     """dim of Hom(M, N) modulo maps factoring through a projective.
 
     Those maps are the C . psi for N's cover C: P -> N and psi in Hom(M, P),
-    and no map is formed in full.  A spun or graded M counts forward: a map
-    out of M is fixed by its generator images, so the C . psi count as the
-    rank of C times the generator images of Hom(M, P).  Any other M
-    (`_reads_through_dual`) counts through the duals: transposing is a
-    linear isomorphism of Hom(M, N) onto Hom(N*, M*) that sends C . psi to
-    psi* . C^T, psi* in Hom(P*, M*), so dimension and rank agree.  The
-    psi* . C^T are read at the generator vectors of N*, with one Hom solve
-    per distinct op cover in P*.  N* and the op covers are kept, so a trace
-    spins each once; M*, kept on M, is the dual that M's top reads next.
+    and no map is formed in full.  They are counted through the duals:
+    transposing is a linear isomorphism of Hom(M, N) onto Hom(N*, M*) that
+    sends C . psi to psi* . C^T, psi* in Hom(P*, M*), so dimension and rank
+    agree.  The psi* . C^T are read at the generator vectors of N*, with one
+    Hom solve per distinct summand of P*.  Those summands are the duals of
+    P's: the designated op covers for an ungraded N, the duals of shifted
+    covers for a graded one.  Each dual is kept on its module, so a trace
+    spins N* and the summands of P* once each, and never spins M.
     """
     p = M.algebra.p
-    if not _reads_through_dual(M):
-        hom = _hom_kernel(M, N)
-        if hom is None:
-            return 0
-        P, C, _ = N.cover
-        through = _hom_kernel(M, P)
-        if through is None:
-            return hom.dim
-        images = _exact_matmul(C.a, through.gen_images, p)
-        return hom.dim - rref(FpMat(images.reshape(-1, through.dim), p)).rank
     M_dual, N_dual = M.dual, N.dual
     hom = _hom_kernel(N_dual, M_dual)
     if hom is None:
         return 0
-    _, C, blocks = N.cover
+    P, C, _ = N.cover
     # C^T at the generator vectors e_c of N*, one slice of rows per summand
-    # of P; the summands of P* are the designated op covers, in that order
+    # of P, in the order of P's summands
     at = C.a[N_dual.spin.gen_pos].T
-    covers = [M.algebra.projective_of(idx).dual for idx, _, _ in blocks]
+    covers = [Q.dual for Q in P.summands]
     starts = np.cumsum([0] + [Q.dim for Q in covers])
     rows = []
     for Q in {id(Q): Q for Q in covers}.values():
@@ -1405,22 +1372,15 @@ def ext_dims(M: GenAlgebraModule, length: int, with_ext: bool = True) -> Resolut
     repeats with period n - m, and no further Heller step or stable Hom is
     formed.  The stop is exact: over a fixed algebra `heller` and
     `stable_hom_dim(., M0)` read only a module's action and grading (the
-    designated covers, canonical Hom kernels, no random draw; both routes
-    count alike), so equal modules have equal syzygies and equal stable
-    Homs.  A syzygy larger than every one before it equals none of them,
-    and its key is not kept.  With Ext, a syzygy's stable Hom and its top,
-    read at the next Heller step, share its dual; so do M's top and the
-    stable Homs into M0 = M.
+    designated covers, canonical Hom kernels, no random draw; both routes of
+    a top read alike), so equal modules have equal syzygies and equal
+    stable Homs.  A syzygy larger than every one before it equals none of
+    them, and its key is not kept.  With Ext, a syzygy's stable Hom and its
+    top, read at the next Heller step, share its dual, and every stable Hom
+    reads M0's.
     """
     check_degree(length)
-    # M's top, which strip_projectives reads, and the stable Homs into M0
-    # read one dual of M, as M0 is M unless M has a projective summand
-    shared = with_ext and _reads_through_dual(M) and "dual" not in vars(M)
-    if shared:
-        M.dual
     M0 = strip_projectives(M)
-    if shared and M0 is not M:
-        del M.dual  # M's top was its only reader
     omega: List[int] = []
     exts: Optional[List[int]] = [] if with_ext else None
     keys: Dict[tuple, int] = {}

@@ -975,9 +975,9 @@ def test_top_is_read_through_the_dual_only_for_unspun_ungraded_modules(monkeypat
     for M in (graded, spun, unspun):
         top(M)
     assert [A for (A,) in duals] == [unspun]
-    # a trace with Ext forms one dual of M0 = Z, which its top and every
-    # stable Hom read, and one of each syzygy whose stable Hom and top it
-    # reads: those are the modules it forms a Heller step of.  Only Z* and
+    # a trace with Ext forms a dual of Z for Z's top, which it does not
+    # keep, and one kept of each module it forms a Heller step of, which
+    # that module's stable Hom and top read: M0 = Z first.  Only Z* and
     # designated modules are spun, no syzygy and not Z
     Z = fresh(verma_module(5, 1, 0))
     algebras = (Z.algebra, opposite_algebra(Z.algebra))
@@ -986,17 +986,21 @@ def test_top_is_read_through_the_dual_only_for_unspun_ungraded_modules(monkeypat
     duals.clear()
     spins.clear()
     ext_dims(Z, 4)
-    assert [A for (A,) in duals] == [A for (A,) in steps]
+    assert [A for (A,) in duals] == [Z] + [A for (A,) in steps]
     assert steps[0] == (Z,) and len(steps) == 3
     assert {id(A) for (A,) in spins} <= designated | {id(Z.dual)}
     # with no stable Hom each syzygy's top is its dual's only reader, and
-    # a module with a projective summand is not M0: neither keeps a dual
+    # a module with a projective summand is not M0: neither keeps a dual,
+    # and M0 keeps its own
     steps.clear()
     ext_dims(fresh(gacohom.truncated_poly_algebra(5, 2).simples[0]), 4, with_ext=False)
     assert len(steps) == 4 and not any("dual" in vars(A) for (A,) in steps)
     M = direct_sum([fresh(verma_module(5, 1, 0)), principal_indecomposable(5, 1, 1)])
+    duals.clear()
     ext_dims(M, 2)
     assert "dual" not in vars(M)
+    M0 = duals[1][0]
+    assert duals[0] == (M,) and M0 is not M and M0.dim == 5 and "dual" in vars(M0)
 
     # hearts are read forward once their algebra is built
     distribution_sl2(3, 2)
@@ -1535,8 +1539,8 @@ def refuse_hom_space(M, N):
 
 
 def dual_stable_hom_inputs():
-    """(M, Omega^1..Omega^4 of M) for unspun modules M that read their stable
-    Homs through the duals."""
+    """(M, Omega^1.. of M) for modules M of every kind: unspun and ungraded,
+    graded, and the spun designated simples and covers."""
     for p in (3, 5):
         for lam in range(p):
             for M in (fresh(simple_module(p, 1, lam)), verma_module(p, 1, lam)):
@@ -1547,23 +1551,39 @@ def dual_stable_hom_inputs():
     yield syzygies(direct_sum([Q, Z, Q]), 4)
     yield [zero_module(Z.algebra), Z]
     yield syzygies(fresh(gacohom.truncated_poly_algebra(3, 2).simples[0]), 4)
+    # graded: the summands of P* are duals of shifted covers, not the
+    # designated op covers
+    for p in (3, 5):
+        for lam in range(p):
+            yield syzygies(graded_verma_module(p, lam), 3)
+            yield syzygies(graded_simple_module(p, lam + 2 * p), 3)
+    Z, Q = graded_verma_module(3, 1), graded_principal_indecomposable(3, 0)
+    yield syzygies(direct_sum([Q, Z, Q]), 3)
+    for p in (3, 5):
+        alg = restricted_sl2(p)
+        for S, P in zip(alg.simples, alg.projectives):
+            P.spin
+            yield syzygies(S, 3)
+            yield syzygies(P, 1)
 
 
 def test_stable_hom_through_the_duals_is_the_forward_count(monkeypatch):
-    # an unspun ungraded source counts Hom(N*, M*) less the rank of the
-    # psi* . C^T; it must equal the count of matrices out of a spun copy,
-    # into M itself and into its syzygies, whose covers repeat a summand
+    # the source counts Hom(N*, M*) less the rank of the psi* . C^T; it must
+    # equal the count of matrices out of a spun copy, into M itself and into
+    # its syzygies, whose covers repeat a summand; it spins no source
     for mods in dual_stable_hom_inputs():
         M = mods[0]
         pairs = [(om, M) for om in mods] + [(M, om) for om in mods[1:]]
         expected = [forward_stable_hom_dim(A, B) for A, B in pairs]
-        # the covers are cached; the dual route forms no Hom space as matrices
+        # the covers and the opposite algebra are built; the dual route
+        # forms no Hom space as matrices
+        opposite_algebra(M.algebra)
         with monkeypatch.context() as m:
             m.setattr(algrep, "hom_space", refuse_hom_space)
             for (A, B), want in zip(pairs, expected):
-                assert "spin" not in vars(A)
+                spun = "spin" in vars(A)
                 assert stable_hom_dim(A, B) == want, (A, B)
-                assert "spin" not in vars(A) and "dual" in vars(A)
+                assert ("spin" in vars(A)) == spun and "dual" in vars(A)
 
 
 def test_stable_hom_dim_matches_the_maps_and_rank_formula_on_the_ub1_modules(monkeypatch):
@@ -1596,22 +1616,27 @@ def test_cover_and_stable_hom_form_no_hom_space_out_of_a_projective(monkeypatch)
             assert stable_hom_dim(Z, Q) == 0
 
 
-def test_strip_projectives_solves_one_simple_hom_per_projective(monkeypatch):
-    # a fresh copy of u(sl2) at p = 5, so that no socle is known yet; each
-    # projective's own simple is its socle, so one Hom(S, P) solve is enough
+def test_strip_projectives_reads_each_projective_socle_once(monkeypatch):
+    # a fresh copy of u(sl2) at p = 5, so that no socle is known yet, and a
+    # spun M, whose top builds no opposite algebra (which reads them all);
+    # a strip reads the socle each designated projective keeps, so a
+    # socle read before it, or by an earlier strip, is not solved again
     p = 5
     alg = restricted_sl2.__wrapped__(p)
     parts = [verma_module(p, 1, 1), principal_indecomposable(p, 1, 1)]
     parts += [principal_indecomposable(p, 1, 3), simple_module(p, 1, p - 1)]
     M = GenAlgebraModule(alg, direct_sum(parts).action, check=False)
+    M.spin
     M.cover  # solved before counting: only the strip's own solves count
+    alg.projective_of(3).socle_basis
     calls = record_calls(monkeypatch, "hom_space")
-    for _ in range(2):
-        assert strip_projectives(M).dim == parts[0].dim
+    assert strip_projectives(M).dim == parts[0].dim
     solved = [(A, N) for A, N in calls if is_designated_projective(N)]
-    assert solved == [
-        (alg.simples[idx], alg.projective_of(idx)) for idx in (1, 3, p - 1)
-    ]
+    assert solved == [(S, alg.projective_of(idx)) for idx in (1, p - 1) for S in alg.simples]
+    assert "op" not in alg.meta
+    calls.clear()
+    assert strip_projectives(M).dim == parts[0].dim
+    assert not [N for _, N in calls if is_designated_projective(N)]
 
 
 def test_projective_cover_of_trivial_module():
