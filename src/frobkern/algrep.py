@@ -31,13 +31,14 @@ MeatAxe forms one endomorphism per try: only the maps a caller keeps
 become matrices, each spun from its generator images along the spanning
 tree of M.  The word operators of a solve that forms equations are dropped
 once it has them.  Each module keeps its Hom spaces to and from the
-simples, its socle, its cover, its radical once asked for, and the first
-stage of every Hom solve into it; its shifts and its ungraded copy share
-its spin and those first stages.  The maps onto the simples take one of two
-routes.  A graded module, or one whose spin exists already, solves them
-out of itself; an ungraded module not yet spun solves them through its
-dual over the opposite algebra, out of the op simples.  A stable Hom
-Hom(M, N) mod projectives takes one route, whatever M is: it is read as
+simples (one solve per simple, all its shifts in it), its socle, its
+cover, its radical once asked for, and the first stage of every Hom solve
+into it; its shifts and its ungraded copy share its spin and those first
+stages.  The maps onto the simples take one of two routes.  A graded
+module, or one whose spin exists already, solves them out of itself; an
+ungraded module not yet spun solves them through its dual over the
+opposite algebra, out of the op simples.  A stable Hom Hom(M, N) mod
+projectives takes one route, whatever M is: it is read as
 Hom(N*, M*) over the opposite algebra, out of N* and the duals of N's
 cover, which stay the same along a trace.  So no resolution or trace spins
 a syzygy.  A direct sum, as a cover is, forms its action only when it is
@@ -255,10 +256,8 @@ class GenAlgebraModule:
 
     @cached_property
     def maps_to_simples(self) -> Tuple[tuple, ...]:
-        """(simple index, shift or None, simple S, Hom(M, S)) for each S of
-        `_simple_targets` with Hom(M, S) nonzero, M being this module.
-
-        Solved once per module, by one of two routes; top, radical_basis and
+        """The maps onto the simples, listed as by `_maps_with_simples` and
+        solved once per module, by one of two routes; top, radical_basis and
         projective_cover read only the span of the maps onto each S (a
         count, a common kernel, the pivots of a row space), so both give the
         same answers.  An ungraded M that is not spun yet reads Hom(M, S) as
@@ -267,21 +266,19 @@ class GenAlgebraModule:
         syzygy whose top alone is asked for is never spun.  It reads the
         dual M keeps for a stable Hom (`dual`), if any, so that both solve
         into one M*, and otherwise forms one it does not keep.  Every other
-        M solves Hom(M, S) out of itself.  Where M's spin exists (the
+        M solves out of itself, once per simple: where M's spin exists (the
         designated simples and covers, any module a Hom was solved out of)
-        that is the cheap solve.  A graded M stays forward because in the
-        dual direction the stage one of a solve into M* is not shared across
-        the shifts of S*, which made a graded workload 30-50 % slower.
+        that is the cheap solve, and a graded M solves every shift of S in
+        it, keeping its grading.
         """
         if self.graded or "spin" in vars(self._spin_source or self):
-            targets = ((idx, d, S, hom_space(self, S)) for idx, d, S in _simple_targets(self))
-        else:
-            # the dual a stable Hom keeps on this module, else one not kept
-            dual = vars(self).get("dual") or dual_module(self)
-            targets = (
-                (idx, None, S, [phi.transpose() for phi in hom_space(S_op, dual)])
-                for (idx, _, S), (_, _, S_op) in zip(_simple_targets(self), _simple_targets(dual))
-            )
+            return _maps_with_simples(self, onto=True)
+        # the dual a stable Hom keeps on this module, else one not kept
+        dual = vars(self).get("dual") or dual_module(self)
+        targets = (
+            (idx, None, S, [phi.transpose() for phi in hom_space(S_op, dual)])
+            for (idx, S), (_, S_op) in zip(_simple_targets(self), _simple_targets(dual))
+        )
         return tuple(t for t in targets if t[3])
 
     @cached_property
@@ -296,13 +293,9 @@ class GenAlgebraModule:
 
     @cached_property
     def maps_from_simples(self) -> Tuple[tuple, ...]:
-        """(simple index, shift or None, simple S, Hom(S, M)) for each S of
-        `_simple_targets` with Hom(S, M) nonzero, M being this module.
-
-        Solved once per module; socle and socle_basis read it.
-        """
-        sources = ((idx, d, S, hom_space(S, self)) for idx, d, S in _simple_targets(self))
-        return tuple(t for t in sources if t[3])
+        """The maps from the simples (`_maps_with_simples`), solved once
+        per module; socle and socle_basis read them."""
+        return _maps_with_simples(self, onto=False)
 
     @cached_property
     def radical_basis(self) -> FpMat:
@@ -889,17 +882,36 @@ def _shift_candidates(M: GenAlgebraModule, S: GenAlgebraModule) -> List[int]:
 
 
 def _simple_targets(M: GenAlgebraModule):
-    """(simple index, shift or None, simple) for each simple M is compared with.
-
-    A graded M is compared with every degree shift of a simple whose degrees
-    all lie among M's; an ungraded M with each simple once, ungraded.
-    """
+    """(simple index, the simple ungraded) for each simple M is compared
+    with: every simple for an ungraded M, and for a graded M those with a
+    shift in `_shift_candidates`."""
     for idx, S in enumerate(M.algebra.simples):
-        if M.graded:
-            for d in _shift_candidates(M, S):
-                yield idx, d, S.shifted(d)
-        else:
-            yield idx, None, S.forget_grading() if S.graded else S
+        if not M.graded or _shift_candidates(M, S):
+            yield idx, S.forget_grading() if S.graded else S
+
+
+def _maps_with_simples(M: GenAlgebraModule, onto: bool) -> Tuple[tuple, ...]:
+    """(simple index, shift or None, simple S, maps) for each S of
+    `_simple_targets`, and each shift for a graded M, with Hom(M, S) nonzero,
+    or Hom(S, M) unless `onto`.  One Hom is solved per S, with S ungraded.
+    For a graded M it is the sum of the degree-0 Homs with the shifts of S,
+    its system block-diagonal by shift, so each canonical basis map lies in
+    one shift and a shift's maps are its own canonical basis."""
+    out = []
+    for idx, S in _simple_targets(M):
+        maps = hom_space(M, S) if onto else hom_space(S, M)
+        if maps and not M.graded:
+            out.append((idx, None, S, maps))
+        elif maps:
+            # a map's shift d, read at its first nonzero entry (r, c): there
+            # deg S + d on one side is deg M on the other
+            S, shifts = M.algebra.simples[idx], []
+            for phi in maps:
+                r, c = divmod(int(np.argmax(phi.a != 0)), phi.cols)
+                shifts.append(M.grading[c] - S.grading[r] if onto else M.grading[r] - S.grading[c])
+            for d in sorted(set(shifts)):
+                out.append((idx, d, S.shifted(d), [phi for phi, e in zip(maps, shifts) if e == d]))
+    return tuple(out)
 
 
 def _multiset_entry(idx: int, d: Optional[int], mult: int) -> tuple:

@@ -27,6 +27,7 @@ from frobkern.algrep import (
     _graded_kernel,
     _graded_kernel_and_unit_rows,
     _independent_columns,
+    _shift_candidates,
     _simple_targets,
     _span_module,
     composition_factors,
@@ -183,6 +184,13 @@ def record_calls(monkeypatch, name):
 
     monkeypatch.setattr(algrep, name, recording)
     return calls
+
+
+def one_solve_per_simple(M):
+    """(grading, designated simple) of each Hom solve between M and the
+    simples, in order: one per simple, ungraded, and for a graded M only
+    those with a candidate shift."""
+    return [(None, S) for S in M.algebra.simples if not M.graded or _shift_candidates(M, S)]
 
 
 def fresh(M):
@@ -907,7 +915,7 @@ def test_simple_homs_are_solved_once_per_module(monkeypatch):
 def forward_maps_to_simples(M):
     """(simple index, Hom(M, S)) for each simple S with Hom(M, S) nonzero,
     every one solved out of M."""
-    targets = ((idx, hom_space(M, S)) for idx, _, S in _simple_targets(M))
+    targets = ((idx, hom_space(M, S)) for idx, S in _simple_targets(M))
     return [(idx, maps) for idx, maps in targets if maps]
 
 
@@ -1020,8 +1028,9 @@ def test_graded_cover_solves_the_top_of_its_projective_once(monkeypatch):
     for _ in range(2):
         _, _, blocks = projective_cover(M)
         assert [(idx, d) for idx, d, _ in blocks] == [(0, 0), (0, 2)]
-    solved = [N.grading for A, N in calls if A is Pcan]
-    assert solved == [S.grading for _, _, S in _simple_targets(Pcan)]
+    # one solve per simple with a candidate shift, every shift in it
+    solved = [(N.grading, N._spin_source) for A, N in calls if A is Pcan]
+    assert solved == one_solve_per_simple(Pcan) == [(None, alg.simples[0])]
 
 
 def test_shifts_of_a_simple_share_its_spin(monkeypatch):
@@ -1034,7 +1043,7 @@ def test_shifts_of_a_simple_share_its_spin(monkeypatch):
     P = alg.projective_of(0)
     top(P)
     socle(P)
-    assert len(list(_simple_targets(P))) == 3
+    assert len(_shift_candidates(P, S)) == 3
     assert [id(A) for (A,) in calls] == [id(S), id(P)]
 
     P = graded_principal_indecomposable(3, 0)
@@ -1043,7 +1052,7 @@ def test_shifts_of_a_simple_share_its_spin(monkeypatch):
     calls.clear()
     top(P)
     socle(P)
-    assert len(list(_simple_targets(P))) > len(simples)
+    assert sum(len(_shift_candidates(P, S)) for S in P.algebra.simples) > len(simples)
     spun = [id(A) for (A,) in calls if A is not P]
     assert len(set(spun)) == len(spun) and set(spun) <= set(simples)
 
@@ -1383,11 +1392,12 @@ def test_projective_cover_solves_each_hom_to_a_simple_once(monkeypatch):
     for (M, forward), op in zip(mods, ops):
         calls.clear()
         projective_cover(M)
-        solved = [N.grading for A, N in calls if A is M]
+        solved = [(N.grading, N._spin_source or N) for A, N in calls if A is M]
         # an op simple that is an ungraded copy reads its designated one
         through_dual = [(A._spin_source or A, N) for A, N in calls if N.algebra is op]
         if forward:
-            assert solved == [S.grading for _, _, S in _simple_targets(M)]
+            # one solve per simple: a graded M solves every shift in it
+            assert solved == one_solve_per_simple(M)
             assert through_dual == []
         else:
             assert solved == []
@@ -1905,13 +1915,79 @@ def test_simple_targets_are_the_shifts_inside_the_degrees_of_the_module():
     for M in (graded_verma_module(3, 0), graded_principal_indecomposable(3, 1)):
         degs = set(M.grading)
         compared = set()
-        for idx, d, S in _simple_targets(M):
-            assert set(S.grading) <= degs
-            compared.add((idx, d))
+        for idx, S in enumerate(M.algebra.simples):
+            for d in _shift_candidates(M, S):
+                assert set(S.shifted(d).grading) <= degs
+                compared.add((idx, d))
+        # a simple is solved, once, exactly when it has a candidate shift
+        assert [idx for idx, _ in _simple_targets(M)] == sorted({idx for idx, _ in compared})
         for idx, S in enumerate(M.algebra.simples):
             for d in {dm - ds for dm in degs for ds in S.grading}:
                 if hom_space(M, S.shifted(d)) or hom_space(S.shifted(d), M):
                     assert (idx, d) in compared
+
+
+def graded_simple_map_inputs():
+    for p in (3, 5):
+        yield from (graded_verma_module(p, lam) for lam in range(-p, 2 * p))
+        yield from (graded_principal_indecomposable(p, lam) for lam in range(p))
+        yield from syzygies(graded_verma_module(p, 1), 2)[1:]
+        yield graded_simple_module(p, 1).shifted(2 * p)
+    # the top at shifts 0 and 2; summed the other way round, the solve's
+    # basis holds shift 2 first
+    alg = line_algebra(3)
+    yield direct_sum([jordan(alg, 2), jordan(alg, 2, shift=2)])
+    yield direct_sum([jordan(alg, 2, shift=2), jordan(alg, 2)])
+
+
+def per_shift_maps(M, onto):
+    """(simple index, shift, simple, maps) for each shift d of
+    `_shift_candidates` with a nonzero Hom(M, S<d>) when `onto`, else
+    Hom(S<d>, M): one degree-0 solve per shift."""
+    out = []
+    for idx, S in enumerate(M.algebra.simples):
+        for d in _shift_candidates(M, S):
+            maps = hom_space(M, S.shifted(d)) if onto else hom_space(S.shifted(d), M)
+            if maps:
+                out.append((idx, d, S.shifted(d), maps))
+    return out
+
+
+def test_one_solve_per_simple_is_the_per_shift_solves():
+    # the ungraded Hom between a graded M and a simple is the direct sum of
+    # the degree-0 Homs with its shifts, and each shift's maps must be
+    # exactly its own canonical basis: same entries, order and matrices
+    for M in graded_simple_map_inputs():
+        for onto in (True, False):
+            got = fresh(M).maps_to_simples if onto else fresh(M).maps_from_simples
+            want = per_shift_maps(fresh(M), onto)
+            assert [(i, d) for i, d, *_ in got] == [(i, d) for i, d, *_ in want]
+            for (idx, _, S, maps), (_, _, S_ref, ref) in zip(got, want):
+                assert S.grading == S_ref.grading and S._spin_source is M.algebra.simples[idx]
+                assert len(maps) == len(ref) and all(a == b for a, b in zip(maps, ref))
+
+
+def test_graded_top_and_socle_shift_a_simple_only_for_a_nonzero_hom(monkeypatch):
+    real = GenAlgebraModule.shifted
+    shifted = []
+
+    def recording(M, d):
+        shifted.append((M, d))
+        return real(M, d)
+
+    monkeypatch.setattr(GenAlgebraModule, "shifted", recording)
+    formed = compared = 0
+    for M in graded_simple_map_inputs():
+        M = fresh(M)
+        shifted.clear()
+        top(M)
+        socle(M)
+        found = [*M.maps_to_simples, *M.maps_from_simples]
+        assert shifted == [(M.algebra.simples[idx], d) for idx, d, *_ in found]
+        formed += len(shifted)
+        compared += 2 * sum(len(_shift_candidates(M, S)) for S in M.algebra.simples)
+    # most candidate shifts have a zero Hom, and form no copy
+    assert 2 * formed < compared
 
 
 def assert_iso_with_witness(A, B):

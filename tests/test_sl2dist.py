@@ -14,6 +14,7 @@ from frobkern import algrep, sl2dist
 from frobkern.algrep import (
     GenAlgebraModule,
     _degrees_of_columns,
+    _shift_candidates,
     composition_factors,
     end_space,
     heller,
@@ -148,22 +149,29 @@ def test_graded_projective_degree_multisets(p):
         assert top(P) == [(lam0, 0, 1)]
 
 
-def test_graded_radical_solves_only_graded_homs_and_is_homogeneous(monkeypatch):
+def test_graded_radical_solves_one_hom_per_simple_and_is_homogeneous(monkeypatch):
     mods = [graded_verma_module(3, lam) for lam in (0, 1, 2, 6)]
     mods += [graded_principal_indecomposable(3, lam) for lam in range(3)]
     real = algrep.hom_space
-    ungraded = []
+    calls = []
 
     def recording(A, B):
-        if not (A.graded and B.graded):
-            ungraded.append((A, B))
+        calls.append((A, B))
         return real(A, B)
 
     for M in mods:
+        # a copy with nothing cached, as earlier tests may have read its top
+        M = GenAlgebraModule(M.algebra, M.action, M.grading, check=False)
+        calls.clear()
         with monkeypatch.context() as mp:
             mp.setattr(algrep, "hom_space", recording)
             rad = radical(M)
-        assert ungraded == []
+        # one solve out of M, graded, into each simple with a candidate
+        # shift, ungraded: every shift of the simple in one solve
+        simples = [S for S in M.algebra.simples if _shift_candidates(M, S)]
+        assert [A for A, _ in calls] == [M] * len(simples)
+        assert [B._spin_source for _, B in calls] == simples
+        assert not any(B.graded for _, B in calls)
         _degrees_of_columns(rad, M.grading)  # raises unless every column is homogeneous
         # reference: the kernel of the ungraded maps onto simples
         Mu = M.forget_grading()
