@@ -17,7 +17,9 @@ word operators of the spin and the other equations are then formed only
 on the images that survive.  Both kernels are canonical, so their product
 is the kernel one elimination of the whole system would give.  The first
 stage is solved once per target and local system and kept on the target,
-as sources with the same local pairs pose the same equations.  Each
+as sources with the same local pairs pose the same equations.  Most of its
+equations have one nonzero entry, each forcing its unknown to 0: one pass
+pins those, and only what they leave is eliminated.  Each
 off-tree pair of the spin is a relation of M.  When M is free, spun from
 one vector and as large as the algebra, each is a relation of the algebra
 and holds on every module, so a solve out of M forms no equation: Hom(A, N)
@@ -41,8 +43,11 @@ opposite algebra, out of the op simples.  A stable Hom Hom(M, N) mod
 projectives takes one route, whatever M is: it is read as
 Hom(N*, M*) over the opposite algebra, out of N* and the duals of N's
 cover, which stay the same along a trace.  So no resolution or trace spins
-a syzygy.  A direct sum, as a cover is, forms its action only when it is
-read.  An ungraded module has degree 0 throughout, so each module map has
+a syzygy.  A trace of a module that is semisimple once its projective
+summands are split off counts no stable Hom at all: Ext into it is read
+off the tops of the syzygies, which their Heller steps read anyway.  A
+direct sum, as a cover is, forms its action only when it is read.  An
+ungraded module has degree 0 throughout, so each module map has
 one kernel, homogeneous, from one elimination of the whole map, and
 independent columns are the pivots of one RREF, stably ordered by degree.
 
@@ -644,28 +649,59 @@ class HomKernel:
 
 def _local_echelon(
     spin: Spin, N: GenAlgebraModule, gen_of: np.ndarray, row_of: np.ndarray
-) -> Optional[Echelon]:
-    """The echelon form of the equations of the local pairs of `spin`, in
-    the unknowns (gen_of, row_of) of a Hom system into N; None when it
-    leaves no unknown free.  `_local_kernel` calls it once per target and
-    local system.
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The canonical kernel of the equations of the local pairs of `spin`,
+    in the unknowns (gen_of, row_of) of a Hom system into N, as
+    `_pinned_kernel` gives it; None when it leaves no unknown free.
+    `_local_kernel` calls it once per target and local system.
 
     A local pair says g*x_j = sum_j' c_j' x_j' of the generator images x
     alone: e*x = 0 on a highest-weight generator asks for x in ker e.
     """
     p, unknowns = N.algebra.p, gen_of.size
-    ech = Echelon(unknowns, p)
-    blocks = []
+    blocks = [np.zeros((0, unknowns), dtype=np.int64)]
     for g, js, coeffs in spin.local:
         # block[l, :, u]: column row_of[u] of g on N where u belongs to
         # generator js[l], less coeffs[l, gen_of[u]] in row row_of[u]
         block = N.mat(g).a[:, row_of] * (gen_of == js[:, None])[:, None, :]
         block[:, row_of, np.arange(unknowns)] -= coeffs[:, gen_of]
         blocks.append(block.reshape(-1, unknowns))
-    if blocks:
-        rows = np.concatenate(blocks) % p
-        ech.add(rows[rows.any(axis=1)])
-    return ech if ech.rank < unknowns else None
+    return _pinned_kernel(np.concatenate(blocks) % p, p)
+
+
+def _pinned_kernel(rows: np.ndarray, p: int) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The canonical kernel K of `rows` (entries in [0, p)) as (free,
+    pivots, K_piv): the non-pivot and pivot columns of their RREF, and
+    K's pivot rows, K being the identity on the free columns; None when no
+    column is free.
+
+    A row with one nonzero entry forces its unknown to 0, and most rows of
+    a stage one do.  One pass over the rows pins those unknowns and drops
+    them and their rows; only the rest is eliminated, often nothing.  The
+    RREF is that of all rows: its row at a pinned unknown is the unit
+    vector there, and every other row of the system equals its restriction
+    to the unpinned unknowns modulo those unit vectors, so its other rows
+    are the RREF of the rest, zero at the pinned unknowns.
+    """
+    nonzero = rows != 0
+    single = np.count_nonzero(nonzero, axis=1) == 1
+    pinned = nonzero[single].any(axis=0)
+    left = np.flatnonzero(~pinned)  # the unknowns that are not pinned
+    rest = rows[~single][:, left]
+    ech = Echelon(left.size, p)
+    live = rest.any(axis=1)
+    if live.any():
+        ech.add(rest[live])
+    free = left[ech.free]
+    if free.size == 0:
+        return None
+    solved = left[ech.pivots]  # the pivots of the rest, as unknowns of rows
+    is_pivot = pinned.copy()
+    is_pivot[solved] = True
+    pivots = np.flatnonzero(is_pivot)
+    K_piv = np.zeros((pivots.size, free.size), dtype=np.int64)
+    K_piv[np.searchsorted(pivots, solved)] = (-ech.rows[:, ech.free]) % p
+    return free, pivots, K_piv
 
 
 def _local_kernel(
@@ -674,7 +710,9 @@ def _local_kernel(
     """Stage one of a Hom system into N: the canonical kernel K of the
     equations of the local pairs of `spin`, as read-only (free, pivots,
     K_piv), where K is the identity on the free unknowns and K_piv holds
-    its pivot rows; None when no unknown is left free.
+    its pivot rows; None when no unknown is left free.  These are the
+    RREF's of all the local equations, though `_local_echelon` eliminates
+    only what its pinned unknowns leave.
 
     Solved once per target and local system.  Sources whose spins have the
     same local pairs pose the same equations (every simple's generator is a
@@ -692,13 +730,9 @@ def _local_kernel(
     layout[gen_of * N.dim + row_of] = True
     key = (spin.local_key, n_gen, np.packbits(layout).tobytes())
     if key not in owner._local_kernels:
-        ech = _local_echelon(spin, N, gen_of, row_of)
-        kernel = None
-        if ech is not None:
-            free = ech.free
-            kernel = (free, np.array(ech.pivots, dtype=np.int64), (-ech.rows[:, free]) % N.algebra.p)
-            for a in kernel:
-                a.setflags(write=False)
+        kernel = _local_echelon(spin, N, gen_of, row_of)
+        for a in kernel or ():
+            a.setflags(write=False)
         owner._local_kernels[key] = kernel
     return owner._local_kernels[key]
 
@@ -1381,18 +1415,31 @@ def ext_dims(M: GenAlgebraModule, length: int, with_ext: bool = True) -> Resolut
     M0 = M with its projectives split off, and each syzygy after it, is
     keyed by `_module_key`: its dimension, grading and action matrices.
     Once Omega^n has the key of an earlier Omega^m, the rest of the trace
-    repeats with period n - m, and no further Heller step or stable Hom is
-    formed.  The stop is exact: over a fixed algebra `heller` and
-    `stable_hom_dim(., M0)` read only a module's action and grading (the
-    designated covers, canonical Hom kernels, no random draw; both routes of
-    a top read alike), so equal modules have equal syzygies and equal
-    stable Homs.  A syzygy larger than every one before it equals none of
-    them, and its key is not kept.  With Ext, a syzygy's stable Hom and its
-    top, read at the next Heller step, share its dual, and every stable Hom
-    reads M0's.
+    repeats with period n - m, and no further Heller step, top or stable
+    Hom is formed.  The stop is exact: over a fixed algebra `heller`, `top`
+    and `stable_hom_dim(., M0)` read only a module's action and grading
+    (the designated covers, canonical Hom kernels, no random draw; both
+    routes of a top read alike), so equal modules have equal syzygies, tops
+    and stable Homs.  A syzygy larger than every one before it equals none
+    of them, and its key is not kept.
+
+    When M0 is semisimple, that is when the simples of top(M0) fill its
+    dimension, Ext^n is read off the top of Omega^n, which its Heller step
+    reads anyway: the sum over S of [top Omega^n : S] * [M0 : S], S a
+    simple, or a shifted one when graded.  No map from a module without
+    projective summands, as M0 and every syzygy are, into a semisimple one
+    factors through a projective, so the stable Hom is Hom(Omega^n, M0)
+    (Benson, *Representations and Cohomology I*, CUP 1991).  Any other M0
+    counts `stable_hom_dim`: then a syzygy's stable Hom and its top share
+    its dual, and every stable Hom reads M0's.
     """
     check_degree(length)
     M0 = strip_projectives(M)
+    # [top M0 : S] for each simple S, keyed as `top` lists it: [M0 : S]
+    # when these simples fill M0
+    mults = {entry[:-1]: entry[-1] for entry in top(M0)} if with_ext else {}
+    simples = M0.algebra.simples
+    semisimple = with_ext and M0.dim == sum(simples[key[0]].dim * m for key, m in mults.items())
     omega: List[int] = []
     exts: Optional[List[int]] = [] if with_ext else None
     keys: Dict[tuple, int] = {}
@@ -1405,7 +1452,9 @@ def ext_dims(M: GenAlgebraModule, length: int, with_ext: bool = True) -> Resolut
             if period:
                 break
         omega.append(current.dim)
-        if with_ext:
+        if semisimple:
+            exts.append(sum(entry[-1] * mults.get(entry[:-1], 0) for entry in top(current)))
+        elif with_ext:
             exts.append(stable_hom_dim(current, M0))
     # Omega^n is Omega^(n - period), and so is every step after it
     for seq in (omega, exts) if with_ext else (omega,):

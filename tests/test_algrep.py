@@ -27,6 +27,7 @@ from frobkern.algrep import (
     _graded_kernel,
     _graded_kernel_and_unit_rows,
     _independent_columns,
+    _pinned_kernel,
     _shift_candidates,
     _simple_targets,
     _span_module,
@@ -424,25 +425,30 @@ def test_hom_system_has_only_the_rows_off_the_spanning_tree():
 def test_empty_hom_stops_once_no_unknown_is_free(monkeypatch):
     # the Steinberg module L(4) of u(sl2) at p = 5 is simple and projective,
     # so it maps to no other projective indecomposable: Hom(L(4), P(0)) = 0.
-    # P(0) is built anew, as the cached one keeps the local kernels of the
-    # solves into it that ran before
+    # Each P(0) is built anew, as the cached one keeps the local kernels of
+    # the solves into it that ran before
     S, P = simple_module(5, 1, 4), principal_indecomposable(5, 1, 0)
-    M = GenAlgebraModule(P.algebra, P.action, check=False)
     fed = []
     real_add = Echelon.add
 
     def add(self, block):
         before = self.rank
         real_add(self, block)
-        fed.append((before, math.prod(block.shape[:-1]), self.rank))
+        fed.append((self.ncols, before, math.prod(block.shape[:-1]), self.rank))
 
     monkeypatch.setattr(Echelon, "add", add)
+    # stage one pins every unknown, so nothing is eliminated
+    M = GenAlgebraModule(P.algebra, P.action, check=False)
     assert hom_space(S, M) == []
-    unknowns = S.spin.gen_pos.size * M.dim
-    assert all(before < unknowns for before, _, _ in fed)
-    assert fed[-1][2] == unknowns
+    assert fed == []
+    # L(3) leaves one unknown to stage two, whose first block binds it:
     # the blocks end before the last of the pairs, each giving dim M equations
-    assert sum(rows for _, rows, _ in fed) < M.dim * sum(ts.size for _, ts in S.spin.pairs)
+    S = simple_module(5, 1, 3)
+    M = GenAlgebraModule(P.algebra, P.action, check=False)
+    assert hom_space(S, M) == []
+    assert fed and all(before < unknowns for unknowns, before, _, _ in fed)
+    assert fed[-1][3] == fed[-1][0]
+    assert sum(rows for _, _, rows, _ in fed) < M.dim * sum(ts.size for _, ts in S.spin.pairs)
 
 
 def one_stage_copy(M):
@@ -571,6 +577,70 @@ def test_shared_local_kernel_is_the_uncached_one():
         assert hom.dim == fresh.dim
         assert np.array_equal(hom.gen_images, fresh.gen_images)
         assert algrep._hom_maps(M, hom) == algrep._hom_maps(M, fresh)
+
+
+def unpinned_kernel(rows, p):
+    """(free, pivots, K_piv) of one `Echelon` of all of `rows`, as stage one
+    kept it before it pinned any unknown; None when no column is free."""
+    ech = Echelon(rows.shape[1], p)
+    ech.add(rows)
+    free = ech.free
+    if free.size == 0:
+        return None
+    return free, np.array(ech.pivots, dtype=np.int64), (-ech.rows[:, free]) % p
+
+
+def assert_pinned_is_unpinned(rows, p):
+    got, want = _pinned_kernel(rows, p), unpinned_kernel(rows, p)
+    assert (got is None) == (want is None)
+    for a, b in zip(got or (), want or ()):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    return got
+
+
+def test_pinned_stage_one_is_the_full_elimination(monkeypatch):
+    # stage one pins each unknown of a row with one nonzero entry, in one
+    # pass, and eliminates only the rest: (free, pivots, K_piv) must be
+    # those of one elimination of every row
+    p = 5
+    # h - c on three weight vectors next to e on three others: the diagonal
+    # pins the unknowns where h - c is not 0, and e's last row pins one
+    # more, which leaves e's first row with one entry: one pass does not
+    # pin it, and the elimination must
+    diagonal = np.diag([2, 0, 4])
+    nilpotent = np.array([[0, 1, 3], [0, 0, 1], [0, 0, 0]])
+    zero = np.zeros((3, 3), dtype=np.int64)
+    rows = np.block([[diagonal, zero], [zero, nilpotent]])
+    free, pivots, K_piv = assert_pinned_is_unpinned(rows, p)
+    assert free.tolist() == [1, 3] and pivots.tolist() == [0, 2, 4, 5]
+    # one entry only after pinning, with a nonzero value left in K
+    rows = np.array([[0, 0, 3, 0], [1, 2, 1, 0], [0, 1, 4, 1]])
+    free, pivots, K_piv = assert_pinned_is_unpinned(rows, p)
+    assert free.tolist() == [3] and K_piv.any()
+    # no row with one entry: the elimination sees every row
+    rng = np.random.default_rng(5)
+    rows = rng.integers(1, p, size=(3, 7))
+    assert_pinned_is_unpinned(rows, p)
+    # every unknown pinned, and no rows at all
+    assert assert_pinned_is_unpinned(np.diag([1, 2, 3, 4]), p) is None
+    free, pivots, K_piv = assert_pinned_is_unpinned(np.zeros((0, 4), dtype=np.int64), p)
+    assert free.tolist() == [0, 1, 2, 3] and pivots.size == 0 and K_piv.shape == (0, 4)
+    # sparse systems of every mix, zero rows and repeated rows included
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 9, size=2))
+        rows = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.3)
+        assert_pinned_is_unpinned(np.vstack([rows, rows[:1]]), p)
+    # the local systems of real Hom solves, each into a target built anew
+    # so that its stage one runs
+    calls = record_calls(monkeypatch, "_pinned_kernel")
+    for M, N in shared_kernel_pairs():
+        algrep._hom_kernel(M, rebuilt(N))
+    assert len(calls) > 100
+    pinned = 0
+    for rows, q in calls:
+        assert_pinned_is_unpinned(rows, q)
+        pinned += (np.count_nonzero(rows, axis=1) == 1).any()
+    assert 0 < pinned < len(calls)
 
 
 def test_local_kernel_is_solved_once_per_target_and_system(monkeypatch):
@@ -2244,27 +2314,44 @@ def full_trace(M, length, with_ext=True):
     return [X.dim for X in mods], exts
 
 
-def test_stopped_trace_is_the_full_trace():
-    cases = [(jordan(line_algebra(3), 1, graded=False), 12, True)]
+def test_stopped_trace_is_the_full_trace(monkeypatch):
+    # (module, length, with Ext, whether the trace counts stable Homs): a
+    # semisimple M0 reads each Ext off a top, and any other M0 counts it
+    cases = [(jordan(line_algebra(3), 1, graded=False), 12, True, False)]
     for p in (3, 5):
         for lam in range(p):
-            cases += [(simple_module(p, 1, lam), 13, True), (verma_module(p, 1, lam), 13, True)]
-    cases.append((gacohom.truncated_poly_algebra(3, 2).simples[0], 8, False))
-    for M, length, with_ext in cases:
+            # the Steinberg Verma is projective, and its M0 is zero
+            cases += [(simple_module(p, 1, lam), 13, True, False)]
+            cases += [(verma_module(p, 1, lam), 13, True, lam < p - 1)]
+    cases.append((gacohom.truncated_poly_algebra(3, 2).simples[0], 8, False, False))
+    # semisimple, graded and ungraded: a graded simple and a shift of it,
+    # a simple twice, two simples, and a simple beside the Steinberg module,
+    # which is split off
+    S = graded_simple_module(3, 1)
+    L = restricted_sl2(3).simples
+    cases += [(S, 8, True, False), (S.shifted(6), 8, True, False)]
+    cases += [(direct_sum([L[1], L[1]]), 10, True, False), (direct_sum([L[0], L[1]]), 10, True, False)]
+    cases += [(direct_sum([L[0], L[2]]), 10, True, False)]
+    calls = record_calls(monkeypatch, "stable_hom_dim")
+    for M, length, with_ext, counts in cases:
+        calls.clear()
         tr = ext_dims(M, length, with_ext)
+        assert bool(calls) == counts, M
         assert (tr.omega_dims, tr.ext_dims) == full_trace(M, length, with_ext), M
         assert tr.length == length and tr.module is M
 
 
 def test_ungraded_trace_spins_no_syzygy_and_adds_no_stage_one_to_the_simples(monkeypatch):
     # a fresh copy of u(sl2) at p = 5, so that no earlier trace has left
-    # stage ones on its simples; each syzygy reads its stable Hom and its top
-    # through its dual, and both solve into that dual, not into a simple.
-    # Only designated modules are spun: S, the covers and their duals
+    # stage ones on its simples; M0 = S is simple, so each Ext is read off a
+    # syzygy's top and no stable Hom is counted.  The top is solved through
+    # the syzygy's dual, into that dual, not into a simple.  Only designated
+    # modules are spun: S, the covers and their duals
     alg = restricted_sl2.__wrapped__(5)
     designated = {id(M) for A in (alg, opposite_algebra(alg)) for M in [*A.simples, *A.projectives]}
     spins = record_calls(monkeypatch, "build_spin")
     steps = record_calls(monkeypatch, "heller")
+    stable = record_calls(monkeypatch, "stable_hom_dim")
     for S in alg.simples[:-1]:  # the last, the Steinberg module, is projective
         strip_projectives(S)  # the top of M0 = S is solved forward, as S is spun
         kept = [len(T._local_kernels) for T in alg.simples]
@@ -2274,6 +2361,7 @@ def test_ungraded_trace_spins_no_syzygy_and_adds_no_stage_one_to_the_simples(mon
         assert len(steps) == 13
         assert {id(A) for (A,) in spins} <= designated
         assert [len(T._local_kernels) for T in alg.simples] == kept
+        assert stable == []
     # the Heller steps of the ub1 suite are those of the forward route
     steps.clear()
     with contextlib.redirect_stdout(io.StringIO()):

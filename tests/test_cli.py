@@ -417,17 +417,55 @@ def test_verify_dump_dir(capsys, tmp_path):
 
 
 def run_cli_child(argv, timeout=None, module="frobkern.cli"):
+    return run_python_child(["-m", module, *argv], timeout)
+
+
+def run_python_child(args, timeout=None):
     # the child imports the same frobkern as this test, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     return subprocess.run(
-        [sys.executable, "-m", module, *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=timeout,
     )
+
+
+# the benchmark's four commands, at p = 3
+BENCHMARK_COMMANDS = [
+    ["verify", "ub1", "--p", "3"],
+    ["verify", "heart", "--p", "3"],
+    ["verify", "graded-orbit", "--p", "3"],
+    ["cohom", "--p", "3", "--r", "2", "--n", "8", "--method", "all"],
+]
+
+NUMPY_MODULES_LOADED_BY_COMMANDS = """
+import contextlib, io, json, sys
+import frobkern.cli as cli
+
+def numpy_modules():
+    return {m for m in sys.modules if m == "numpy" or m.startswith("numpy.")}
+
+before = numpy_modules()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(numpy_modules() - before)))
+"""
+
+
+def test_commands_import_no_further_numpy_module():
+    # a numpy module imported on first use is paid inside the command that
+    # first uses it: the first np.unique imports numpy.ma, about 14 ms.
+    # Once the CLI is imported, the benchmark's commands load no further
+    # numpy module
+    argv = ["-c", NUMPY_MODULES_LOADED_BY_COMMANDS, json.dumps(BENCHMARK_COMMANDS)]
+    out = run_python_child(argv, 120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []
 
 
 def test_console_module_invocation():
