@@ -23,12 +23,19 @@ pins those, and only what they leave is eliminated.  Each
 off-tree pair of the spin is a relation of M.  When M is free, spun from
 one vector and as large as the algebra, each is a relation of the algebra
 and holds on every module, so a solve out of M forms no equation: Hom(A, N)
-is N.  Every other source forms every pair.  The equations stream into an
-incremental echelon form, which stops as soon as no image is left free.  A
-solve first yields its kernel in generator-image coordinates.  A module map
-is fixed by where it sends the generators, so projective covers pick their
-lifts from those images under the maps onto each simple, stable Homs count
-the maps through a projective at the generator vectors of a dual, and the
+is N.  Every other source whose spin reaches depth 2 first forms its
+shallow pairs, those whose vectors lie at depth 0 or 1 below their root, on
+the words of depth 1 alone.  These carry the weight of a highest-weight
+generator (e*(f*v) = c*v), which the local pairs miss when the algebra has
+no Cartan generator, so most empty Homs out of a simple end there.  Only
+then are the deeper words and every other pair formed.  An End solve, which
+holds the identity, forms them all at once.  The equations stream into an
+incremental echelon form, which stops as soon as no image is left free; its
+RREF does not depend on the order of the rows, so neither does the kernel.
+A solve first yields its kernel in generator-image coordinates.  A module
+map is fixed by where it sends the generators, so projective covers pick
+their lifts from those images under the maps onto each simple, stable Homs
+count the maps through a projective at the generator vectors of a dual, and the
 MeatAxe forms one endomorphism per try: only the maps a caller keeps
 become matrices, each spun from its generator images along the spanning
 tree of M.  The word operators of a solve that forms equations are dropped
@@ -73,7 +80,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -385,6 +392,9 @@ class Spin:
     pair l has b_t = generator js[l] and g*b_t = sum_j coeffs[l, j] *
     (generator j), with int64 coefficients in [0, p).  Their equations read
     the generator images alone, so a Hom solve eliminates them first.
+
+    `shallow` is the depth-one view of the spin: the columns at depth 0 or
+    1 below their root, and the off-tree pairs that read those alone.
     """
 
     roots: np.ndarray
@@ -400,6 +410,59 @@ class Spin:
         """`local` as a hashable key, formed once per spin: each Hom solve's
         stage one is kept under it (`_local_kernel`)."""
         return tuple((g, js.tobytes(), coeffs.shape, coeffs.tobytes()) for g, js, coeffs in self.local)
+
+    @cached_property
+    def shallow(self) -> Optional["ShallowPairs"]:
+        """The pairs a Hom solve settles before it spins the rest, formed
+        once per spin: the off-tree pairs (g, t) that are not local, where
+        b_t and every column g*b_t has a coordinate at lie at depth 0 or 1
+        below their root.  None when there is no such pair, or no column
+        deeper than 1: a first step would then form no equation, or every
+        one.
+
+        A simple's generator v is a highest-weight vector, and a map out of
+        it sends v to a primitive vector of its weight (Jantzen,
+        Representations of Algebraic Groups, II.9).  With no Cartan
+        generator the local pairs (e*v = 0) miss the weight; the shallow
+        pairs such as e*(f*v) = c*v carry it, and most often they leave no
+        image free.
+        """
+        is_root = np.zeros(self.binv.shape[0], dtype=bool)
+        is_root[self.roots] = True
+        # the levels are sorted by depth, so those of depth 1, whose parents
+        # are roots, come first
+        n_levels = sum(1 for _, parents, _ in self.levels if is_root[parents[0]])
+        if n_levels == len(self.levels):
+            return None
+        near = is_root.copy()  # the columns at depth 0 or 1
+        for _, _, kids in self.levels[:n_levels]:
+            near[kids] = True
+        # every off-tree pair at once, t of row r of coord_rows being ts[r]
+        ts = np.concatenate([t for _, t in self.pairs])
+        rows = np.flatnonzero(near[ts])
+        read = self.coord_rows[rows] != 0  # the columns each pair reads
+        local = is_root[ts[rows]] & ~read[:, ~is_root].any(axis=1)
+        rows = rows[~read[:, ~near].any(axis=1) & ~local]
+        if rows.size == 0:
+            return None
+        # the rows are pair-major, so each generator's are a run of them
+        ends = np.searchsorted(rows, np.cumsum([t.size for _, t in self.pairs]))
+        pairs = tuple(
+            (g, ts[rows[lo:hi]]) for (g, _), lo, hi in zip(self.pairs, [0, *ends[:-1]], ends) if hi > lo
+        )
+        return ShallowPairs(n_levels, pairs, rows, np.flatnonzero(near))
+
+
+class ShallowPairs(NamedTuple):
+    """`Spin.shallow`: the first `levels` levels of the spin fill its
+    columns `cols`, those at depth 0 or 1; `pairs` lists, per generator g
+    that has any, the columns t of its shallow pairs, and `rows` their rows
+    of `coord_rows`, in the same order."""
+
+    levels: int
+    pairs: Tuple[Tuple[str, np.ndarray], ...]
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 def zero_module(algebra: GenAlgebra, graded: bool = False) -> GenAlgebraModule:
@@ -742,32 +805,67 @@ def _float_action(N: GenAlgebraModule) -> Dict[str, np.ndarray]:
     return {g: N.mat(g).a.astype(np.float64) for g in N.algebra.gens}
 
 
-def _spin_words(spin: Spin, act: Dict[str, np.ndarray], W: np.ndarray, p: int) -> None:
+def _spin_words(
+    spin: Spin, act: Dict[str, np.ndarray], W: np.ndarray, p: int, levels: slice = slice(None)
+) -> None:
     """Fill W along the spanning tree of `spin`, W[kid] = g * W[parent],
     given W at the roots: one stacked product per group of tree edges, each
-    slice the size of one edge's.  `act` holds the target's action in float64."""
-    for g, parents, kids in spin.levels:
+    slice the size of one edge's.  `act` holds the target's action in float64.
+    `levels` picks the groups, which must find their parents filled."""
+    for g, parents, kids in spin.levels[levels]:
         W[kids] = _exact_matmul(act[g], W[parents], p)
 
 
-def _pair_equations(spin: Spin, act: Dict[str, np.ndarray], W: np.ndarray, p: int) -> np.ndarray:
+def _pair_equations(
+    spin: Spin,
+    act: Dict[str, np.ndarray],
+    W: np.ndarray,
+    p: int,
+    shallow: Optional[ShallowPairs] = None,
+) -> np.ndarray:
     """The equations phi(g*b_t) = g*phi(b_t) of the off-tree pairs of
     `spin` on the images W of the spun basis: int64 in [0, p), pair-major,
     so that system[pair] holds the dim N equations of one pair.  On a
     spanning-tree edge g*b_t is the column built from b_t, so W satisfies it
-    already and only the other pairs give equations."""
+    already and only the other pairs give equations.  Given `shallow`, the
+    spin's depth-one view, only its pairs are formed, and they read W at
+    its columns alone: the deeper rows of W need not be filled."""
+    pairs, coords, at = spin.pairs, spin.coord_rows, W
+    if shallow is not None:
+        # a few rows and columns, indexed anew at each call: the spin keeps
+        # no copy of its coordinates
+        pairs, at = shallow.pairs, W[shallow.cols]
+        coords = coords[shallow.rows][:, shallow.cols]
     # g*b_t = sum_s coord_rows[pair, s] b_s
-    lhs = np.concatenate([_exact_matmul(act[g], W[ts], p) for g, ts in spin.pairs])
+    lhs = np.concatenate([_exact_matmul(act[g], W[ts], p) for g, ts in pairs])
     # rhs[b] = coord_rows @ W[:, b, :], one product per coordinate b of N,
     # laid out as lhs with its first two axes swapped.  _exact_matmul would
     # keep one flattened product coord_rows @ W on one BLAS thread as well,
     # but in blocks of a few wide rows, which made `verify heart --p 7` slower
-    rhs = _exact_matmul(spin.coord_rows, W.transpose(1, 0, 2), p)
+    rhs = _exact_matmul(coords, at.transpose(1, 0, 2), p)
     # in place: a fourth array this size set the peak of meataxe-regular-p7
     lhs -= rhs.transpose(1, 0, 2)
     del rhs  # freed before the sign fix forms its mask
     np.add(lhs, p, out=lhs, where=lhs < 0)  # lhs - rhs lies in (-p, p)
     return lhs
+
+
+def _feed_pairs(ech: Echelon, system: np.ndarray, live: np.ndarray) -> bool:
+    """Feed the pairs `live` of `system`, pair-major as `_pair_equations`
+    forms it, to `ech` until none of its columns is free: True then.
+
+    Most Hom spaces out of a simple, or into one, are zero: the pairs go in
+    blocks that double, the first just tall enough to bind every column
+    left free.  A block goes in one coordinate of N at a time, as
+    `_pair_equations` forms rhs, for the reason given there."""
+    free = ech.ncols - ech.rank
+    start, size = 0, -(-free // system.shape[1])
+    while start < live.size:
+        ech.add(system[live[start : start + size]].transpose(1, 0, 2))
+        if ech.rank == ech.ncols:
+            return True
+        start, size = start + size, 2 * size
+    return False
 
 
 def _is_free(M: GenAlgebraModule) -> bool:
@@ -837,21 +935,29 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
         W = np.zeros((m, n, k), dtype=np.float64)
         W[spin.roots[gen_of[free]], row_of[free], np.arange(k)] = 1
         W[spin.roots[gen_of[piv]], row_of[piv]] = K_piv
-        _spin_words(spin, act, W, p)
+        # the shallow pairs first (`Spin.shallow`), on W filled to depth 1:
+        # they carry the weight of a simple source, so most empty Homs out
+        # of one end here, before the deeper words and pairs are formed.
+        # Where stage one implies them, as when the algebra has a Cartan
+        # generator, their equations are zero and feed nothing, and
+        # Hom(M, M) holds the identity, so an End solve skips them.  The
+        # RREF does not depend on the order of the rows, so full rank on
+        # these is full rank on all, and the kernel is the same
+        shallow, done = (None if M is N else spin.shallow), 0
+        if shallow is not None:
+            _spin_words(spin, act, W, p, slice(shallow.levels))
+            first = _pair_equations(spin, act, W, p, shallow)
+            if _feed_pairs(ech, first, np.flatnonzero(first.any(axis=(1, 2)))):
+                return None
+            done = shallow.levels
+        _spin_words(spin, act, W, p, slice(done, None))
         system = _pair_equations(spin, act, W, p)
         del W
-        live = np.flatnonzero(system.any(axis=(1, 2)))  # pairs with a nonzero equation
-        # most Hom spaces out of a simple, or into one, are zero: feed the
-        # live pairs in blocks that double, the first just tall enough to
-        # bind every unknown, and stop once none is free.  A block is
-        # reduced one coordinate of N at a time, as rhs is formed, for the
-        # same reason
-        start, size = 0, -(-k // n)
-        while start < len(live):
-            ech.add(system[live[start : start + size]].transpose(1, 0, 2))
-            if ech.rank == k:
-                return None
-            start, size = start + size, 2 * size
+        is_live = system.any(axis=(1, 2))  # pairs with a nonzero equation
+        if shallow is not None:
+            is_live[shallow.rows] = False  # fed already
+        if _feed_pairs(ech, system, np.flatnonzero(is_live)):
+            return None
     ker = ech.kernel().a
     # generator j is b_roots[j], so its image is read off the unknowns K @ ker
     gen_images = np.zeros((n_gen, n, ker.shape[1]), dtype=np.int64)

@@ -7,17 +7,19 @@ two-variable analogue provides a complexity-two growth profile.  Graded Hom
 spaces and the per-module spin are also checked on graded u(sl2) modules.
 """
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from frobkern import algrep, cli, fplinalg, gacohom
+from frobkern import algrep, cli, fplinalg, gacohom, sl2dist
 from frobkern.algrep import (
     GenAlgebra,
     GenAlgebraModule,
@@ -677,11 +679,25 @@ def test_local_kernel_is_solved_once_per_target_and_system(monkeypatch):
 
 
 def all_pairs_kernel(monkeypatch, M, N):
-    """`_hom_kernel(M, N)` with no source taken for free: every off-tree
-    pair of M's spin forms its equations."""
+    """`_hom_kernel(M, N)` with no source taken for free and no pair settled
+    first: every off-tree pair of M's spin forms its equations, in one
+    system.  A property, unlike a class attribute, hides the depth-one view
+    that a spin keeps once it has formed it."""
     with monkeypatch.context() as m:
         m.setattr(algrep, "_is_free", lambda M: False)
+        m.setattr(algrep.Spin, "shallow", property(lambda spin: None))
         return algrep._hom_kernel(M, N)
+
+
+def formed_systems(calls, M):
+    """For each recorded `_pair_equations` call, all on the spin of M,
+    "shallow" when it formed the depth-one pairs of the spin alone, "all"
+    when it formed every pair."""
+    out = []
+    for spin, _, _, _, *shallow in calls:
+        assert spin is M.spin and all(view is M.spin.shallow for view in shallow)
+        out.append("shallow" if shallow else "all")
+    return out
 
 
 def assert_same_kernel(M, hom, plain):
@@ -915,12 +931,146 @@ def test_sources_that_are_not_free_form_every_pair(monkeypatch):
         assert not algrep._is_free(M)
         calls.clear()
         hom = algrep._hom_kernel(M, N)
-        # a solve that stage one leaves open forms the equations of every pair
-        assert [spin for spin, *_ in calls] in ([], [M.spin])
+        # a solve that stage one leaves open forms the equations of every
+        # pair, after those of the depth-one pairs when the spin has them,
+        # M is not N and they leave an image free
+        first = ["shallow"] if M.spin.shallow is not None and M is not N else []
+        formed = formed_systems(calls, M)
+        assert formed in ([], first + ["all"]) or formed == first == ["shallow"] and hom is None
         assert_same_kernel(M, hom, all_pairs_kernel(monkeypatch, M, N))
         assert_hom_matches_commutant(M, N)
     alg = split_line_algebra(3)
     assert hom_space(alg.projectives[0], alg.simples[1]) == []
+
+
+def height_two_pairs():
+    """Each simple of Dist(G_2) at p = 3 and 5 into the hearts, their
+    quotients by their socles and the Omega of the simples of the Steinberg
+    tail.  Their Omega^2 is not formed, as the top of Omega L holds a simple
+    with no designated cover; `presolve_pairs` holds the Omega^2 of the
+    simples of u(sl2) at p = 5."""
+    for p in (3, 5):
+        alg = distribution_sl2(p, 2)
+        tail = range(p * p - p, p * p - 1)
+        hearts = [heart_module(p, 2, lam) for lam in tail]
+        targets = hearts + [quotient(H, socle(H)[1])[0] for H in hearts]
+        targets += [heller(alg.simples[lam]) for lam in tail]
+        yield from ((S, N) for N in targets for S in alg.simples)
+
+
+def test_shallow_step_keeps_the_kernel(monkeypatch):
+    # stage two forms the equations of the depth-one pairs first and the
+    # rest only when those leave an image free.  The RREF does not depend on
+    # the order of the rows, so every solve must equal the one-system solve
+    # of every pair.  presolve_pairs() is the first part of
+    # shared_kernel_pairs()
+    calls = record_calls(monkeypatch, "_pair_equations")
+    paths = collections.Counter()
+    for M, N in itertools.chain(shared_kernel_pairs(), not_free_pairs(), height_two_pairs()):
+        calls.clear()
+        hom = algrep._hom_kernel(M, N)
+        paths[tuple(formed_systems(calls, M)), hom is None] += 1
+        assert_same_kernel(M, hom, all_pairs_kernel(monkeypatch, M, N))
+    # the shallow step settles empty Homs alone, and every path is taken
+    assert paths[("shallow",), False] == 0
+    for path in [("shallow",), ("shallow", "all"), ("all",)]:
+        assert paths[path, True] > 0, path
+    for path in [("shallow", "all"), ("all",)]:
+        assert paths[path, False] > 0, path
+
+
+def test_named_stage_two_paths(monkeypatch):
+    # (case, M, N, the systems stage two forms, whether Hom(M, N) is zero);
+    # each solve must equal the one-system solve of every pair
+    L = distribution_sl2(3, 2).simples
+    H6, H7 = heart_module(3, 2, 6), heart_module(3, 2, 7)
+    line = line_algebra(5)
+    # J_3 and J_1 over F_5[u]/(u^5), their tops in degrees -1 and -3: each
+    # maps onto a submodule of J_4
+    only_local = direct_sum([jordan(line, 3, shift=-1), jordan(line, 1, shift=-3)])
+    cases = [
+        ("the shallow step decides", L[5], H7, ["shallow"], True),
+        ("a nonzero Hom", L[4], H6, ["shallow", "all"], False),
+        ("no depth-2 vector", L[3], H7, ["all"], False),
+        ("only local shallow pairs", only_local, jordan(line, 4), ["all"], False),
+        ("two roots", direct_sum([L[5], L[7]]), H6, ["shallow"], True),
+        ("an End solve", L[5], L[5], ["all"], False),
+        ("graded", graded_simple_module(5, 3), graded_verma_module(5, 3), ["shallow", "all"], True),
+    ]
+    calls = record_calls(monkeypatch, "_pair_equations")
+    spins = record_calls(monkeypatch, "_spin_words")
+    for case, M, N, formed, zero in cases:
+        calls.clear()
+        spins.clear()
+        hom = algrep._hom_kernel(M, N)
+        assert (formed_systems(calls, M), hom is None) == (formed, zero), case
+        # W is filled a level at a time, each level once, in order: to
+        # depth 1 when the shallow step decides, and to the end otherwise
+        levels = range(len(M.spin.levels))
+        filled = [i for _, _, _, _, picked in spins for i in levels[picked]]
+        assert filled == list(levels if "all" in formed else levels[: M.spin.shallow.levels])
+        assert_same_kernel(M, hom, all_pairs_kernel(monkeypatch, M, N))
+    # L(3) = L(0) (x) L(1)^[1] is spun from v to f1*v: nothing lies deeper
+    assert L[3].dim == 2 and L[3].spin.shallow is None
+    # J_3 + J_1 over F_5[u]/(u^5): u*u*v lies at depth 2, and the one pair
+    # that reads only depth 0 and 1 is u*w = 0 at the root w of J_1, a
+    # local pair, which stage one has solved
+    M = cases[3][1]
+    assert M.spin.local and M.spin.shallow is None
+    assert [ts.tolist() for _, ts in M.spin.pairs] == [[2, 3]]
+    # depth is counted below each root: the second summand's root and its
+    # depth-1 vectors are shallow columns, as they are in its own spin
+    M = cases[4][1]
+    assert M.spin.roots.tolist() == [0, L[5].dim]
+    cols = np.concatenate([L[5].spin.shallow.cols, L[5].dim + L[7].spin.shallow.cols])
+    assert np.array_equal(M.spin.shallow.cols, cols)
+    assert cases[6][1].graded and cases[6][2].graded
+    # Hom(M, M) holds the identity, which no first step can rule out
+    assert L[5].spin.shallow is not None
+
+
+def test_empty_hom_out_of_a_simple_stops_at_depth_one(monkeypatch):
+    # L(5) = L(2) (x) L(1)^[1] of Dist(G_2) at p = 3: its generator v has
+    # e0*(f0*v) = 2v and e1*(f1*v) = v at depth one.  Stage one leaves the
+    # primitive vectors of the heart H7 as images of v, and none has that
+    # weight, so the shallow pairs leave no image free: W is filled on the
+    # levels of depth 1 alone, and no deeper pair forms an equation.  H7 is
+    # built anew, so that its stage one runs here
+    S, H = distribution_sl2(3, 2).simples[5], rebuilt(heart_module(3, 2, 7))
+    shallow = S.spin.shallow
+    assert 0 < shallow.levels < len(S.spin.levels)
+    assert shallow.rows.size < sum(ts.size for _, ts in S.spin.pairs)
+    spins = record_calls(monkeypatch, "_spin_words")
+    calls = record_calls(monkeypatch, "_pair_equations")
+    assert algrep._hom_kernel(S, H) is None
+    assert [(spin, levels) for spin, _, _, _, levels in spins] == [(S.spin, slice(shallow.levels))]
+    assert formed_systems(calls, S) == ["shallow"]
+
+
+def test_heart_suite_settles_most_stage_twos_at_depth_one(monkeypatch):
+    # `verify heart --p 5 --seed 7` on Dist(G_2) built anew before the
+    # count, so that no earlier solve has left Homs, socles or stage ones
+    # on its simples.  Of its 373 stage twos the shallow step settles 342
+    # and 18 go on to the deep system.  13 skip the shallow step: 4 End
+    # solves, and 9 whose spins have no vector deeper than 1
+    real = distribution_sl2
+    alg = real.__wrapped__(5, 2)
+    monkeypatch.setattr(sl2dist, "distribution_sl2", lambda *pr: alg if pr == (5, 2) else real(*pr))
+    calls = record_calls(monkeypatch, "_pair_equations")
+    real_kernel = algrep._hom_kernel
+    paths = collections.Counter()
+
+    def hom_kernel(M, N):
+        calls.clear()
+        hom = real_kernel(M, N)
+        if calls:
+            paths[tuple(formed_systems(calls, M))] += 1
+        return hom
+
+    monkeypatch.setattr(algrep, "_hom_kernel", hom_kernel)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "heart", "--p", "5", "--seed", "7"]) == 0
+    assert paths == {("shallow",): 342, ("shallow", "all"): 18, ("all",): 13}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

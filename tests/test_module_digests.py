@@ -11,9 +11,10 @@ The output of `verify all --p 3 --seed 7` is pinned the same way: one
 digest of its JSON line with `wall_ms` removed, and one per file it writes
 to `--dump-dir`; so are the JSON line and the dump files of `verify
 meataxe-regular --p 5 --seed 7`, which splits the 125-dimensional regular
-module, and the JSON line of `cohom --p 7 --r 2 --n 8 --method all --seed
-7`.  The JSON contract says this output is byte-identical for a fixed seed
-apart from `wall_ms`, and a refactor of the oracle must keep it so.
+module, and the JSON lines of `verify heart --p 7 --seed 7` (without
+`wall_ms`) and `cohom --p 7 --r 2 --n 8 --method all --seed 7`.  The JSON
+contract says this output is byte-identical for a fixed seed apart from
+`wall_ms`, and a refactor of the oracle must keep it so.
 """
 
 import hashlib
@@ -161,6 +162,14 @@ def test_verify_meataxe_regular_p5_output_matches_pinned_digest(capsys, tmp_path
     for name in tmp_path.iterdir():
         digests[name.name] = _blake2b(name.read_bytes())
     assert digests == MEATAXE_REGULAR_P5
+
+
+def test_verify_heart_p7_output_matches_pinned_digest(capsys):
+    # the socles and composition factors of the hearts at p = 7, where most
+    # Hom solves out of a simple end on the pairs of depth one
+    assert cli.main(["verify", "heart", "--p", "7", "--seed", "7"]) == 0
+    report = re.sub(r', "wall_ms": \d+', "", capsys.readouterr().out)
+    assert _blake2b(report.encode()) == "759afa660adae5826d168123f2b90a3d"
 
 
 def test_cohom_resolution_output_matches_pinned_digest(capsys):
