@@ -29,7 +29,9 @@ the words of depth 1 alone.  These carry the weight of a highest-weight
 generator (e*(f*v) = c*v), which the local pairs miss when the algebra has
 no Cartan generator, so most empty Homs out of a simple end there.  Only
 then are the deeper words and every other pair formed.  An End solve, which
-holds the identity, forms them all at once.  The equations stream into an
+holds the identity, forms them all at once, and so does a source on which
+a generator acts by a nonzero diagonal matrix, as h does on a
+u(sl2)-module: its local pairs fix the weight.  The equations stream into an
 incremental echelon form, which stops as soon as no image is left free; its
 RREF does not depend on the order of the rows, so neither does the kernel.
 A solve first yields its kernel in generator-image coordinates.  A module
@@ -43,7 +45,9 @@ once it has them.  Each module keeps its Hom spaces to and from the
 simples (one solve per simple, all its shifts in it), its socle, its
 cover, its radical once asked for, and the first stage of every Hom solve
 into it; its shifts and its ungraded copy share its spin and those first
-stages.  The maps onto the simples take one of two routes.  A graded
+stages.  A graded module is compared with a simple only at the shifts
+that keep the weights its diagonal generators read (`_shift_candidates`).
+The maps onto the simples take one of two routes.  A graded
 module, or one whose spin exists already, solves them out of itself; an
 ungraded module not yet spun solves them through its dual over the
 opposite algebra, out of the op simples.  A stable Hom Hom(M, N) mod
@@ -304,6 +308,46 @@ class GenAlgebraModule:
         return vars(self).get("dual") or dual_module(self)
 
     @cached_property
+    def ungraded(self) -> "GenAlgebraModule":
+        """`forget_grading` of this graded module, kept: every Hom solve
+        against a designated simple reads one ungraded view of it."""
+        return self.forget_grading()
+
+    @cached_property
+    def diagonals(self) -> MappingProxyType:
+        """The generators that act on this module by a diagonal matrix, each
+        with its diagonal as a tuple, as h acts on a module built on weight
+        vectors.  Read off the action once; a regraded copy reads its
+        source's."""
+        if self._spin_source is not None:
+            return self._spin_source.diagonals
+        out = {}
+        for g, m in self.action.items():
+            diag = np.diagonal(m.a)
+            if np.count_nonzero(m.a) == np.count_nonzero(diag):
+                out[g] = tuple(diag.tolist())
+        return MappingProxyType(out)
+
+    @cached_property
+    def weighted(self) -> bool:
+        """Whether a generator acts on this module by a nonzero diagonal
+        matrix.  The generator vectors of its spin, unit vectors, are then
+        eigenvectors of it, so stage one of a Hom solve out of this module
+        fixes the weight that the shallow pairs carry (`_hom_kernel`)."""
+        return any(map(any, self.diagonals.values()))
+
+    @cached_property
+    def labels(self) -> Tuple[Tuple[str, ...], frozenset]:
+        """(gens, labels) of a graded module: the generators of degree 0
+        that act on it diagonally, in the algebra's order, and the set of
+        (degree, their diagonal entries) over its basis.  A degree-0 map
+        commutes with each of them, so it sends the span of a label into
+        that of the same label (`_shift_candidates`)."""
+        diagonals, shifts = self.diagonals, self.algebra.shifts
+        gens = tuple(g for g in self.algebra.gens if g in diagonals and shifts[g] == 0)
+        return gens, frozenset(zip(self.grading, *(diagonals[g] for g in gens)))
+
+    @cached_property
     def maps_from_simples(self) -> Tuple[tuple, ...]:
         """The maps from the simples (`_maps_with_simples`), solved once
         per module; socle and socle_basis read them."""
@@ -425,7 +469,8 @@ class Spin:
         Representations of Algebraic Groups, II.9).  With no Cartan
         generator the local pairs (e*v = 0) miss the weight; the shallow
         pairs such as e*(f*v) = c*v carry it, and most often they leave no
-        image free.
+        image free.  `_hom_kernel` does not read this view for a source
+        whose local pairs fix the weight (`GenAlgebraModule.weighted`).
         """
         is_root = np.zeros(self.binv.shape[0], dtype=bool)
         is_root[self.roots] = True
@@ -938,12 +983,13 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
         # the shallow pairs first (`Spin.shallow`), on W filled to depth 1:
         # they carry the weight of a simple source, so most empty Homs out
         # of one end here, before the deeper words and pairs are formed.
-        # Where stage one implies them, as when the algebra has a Cartan
-        # generator, their equations are zero and feed nothing, and
-        # Hom(M, M) holds the identity, so an End solve skips them.  The
-        # RREF does not depend on the order of the rows, so full rank on
-        # these is full rank on all, and the kernel is the same
-        shallow, done = (None if M is N else spin.shallow), 0
+        # A source on which a generator acts by a nonzero diagonal matrix,
+        # as h does on a u(sl2)-module, has its weight fixed by stage one
+        # already, and Hom(M, M) holds the identity: both skip the step,
+        # and the view is never formed for them.  The RREF does not depend
+        # on the order of the rows, so full rank on these is full rank on
+        # all, and the kernel is the same
+        shallow, done = (None if M is N or M.weighted else spin.shallow), 0
         if shallow is not None:
             _spin_words(spin, act, W, p, slice(shallow.levels))
             first = _pair_equations(spin, act, W, p, shallow)
@@ -1012,22 +1058,41 @@ def end_space(M: GenAlgebraModule) -> List[FpMat]:
 
 
 def _shift_candidates(M: GenAlgebraModule, S: GenAlgebraModule) -> List[int]:
-    # a nonzero degree-0 map M -> S_d is onto and S_d -> M is one-to-one, so
-    # only shifts that put every degree of S among those of M can give one
+    """The shifts d, in order, at which a degree-0 map M -> S<d> or S<d> ->
+    M can be nonzero, M graded: those that put every label of S<d>, its
+    labels (`GenAlgebraModule.labels`) with the degrees raised by d, among
+    the labels of M.  Only the generators diagonal on both modules are read.
+
+    A nonzero map onto or out of a simple is onto or one-to-one, and a
+    degree-0 map keeps each label, so no shift with a nonzero Hom is lost.
+    Over u(sl2) with its weight grading h acts on a G_1T-module by its
+    degree mod p, so a simple is kept at the shifts in pZ alone (Jantzen,
+    Representations of Algebraic Groups, II.9), and a module shifted off
+    pZ keeps its own tops.  With no such generator the labels are the
+    degrees.
+    """
     if not M.graded or M.dim == 0 or S.dim == 0:
         return []
-    m_degs, s_degs = set(M.grading), set(S.grading)
-    shifts = {dm - min(s_degs) for dm in m_degs}
-    return sorted(d for d in shifts if all(ds + d in m_degs for ds in s_degs))
+    (m_gens, m_labels), (s_gens, s_labels) = M.labels, S.labels
+    if m_gens != s_gens:
+        common = [g for g in m_gens if g in s_gens]
+        m_labels, s_labels = (
+            {(label[0], *(label[1 + gens.index(g)] for g in common)) for label in labels}
+            for gens, labels in ((m_gens, m_labels), (s_gens, s_labels))
+        )
+    low = min(s_labels)  # a label of the lowest degree of S
+    shifts = {label[0] - low[0] for label in m_labels if label[1:] == low[1:]}
+    return sorted(d for d in shifts if all((ls[0] + d, *ls[1:]) in m_labels for ls in s_labels))
 
 
 def _simple_targets(M: GenAlgebraModule):
     """(simple index, the simple ungraded) for each simple M is compared
     with: every simple for an ungraded M, and for a graded M those with a
-    shift in `_shift_candidates`."""
+    shift in `_shift_candidates`.  A graded simple yields the ungraded
+    view it keeps (`GenAlgebraModule.ungraded`), the same at every call."""
     for idx, S in enumerate(M.algebra.simples):
         if not M.graded or _shift_candidates(M, S):
-            yield idx, S.forget_grading() if S.graded else S
+            yield idx, S.ungraded if S.graded else S
 
 
 def _maps_with_simples(M: GenAlgebraModule, onto: bool) -> Tuple[tuple, ...]:
@@ -1537,10 +1602,16 @@ def ext_dims(M: GenAlgebraModule, length: int, with_ext: bool = True) -> Resolut
     factors through a projective, so the stable Hom is Hom(Omega^n, M0)
     (Benson, *Representations and Cohomology I*, CUP 1991).  Any other M0
     counts `stable_hom_dim`: then a syzygy's stable Hom and its top share
-    its dual, and every stable Hom reads M0's.
+    its dual, and every stable Hom reads M0's.  A trace with Ext keeps the
+    duals of M and M0 before it reads their tops, so that M0's top and its
+    stable Homs read one dual.
     """
     check_degree(length)
+    if with_ext:
+        M.dual
     M0 = strip_projectives(M)
+    if with_ext:
+        M0.dual
     # [top M0 : S] for each simple S, keyed as `top` lists it: [M0 : S]
     # when these simples fill M0
     mults = {entry[:-1]: entry[-1] for entry in top(M0)} if with_ext else {}

@@ -933,8 +933,9 @@ def test_sources_that_are_not_free_form_every_pair(monkeypatch):
         hom = algrep._hom_kernel(M, N)
         # a solve that stage one leaves open forms the equations of every
         # pair, after those of the depth-one pairs when the spin has them,
-        # M is not N and they leave an image free
-        first = ["shallow"] if M.spin.shallow is not None and M is not N else []
+        # M is not N, no generator fixes M's weights and they leave an
+        # image free
+        first = ["shallow"] if M is not N and not M.weighted and M.spin.shallow is not None else []
         formed = formed_systems(calls, M)
         assert formed in ([], first + ["all"]) or formed == first == ["shallow"] and hom is None
         assert_same_kernel(M, hom, all_pairs_kernel(monkeypatch, M, N))
@@ -995,7 +996,7 @@ def test_named_stage_two_paths(monkeypatch):
         ("only local shallow pairs", only_local, jordan(line, 4), ["all"], False),
         ("two roots", direct_sum([L[5], L[7]]), H6, ["shallow"], True),
         ("an End solve", L[5], L[5], ["all"], False),
-        ("graded", graded_simple_module(5, 3), graded_verma_module(5, 3), ["shallow", "all"], True),
+        ("graded, h diagonal", graded_simple_module(5, 3), graded_verma_module(5, 3), ["all"], True),
     ]
     calls = record_calls(monkeypatch, "_pair_equations")
     spins = record_calls(monkeypatch, "_spin_words")
@@ -1024,7 +1025,12 @@ def test_named_stage_two_paths(monkeypatch):
     assert M.spin.roots.tolist() == [0, L[5].dim]
     cols = np.concatenate([L[5].spin.shallow.cols, L[5].dim + L[7].spin.shallow.cols])
     assert np.array_equal(M.spin.shallow.cols, cols)
-    assert cases[6][1].graded and cases[6][2].graded
+    # h acts on the u(sl2) source by a nonzero diagonal matrix, so stage one
+    # fixes its weight: the solve forms one system and no depth-one view
+    M = cases[6][1]
+    assert M.graded and cases[6][2].graded and M.weighted and "h" in M.diagonals
+    assert "shallow" not in vars(M.spin)
+    assert not any(M.weighted for _, M, *_ in cases[:6])
     # Hom(M, M) holds the identity, which no first step can rule out
     assert L[5].spin.shallow is not None
 
@@ -1071,6 +1077,57 @@ def test_heart_suite_settles_most_stage_twos_at_depth_one(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "heart", "--p", "5", "--seed", "7"]) == 0
     assert paths == {("shallow",): 342, ("shallow", "all"): 18, ("all",): 13}
+
+
+def built_anew(monkeypatch, name, *args):
+    """sl2dist.<name>(*args) built anew, and returned by the constructor
+    from now on, so that no earlier solve has left Homs, tops, duals or
+    stage ones on its modules."""
+    real = getattr(sl2dist, name)
+    alg = real.__wrapped__(*args)
+    monkeypatch.setattr(sl2dist, name, lambda *a: alg if a == args else real(*a))
+    return alg
+
+
+def run_verify(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", *argv, "--seed", "7"]) == 0
+
+
+def test_graded_orbit_compares_the_simples_at_their_weights_alone(monkeypatch):
+    # `verify graded-orbit --p 7 --seed 7` on graded u(sl2) built anew.  h
+    # acts diagonally on every module it compares with the simples, so a
+    # simple is compared only at shifts in 7Z: 195 `_hom_kernel` calls,
+    # against 312 when every shift inside the degrees was compared.  Each
+    # simple forms its ungraded view once.  h also fixes each source's
+    # weight in stage one, so no solve forms the depth-one view or its
+    # system
+    alg = built_anew(monkeypatch, "graded_restricted_sl2", 7)
+    kernels = record_calls(monkeypatch, "_hom_kernel")
+    calls = record_calls(monkeypatch, "_pair_equations")
+    views = []
+    real = GenAlgebraModule.forget_grading
+    monkeypatch.setattr(GenAlgebraModule, "forget_grading", lambda M: views.append(M) or real(M))
+    run_verify("graded-orbit", "--p", "7")
+    assert len(kernels) == 195
+    assert all(M.weighted for M, _ in kernels if M.dim > 1)
+    assert [len(args) for args in calls] == [4] * len(calls) and calls
+    assert sorted(map(id, views)) == sorted(map(id, alg.simples))
+
+
+def test_ub1_forms_no_shallow_system_and_one_dual_per_verma(monkeypatch):
+    # `verify ub1 --p 5 --seed 7` on u(sl2) built anew: h fixes each
+    # source's weight in stage one, so no solve forms a shallow system.  A
+    # Verma's trace keeps its dual before its top is read, so its top and
+    # its stable Homs read one: 77 `dual_module` calls, against 81 when
+    # each of the four Vermas that are not projective formed two
+    built_anew(monkeypatch, "restricted_sl2", 5)
+    calls = record_calls(monkeypatch, "_pair_equations")
+    duals = record_calls(monkeypatch, "dual_module")
+    run_verify("ub1", "--p", "5")
+    assert [len(args) for args in calls] == [4] * len(calls) and calls
+    assert len(duals) == 77
+    assert len({id(M) for (M,) in duals}) == len(duals)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -1203,9 +1260,9 @@ def test_top_is_read_through_the_dual_only_for_unspun_ungraded_modules(monkeypat
     for M in (graded, spun, unspun):
         top(M)
     assert [A for (A,) in duals] == [unspun]
-    # a trace with Ext forms a dual of Z for Z's top, which it does not
-    # keep, and one kept of each module it forms a Heller step of, which
-    # that module's stable Hom and top read: M0 = Z first.  Only Z* and
+    # a trace with Ext forms one dual, kept, of each module it forms a
+    # Heller step of, which that module's stable Hom and top read: M0 = Z
+    # first, whose top is read through its kept dual.  Only Z* and
     # designated modules are spun, no syzygy and not Z
     Z = fresh(verma_module(5, 1, 0))
     algebras = (Z.algebra, opposite_algebra(Z.algebra))
@@ -1214,21 +1271,23 @@ def test_top_is_read_through_the_dual_only_for_unspun_ungraded_modules(monkeypat
     duals.clear()
     spins.clear()
     ext_dims(Z, 4)
-    assert [A for (A,) in duals] == [Z] + [A for (A,) in steps]
+    assert [A for (A,) in duals] == [A for (A,) in steps]
     assert steps[0] == (Z,) and len(steps) == 3
     assert {id(A) for (A,) in spins} <= designated | {id(Z.dual)}
     # with no stable Hom each syzygy's top is its dual's only reader, and
-    # a module with a projective summand is not M0: neither keeps a dual,
-    # and M0 keeps its own
+    # keeps none.  A module with a projective summand is not M0: a trace
+    # with Ext keeps the duals of both before their tops are read, so M0's
+    # top and its stable Homs read one
     steps.clear()
     ext_dims(fresh(gacohom.truncated_poly_algebra(5, 2).simples[0]), 4, with_ext=False)
     assert len(steps) == 4 and not any("dual" in vars(A) for (A,) in steps)
     M = direct_sum([fresh(verma_module(5, 1, 0)), principal_indecomposable(5, 1, 1)])
     duals.clear()
     ext_dims(M, 2)
-    assert "dual" not in vars(M)
+    assert "dual" in vars(M)
     M0 = duals[1][0]
     assert duals[0] == (M,) and M0 is not M and M0.dim == 5 and "dual" in vars(M0)
+    assert sum(A is M0 for (A,) in duals) == 1
 
     # hearts are read forward once their algebra is built
     distribution_sl2(3, 2)
@@ -2129,22 +2188,74 @@ def test_is_projective():
     assert not is_projective(jordan(alg, 2))
 
 
-def test_simple_targets_are_the_shifts_inside_the_degrees_of_the_module():
-    # a nonzero M -> S_d is onto and S_d -> M one-to-one, so each compared
-    # shift puts S inside M's degrees, and no shift with a nonzero Hom is lost
+def degree_shifts(M, S):
+    """The shifts d that put every degree of S<d> among those of M."""
+    degs = set(M.grading)
+    shifts = {dm - min(S.grading) for dm in degs}
+    return sorted(d for d in shifts if {ds + d for ds in S.grading} <= degs)
+
+
+def mixed_weight_module():
+    """L(1)<1> + L(2) over graded u(sl2) at p = 3 with its basis mixed inside
+    each degree; in degree 2 h has the eigenvalues 1 and 2, so it is not
+    diagonal."""
+    M = direct_sum([graded_simple_module(3, 1).shifted(1), graded_simple_module(3, 2)])
+    return conjugate(M, np.random.default_rng(2))
+
+
+def shift_rule_inputs():
+    """Graded modules, each with the shift c when h acts on it by its degree
+    less c, mod p, and None when no degree-0 generator acts diagonally on
+    it: weight modules, their shifts off pZ, and modules over F_3[u]/(u^3)
+    and with h mixed, whose labels are their degrees."""
     for M in (graded_verma_module(3, 0), graded_principal_indecomposable(3, 1)):
+        yield M, 0
+    for M in graded_simple_map_inputs():
+        yield M, (0 if M.algebra.gens == ("e", "f", "h") else None)
+    for lam in range(3):
+        yield graded_principal_indecomposable(3, lam).shifted(-2), -2
+    yield mixed_weight_module(), None
+
+
+def test_simple_targets_are_the_shifts_inside_the_degrees_of_the_module():
+    # a nonzero M -> S<d> is onto and S<d> -> M one-to-one, and a degree-0
+    # map keeps the eigenvalues of h, so each compared shift puts S inside
+    # M's labels, and no shift with a nonzero Hom is lost.  Where h reads
+    # the degree less c, those are the shifts d = c mod p; with no diagonal
+    # degree-0 generator, every shift inside the degrees
+    weighted = 0
+    for M, c in shift_rule_inputs():
+        assert ("h" in M.labels[0]) == (c is not None)
         degs = set(M.grading)
         compared = set()
         for idx, S in enumerate(M.algebra.simples):
-            for d in _shift_candidates(M, S):
-                assert set(S.shifted(d).grading) <= degs
-                compared.add((idx, d))
+            shifts = _shift_candidates(M, S)
+            inside = degree_shifts(M, S)
+            assert shifts == (inside if c is None else [d for d in inside if (d - c) % M.algebra.p == 0])
+            weighted += c is not None and shifts != inside
+            compared.update((idx, d) for d in shifts)
         # a simple is solved, once, exactly when it has a candidate shift
         assert [idx for idx, _ in _simple_targets(M)] == sorted({idx for idx, _ in compared})
         for idx, S in enumerate(M.algebra.simples):
             for d in {dm - ds for dm in degs for ds in S.grading}:
                 if hom_space(M, S.shifted(d)) or hom_space(S.shifted(d), M):
                     assert (idx, d) in compared
+    assert weighted > 0
+    # the mixed module falls back to its degrees, yet keeps each shift with
+    # a nonzero Hom: its top is L(1)<1> + L(2), in one degree
+    M = mixed_weight_module()
+    assert "h" not in M.diagonals and sorted(top(M)) == [(1, 1, 1), (2, 0, 1)]
+
+
+def test_simple_targets_keep_one_ungraded_view_per_simple():
+    # every graded module compared with a simple reads the one ungraded
+    # view the simple keeps, which shares the simple's spin
+    M = graded_verma_module(5, 1)
+    first, second = list(_simple_targets(M)), list(_simple_targets(fresh(M)))
+    assert first and [(i, id(S)) for i, S in first] == [(i, id(S)) for i, S in second]
+    for idx, S in first:
+        T = M.algebra.simples[idx]
+        assert not S.graded and S is T.ungraded and S._spin_source is T and S.spin is T.spin
 
 
 def graded_simple_map_inputs():
