@@ -16,8 +16,9 @@ highest-weight vector), read the images alone and are eliminated first; the
 word operators of the spin and the other equations are then formed only
 on the images that survive.  Both kernels are canonical, so their product
 is the kernel one elimination of the whole system would give.  The first
-stage is solved once per target and local system and kept on the target,
-as sources with the same local pairs pose the same equations.  Most of its
+stage of a system with no degree mask is solved once per target and local
+system and kept on the target, as sources with the same local pairs pose
+the same equations.  Most of its
 equations have one nonzero entry, each forcing its unknown to 0: one pass
 pins those, and only what they leave is eliminated.  Each
 off-tree pair of the spin is a relation of M.  When M is free, spun from
@@ -41,17 +42,18 @@ count the maps through a projective at the generator vectors of a dual, and the
 MeatAxe forms one endomorphism per try: only the maps a caller keeps
 become matrices, each spun from its generator images along the spanning
 tree of M.  The word operators of a solve that forms equations are dropped
-once it has them.  Each module keeps its Hom spaces to and from the
-simples (one solve per simple, all its shifts in it), its socle, its
-cover, its radical once asked for, and the first stage of every Hom solve
-into it; its shifts and its ungraded copy share its spin and those first
-stages.  A graded module is compared with a simple only at the shifts
-that keep the weights its diagonal generators read (`_shift_candidates`).
-The maps onto the simples take one of two routes.  A graded
-module, or one whose spin exists already, solves them out of itself; an
-ungraded module not yet spun solves them through its dual over the
-opposite algebra, out of the op simples.  A stable Hom Hom(M, N) mod
-projectives takes one route, whatever M is: it is read as
+once it has them.  Each module keeps, once formed, the simples it is
+compared with, its Hom spaces to and from them (one solve per simple, all
+its shifts in it), its socle, its cover, its dual, its ungraded view, its
+radical once asked for, and the first stage of every Hom solve into it
+that is not masked by degree; its shifts and its ungraded copy share its
+spin and those first stages.  A graded module is compared with a simple
+only at the shifts that keep the weights its diagonal generators read
+(`_shift_candidates`).  The maps onto the simples take one of two routes.
+A graded module, or one whose spin exists already, solves them out of
+itself; an ungraded module not yet spun reads them as the transposes of
+the maps from the op simples into the dual it keeps.  A stable Hom
+Hom(M, N) mod projectives takes one route, whatever M is: it is read as
 Hom(N*, M*) over the opposite algebra, out of N* and the duals of N's
 cover, which stay the same along a trace.  So no resolution or trace spins
 a syzygy.  A trace of a module that is semisimple once its projective
@@ -277,32 +279,30 @@ class GenAlgebraModule:
         projective_cover read only the span of the maps onto each S (a
         count, a common kernel, the pivots of a row space), so both give the
         same answers.  An ungraded M that is not spun yet reads Hom(M, S) as
-        the transpose of Hom(S*, M*) over the opposite algebra: a solve out
-        of the small op simple S*, cheaper than spinning a large M, so a
-        syzygy whose top alone is asked for is never spun.  It reads the
-        dual M keeps for a stable Hom (`dual`), if any, so that both solve
-        into one M*, and otherwise forms one it does not keep.  Every other
-        M solves out of itself, once per simple: where M's spin exists (the
+        the transpose of Hom(S*, M*) over the opposite algebra: the maps
+        from the op simples into the dual M keeps (`dual`), solved out of
+        the small S*, cheaper than spinning a large M, so a syzygy whose
+        top alone is asked for is never spun.  Each transposed map goes
+        with M's own view of S (`simple_targets`).  Every other M solves
+        out of itself, once per simple: where M's spin exists (the
         designated simples and covers, any module a Hom was solved out of)
         that is the cheap solve, and a graded M solves every shift of S in
         it, keeping its grading.
         """
         if self.graded or "spin" in vars(self._spin_source or self):
             return _maps_with_simples(self, onto=True)
-        # the dual a stable Hom keeps on this module, else one not kept
-        dual = vars(self).get("dual") or dual_module(self)
-        targets = (
-            (idx, None, S, [phi.transpose() for phi in hom_space(S_op, dual)])
-            for (idx, S), (_, S_op) in zip(_simple_targets(self), _simple_targets(dual))
+        views = dict(self.simple_targets)
+        return tuple(
+            (idx, None, views[idx], [phi.transpose() for phi in maps])
+            for idx, _, _, maps in _maps_with_simples(self.dual, onto=False)
         )
-        return tuple(t for t in targets if t[3])
 
     @cached_property
     def dual(self) -> "GenAlgebraModule":
-        """`dual_module` of this module, kept: every stable Hom out of it or
-        into it reads it, and so does its top once it is kept
-        (`maps_to_simples`).  A designated simple or cover holds the dual
-        that its opposite algebra designates."""
+        """`dual_module` of this module, formed when first read and kept:
+        every stable Hom out of it or into it reads this one, and so does a
+        top read through the dual (`maps_to_simples`).  A designated simple
+        or cover holds the dual that its opposite algebra designates."""
         # building the opposite algebra sets it on a designated module
         opposite_algebra(self.algebra)
         return vars(self).get("dual") or dual_module(self)
@@ -310,7 +310,9 @@ class GenAlgebraModule:
     @cached_property
     def ungraded(self) -> "GenAlgebraModule":
         """`forget_grading` of this graded module, kept: every Hom solve
-        against a designated simple reads one ungraded view of it."""
+        against a designated simple reads one ungraded view of it, and so
+        do the covers of ungraded modules (`projective_cover`) and
+        `opposite_algebra`, for a designated graded projective."""
         return self.forget_grading()
 
     @cached_property
@@ -346,6 +348,19 @@ class GenAlgebraModule:
         diagonals, shifts = self.diagonals, self.algebra.shifts
         gens = tuple(g for g in self.algebra.gens if g in diagonals and shifts[g] == 0)
         return gens, frozenset(zip(self.grading, *(diagonals[g] for g in gens)))
+
+    @cached_property
+    def simple_targets(self) -> Tuple[Tuple[int, "GenAlgebraModule"], ...]:
+        """(simple index, the simple ungraded) for each simple this module
+        is compared with: every simple when it is ungraded, and when it is
+        graded those with a shift in `_shift_candidates`.  A graded simple
+        gives the ungraded view it keeps (`ungraded`).  Formed once; the
+        maps to and from the simples both read it."""
+        return tuple(
+            (idx, S.ungraded if S.graded else S)
+            for idx, S in enumerate(self.algebra.simples)
+            if not self.graded or _shift_candidates(self, S)
+        )
 
     @cached_property
     def maps_from_simples(self) -> Tuple[tuple, ...]:
@@ -761,7 +776,8 @@ def _local_echelon(
     """The canonical kernel of the equations of the local pairs of `spin`,
     in the unknowns (gen_of, row_of) of a Hom system into N, as
     `_pinned_kernel` gives it; None when it leaves no unknown free.
-    `_local_kernel` calls it once per target and local system.
+    `_local_kernel` calls it once per target and local system, or once per
+    solve for a system masked by degree.
 
     A local pair says g*x_j = sum_j' c_j' x_j' of the generator images x
     alone: e*x = 0 on a highest-weight generator asks for x in ker e.
@@ -816,27 +832,30 @@ def _local_kernel(
     spin: Spin, N: GenAlgebraModule, gen_of: np.ndarray, row_of: np.ndarray
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Stage one of a Hom system into N: the canonical kernel K of the
-    equations of the local pairs of `spin`, as read-only (free, pivots,
-    K_piv), where K is the identity on the free unknowns and K_piv holds
-    its pivot rows; None when no unknown is left free.  These are the
+    equations of the local pairs of `spin`, as (free, pivots, K_piv),
+    where K is the identity on the free unknowns and K_piv holds its pivot
+    rows; None when no unknown is left free.  These are the
     RREF's of all the local equations, though `_local_echelon` eliminates
     only what its pinned unknowns leave.
 
-    Solved once per target and local system.  Sources whose spins have the
-    same local pairs pose the same equations (every simple's generator is a
-    highest-weight vector), so the result is kept on the module that holds
-    N's action, shared by its shifts and ungraded copy, under the local
-    pairs and the unknown layout, which carries the degrees.  The key is
-    kept small, as the targets that live longest, the simples, gather one
-    entry for every source compared with them.
+    A system with an unknown at every (generator, row of N) is solved once
+    per target and local system.  Sources whose spins have the same local
+    pairs pose the same equations (every simple's generator is a
+    highest-weight vector), so the result is kept, read-only, on the module
+    that holds N's action, shared by its shifts and ungraded copy, under
+    the local pairs and the number of generators.  A system masked by
+    degree, between two graded modules, is solved anew and not kept: its
+    unknowns depend on both gradings, and when such stage ones were kept
+    (8, 16 and 24 of them in `verify all` at p = 3, 5 and 7) no solve
+    read one again.
     """
-    owner = N._spin_source or N
-    # the layout as one bit per (generator, row of N), set for the unknowns:
-    # gen_of * dim N + row_of increases with u, so the bits fix both arrays
     n_gen = spin.gen_pos.size
-    layout = np.zeros(n_gen * N.dim, dtype=bool)
-    layout[gen_of * N.dim + row_of] = True
-    key = (spin.local_key, n_gen, np.packbits(layout).tobytes())
+    # the unknowns are a subset of the full layout, in its order, so they
+    # are all of it exactly when there are as many
+    if gen_of.size < n_gen * N.dim:
+        return _local_echelon(spin, N, gen_of, row_of)
+    owner = N._spin_source or N
+    key = (spin.local_key, n_gen)
     if key not in owner._local_kernels:
         kernel = _local_echelon(spin, N, gen_of, row_of)
         for a in kernel or ():
@@ -954,12 +973,12 @@ def _hom_kernel(M: GenAlgebraModule, N: GenAlgebraModule) -> Optional[HomKernel]
     if unknowns == 0:
         return None
     # stage one eliminates the local pairs, once per target and local
-    # system; the rest is solved in the k coordinates of their canonical
-    # kernel K.  K is the identity on the k free unknowns, and each pivot
-    # unknown depends only on free ones after it, so K times the canonical
-    # kernel of stage two is the canonical kernel of the whole system,
-    # column for column.  Only the pivot rows of K are formed: with no
-    # local pair there are none
+    # system when no degree masks it (`_local_kernel`); the rest is solved
+    # in the k coordinates of their canonical kernel K.  K is the identity
+    # on the k free unknowns, and each pivot unknown depends only on free
+    # ones after it, so K times the canonical kernel of stage two is the
+    # canonical kernel of the whole system, column for column.  Only the
+    # pivot rows of K are formed: with no local pair there are none
     local = _local_kernel(spin, N, gen_of, row_of)
     if local is None:
         return None
@@ -1085,25 +1104,15 @@ def _shift_candidates(M: GenAlgebraModule, S: GenAlgebraModule) -> List[int]:
     return sorted(d for d in shifts if all((ls[0] + d, *ls[1:]) in m_labels for ls in s_labels))
 
 
-def _simple_targets(M: GenAlgebraModule):
-    """(simple index, the simple ungraded) for each simple M is compared
-    with: every simple for an ungraded M, and for a graded M those with a
-    shift in `_shift_candidates`.  A graded simple yields the ungraded
-    view it keeps (`GenAlgebraModule.ungraded`), the same at every call."""
-    for idx, S in enumerate(M.algebra.simples):
-        if not M.graded or _shift_candidates(M, S):
-            yield idx, S.ungraded if S.graded else S
-
-
 def _maps_with_simples(M: GenAlgebraModule, onto: bool) -> Tuple[tuple, ...]:
     """(simple index, shift or None, simple S, maps) for each S of
-    `_simple_targets`, and each shift for a graded M, with Hom(M, S) nonzero,
+    `M.simple_targets`, and each shift for a graded M, with Hom(M, S) nonzero,
     or Hom(S, M) unless `onto`.  One Hom is solved per S, with S ungraded.
     For a graded M it is the sum of the degree-0 Homs with the shifts of S,
     its system block-diagonal by shift, so each canonical basis map lies in
     one shift and a shift's maps are its own canonical basis."""
     out = []
-    for idx, S in _simple_targets(M):
+    for idx, S in M.simple_targets:
         maps = hom_space(M, S) if onto else hom_space(S, M)
         if maps and not M.graded:
             out.append((idx, None, S, maps))
@@ -1193,7 +1202,7 @@ def projective_cover(M: GenAlgebraModule) -> Tuple[GenAlgebraModule, FpMat, List
             # align the shifted projective so its top sits at shift d
             Pblock = Pcan.shifted(d - tops[0][1])
         else:
-            Pblock = Pcan.forget_grading() if Pcan.graded else Pcan
+            Pblock = Pcan.ungraded if Pcan.graded else Pcan
         hom = _hom_kernel(Pblock, M)
         chosen: Sequence[int] = ()
         if hom is not None:
@@ -1335,7 +1344,7 @@ def opposite_algebra(alg: GenAlgebra) -> GenAlgebra:
     for P in alg.projectives:
         if P is None:
             continue
-        soc, _ = socle(P.forget_grading() if P.graded else P)
+        soc, _ = socle(P.ungraded if P.graded else P)
         if len(soc) != 1 or soc[0][-1] != 1:
             raise RuntimeError("designated projective has no simple socle")
         op_projectives[soc[0][0]] = vars(P)["dual"] = dual_module(P)
@@ -1602,16 +1611,10 @@ def ext_dims(M: GenAlgebraModule, length: int, with_ext: bool = True) -> Resolut
     factors through a projective, so the stable Hom is Hom(Omega^n, M0)
     (Benson, *Representations and Cohomology I*, CUP 1991).  Any other M0
     counts `stable_hom_dim`: then a syzygy's stable Hom and its top share
-    its dual, and every stable Hom reads M0's.  A trace with Ext keeps the
-    duals of M and M0 before it reads their tops, so that M0's top and its
-    stable Homs read one dual.
+    the dual it keeps, and every stable Hom reads M0's.
     """
     check_degree(length)
-    if with_ext:
-        M.dual
     M0 = strip_projectives(M)
-    if with_ext:
-        M0.dual
     # [top M0 : S] for each simple S, keyed as `top` lists it: [M0 : S]
     # when these simples fill M0
     mults = {entry[:-1]: entry[-1] for entry in top(M0)} if with_ext else {}

@@ -254,24 +254,20 @@ def _case(inp: dict, expected: dict, got: dict, ok: bool) -> dict:
 
 
 def suite_verma_period(p: int, seed: int, dump_dir=None) -> _SuiteCases:
-    """Ungraded height-one baby Vermas have Heller period exactly 2."""
+    """Ungraded height-one baby Vermas have the Heller period the formula
+    gives (`verma_period`, 2 at r = 1): Omega^k Z is not Z for 0 < k <
+    period, and Omega^period Z is."""
 
     def case(lam):
-        Z = verma_module(p, 1, lam)
-        om1 = heller(Z)
-        om2 = heller(om1)
-        r1 = is_isomorphic(om1, Z)
-        r2 = is_isomorphic(om2, Z)
-        ok = r1.status == "not_iso" and r2.status == "iso"
-        return (
-            {
-                "omega1": "not_iso",
-                "omega2": "iso",
-                "source": "period formula 2*p^(r-depth)",
-            },
-            {"omega1": r1.status, "omega2": r2.status},
-            ok,
-        )
+        period = verma_period(sl2_root_datum(p), lam, 1)
+        Z = omega = verma_module(p, 1, lam)
+        expected, got = {"source": "period formula 2*p^(r-depth)"}, {}
+        for k in range(1, period + 1):
+            omega = heller(omega)
+            expected[f"omega{k}"] = "iso" if k == period else "not_iso"
+            got[f"omega{k}"] = is_isomorphic(omega, Z).status
+        ok = all(got[key] == expected[key] for key in got)
+        return expected, got, ok
 
     for lam in range(p - 1):
         yield {"p": p, "r": 1, "lambda": lam}, functools.partial(case, lam)
@@ -530,7 +526,9 @@ def _cmd_verify(args) -> int:
     report = run_verify(
         args.suite, args.p, seed, budget_ms=args.budget_ms, dump_dir=args.dump_dir
     )
-    _emit(args, report, _STANDING, True, _verify_text(args.suite, report))
+    # verified only when some case ran its independent computation
+    ran = any(c["status"] != "inconclusive" for c in report["cases"])
+    _emit(args, report, _STANDING, ran, _verify_text(args.suite, report))
     return 0 if report["passed"] else 2
 
 

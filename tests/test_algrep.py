@@ -31,7 +31,6 @@ from frobkern.algrep import (
     _independent_columns,
     _pinned_kernel,
     _shift_candidates,
-    _simple_targets,
     _span_module,
     composition_factors,
     direct_sum,
@@ -664,18 +663,20 @@ def test_local_kernel_is_solved_once_per_target_and_system(monkeypatch):
     # a module built anew from the same action keeps its own
     algrep._hom_kernel(S2, rebuilt(H))
     assert len(calls) == 2
-    # shifted and ungraded copies read the entries of the module they copy
+    # a system masked by degree, between two graded modules, is solved
+    # anew each time, even where a shift poses the same one
     T, N = alg.simples[2], rebuilt(alg.projectives[2])
     assert algrep._hom_kernel(T, N) is not None
     assert len(calls) == 3
     assert algrep._hom_kernel(T.shifted(2), N.shifted(2)) is not None
-    assert len(calls) == 3
-    # an ungraded source gives every row of N an unknown: a new layout,
-    # which the ungraded copy and a shift of N then share
+    assert len(calls) == 4
+    # an ungraded source gives every row of N an unknown: an unmasked
+    # system, which the ungraded copy and a shift of N then share, as
+    # they read the entries of the module they copy
     assert algrep._hom_kernel(T.forget_grading(), N.forget_grading()) is not None
-    assert len(calls) == 4
+    assert len(calls) == 5
     assert algrep._hom_kernel(T.forget_grading(), N.shifted(-2)) is not None
-    assert len(calls) == 4
+    assert len(calls) == 5
 
 
 def all_pairs_kernel(monkeypatch, M, N):
@@ -1130,6 +1131,42 @@ def test_ub1_forms_no_shallow_system_and_one_dual_per_verma(monkeypatch):
     assert len({id(M) for (M,) in duals}) == len(duals)
 
 
+def test_graded_orbit_compares_each_module_with_a_simple_once(monkeypatch):
+    # `verify graded-orbit --p 7 --seed 7` on graded u(sl2) built anew: a
+    # module keeps the simples it is compared with, so its top and its
+    # socle read one `_shift_candidates` per simple, 210 calls in all
+    # against 294 when each walk of the simples tested them again
+    built_anew(monkeypatch, "graded_restricted_sl2", 7)
+    calls = record_calls(monkeypatch, "_shift_candidates")
+    run_verify("graded-orbit", "--p", "7")
+    assert len(calls) == 210
+    assert len({(id(M), id(S)) for M, S in calls}) == len(calls)
+
+
+def test_a_graded_trace_forms_no_dual(monkeypatch):
+    # a graded simple's trace reads every top forward and, its M0 being
+    # semisimple, Ext off those tops: nothing reads a dual, so none is
+    # formed, nor the opposite algebra, against 10 duals when the trace
+    # formed those of M and M0 ahead of their tops
+    alg = built_anew(monkeypatch, "graded_restricted_sl2", 5)
+    duals = record_calls(monkeypatch, "dual_module")
+    trace = ext_dims(graded_simple_module(5, 1), 6)
+    assert duals == [] and "op" not in alg.meta
+    assert len(trace.ext_dims) == 7
+
+
+def test_a_solve_masked_by_degree_keeps_no_stage_one():
+    # between two graded modules the unknowns are masked by degree, and
+    # their stage one is not kept on the target; an ungraded source asks
+    # for every unknown, and its stage one is kept
+    alg = graded_restricted_sl2(5)
+    T, N = alg.simples[2], rebuilt(alg.projectives[2])
+    assert algrep._hom_kernel(T, N) is not None
+    assert N._local_kernels == {}
+    assert algrep._hom_kernel(T.ungraded, N) is not None
+    assert list(N._local_kernels) == [(T.spin.local_key, 1)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_restricted_regular_module_is_free(p):
     # restricted_sl2 designates its covers after its simples, and designate
@@ -1192,7 +1229,7 @@ def test_simple_homs_are_solved_once_per_module(monkeypatch):
 def forward_maps_to_simples(M):
     """(simple index, Hom(M, S)) for each simple S with Hom(M, S) nonzero,
     every one solved out of M."""
-    targets = ((idx, hom_space(M, S)) for idx, S in _simple_targets(M))
+    targets = ((idx, hom_space(M, S)) for idx, S in M.simple_targets)
     return [(idx, maps) for idx, maps in targets if maps]
 
 
@@ -1275,12 +1312,12 @@ def test_top_is_read_through_the_dual_only_for_unspun_ungraded_modules(monkeypat
     assert steps[0] == (Z,) and len(steps) == 3
     assert {id(A) for (A,) in spins} <= designated | {id(Z.dual)}
     # with no stable Hom each syzygy's top is its dual's only reader, and
-    # keeps none.  A module with a projective summand is not M0: a trace
-    # with Ext keeps the duals of both before their tops are read, so M0's
-    # top and its stable Homs read one
+    # the syzygy keeps that dual all the same.  A module with a projective
+    # summand is not M0: the tops of both are read through their duals,
+    # which each keeps, so M0's top and its stable Homs read one
     steps.clear()
     ext_dims(fresh(gacohom.truncated_poly_algebra(5, 2).simples[0]), 4, with_ext=False)
-    assert len(steps) == 4 and not any("dual" in vars(A) for (A,) in steps)
+    assert len(steps) == 4 and all("dual" in vars(A) for (A,) in steps)
     M = direct_sum([fresh(verma_module(5, 1, 0)), principal_indecomposable(5, 1, 1)])
     duals.clear()
     ext_dims(M, 2)
@@ -2235,7 +2272,7 @@ def test_simple_targets_are_the_shifts_inside_the_degrees_of_the_module():
             weighted += c is not None and shifts != inside
             compared.update((idx, d) for d in shifts)
         # a simple is solved, once, exactly when it has a candidate shift
-        assert [idx for idx, _ in _simple_targets(M)] == sorted({idx for idx, _ in compared})
+        assert [idx for idx, _ in M.simple_targets] == sorted({idx for idx, _ in compared})
         for idx, S in enumerate(M.algebra.simples):
             for d in {dm - ds for dm in degs for ds in S.grading}:
                 if hom_space(M, S.shifted(d)) or hom_space(S.shifted(d), M):
@@ -2251,7 +2288,7 @@ def test_simple_targets_keep_one_ungraded_view_per_simple():
     # every graded module compared with a simple reads the one ungraded
     # view the simple keeps, which shares the simple's spin
     M = graded_verma_module(5, 1)
-    first, second = list(_simple_targets(M)), list(_simple_targets(fresh(M)))
+    first, second = M.simple_targets, fresh(M).simple_targets
     assert first and [(i, id(S)) for i, S in first] == [(i, id(S)) for i, S in second]
     for idx, S in first:
         T = M.algebra.simples[idx]

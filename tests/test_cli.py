@@ -346,6 +346,21 @@ def test_verify_budget_flag(capsys):
     assert code == 0  # inconclusive is not failure
     assert report["budget_exceeded"] is True
     assert all(c["status"] == "inconclusive" for c in report["cases"])
+    # no case ran, so the oracle verified nothing
+    assert payload["verified_by_oracle"] is False
+
+
+def test_verma_period_reads_its_period_from_the_formula(capsys, monkeypatch):
+    # a formula that claims period 4 expects Omega^2 Z not to be Z, which
+    # the oracle refutes: every case fails and the command exits 2
+    monkeypatch.setattr(cli, "verma_period", lambda rd, lam, r: 4)
+    code, payload = run_json(capsys, ["verify", "verma-period", "--p", "3"])
+    assert code == 2
+    cases = payload["result"]["cases"]
+    assert cases and all(c["status"] == "fail" for c in cases)
+    for case in cases:
+        assert sorted(case["expected"]) == ["omega1", "omega2", "omega3", "omega4", "source"]
+        assert case["expected"]["omega2"] == "not_iso" and case["got"]["omega2"] == "iso"
 
 
 def test_verify_budget_binds_per_case(capsys, monkeypatch):
